@@ -29,7 +29,6 @@ __all__ = [
     "require_unitary",
     "tensor_product",
     "to_magic_frame",
-    "from_magic_frame",
     "normalize_special",
     "distance_up_to_phase",
     "random_unitary",
@@ -65,24 +64,27 @@ class UnitarityError(ValueError):
     """Raised when a matrix required to be unitary is not."""
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    """True if ||M^dag M - I||_F <= atol."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    defect = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.linalg.norm(defect)) <= atol
-
-
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
-    """Validate unitarity and return the matrix as a complex ndarray."""
+    """Validate unitarity and return the matrix as a complex ndarray.
+
+    Non-finite entries make the defect NaN or inf and are rejected too.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UnitarityError(f"{name} must be square, got shape {m.shape}")
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-    if defect > atol:
+    if not defect <= atol:
         raise UnitarityError(f"{name} is not unitary: ||M^dag M - I||_F = {defect:.3e} > {atol:.1e}")
     return m
+
+
+def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+    """True if ||M^dag M - I||_F <= atol; the test of :func:`require_unitary`."""
+    try:
+        require_unitary(m, atol)
+    except UnitarityError:
+        return False
+    return True
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,11 +102,6 @@ def to_magic_frame(u: np.ndarray) -> np.ndarray:
     if u.shape != (4, 4):
         raise UnitarityError(f"gate must be 4x4, got shape {u.shape}")
     return MAGIC_H @ u @ MAGIC
-
-
-def from_magic_frame(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_magic_frame`: Q M Q^dag."""
-    return MAGIC @ np.asarray(m, dtype=complex) @ MAGIC_H
 
 
 def normalize_special(u: np.ndarray) -> tuple[np.ndarray, float]:

@@ -42,6 +42,13 @@ __all__ = [
 _AGREE_ATOL = 1e-6
 _VIOLATION_ATOL = 1e-8
 
+# Backtracking: the trial step is halved at most _MAX_HALVINGS times and
+# abandoned once it falls below _MIN_TRIAL; _LADDER_BLOCK halvings are
+# evaluated per objective call.
+_LADDER_BLOCK = 8
+_MAX_HALVINGS = 60
+_MIN_TRIAL = 1e-18
+
 
 class Direction(enum.Enum):
     MAX = "max"
@@ -229,9 +236,14 @@ def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool,
     otherwise candidates are only renormalized (penalty stages).  Step
     sizes start from the Barzilai-Borwein secant estimate (essential for
     the ill-conditioned landscapes of near-degenerate gates) and back off
-    under an Armijo test.  A row converges when its accepted step falls
-    below ``step_tol`` or no step yields a decrease above the floating
-    point noise floor.  Returns the final rows and the convergence mask.
+    under an Armijo test.  The back-off is a ladder of halved steps: for
+    every row still searching, the next ``_LADDER_BLOCK`` rungs are
+    evaluated in one batch and the row takes the first rung that passes,
+    exactly as if the rungs had been tried one at a time, so a row's
+    result never depends on the other rows.  A row converges when its
+    accepted step falls below ``step_tol`` or no step yields a decrease
+    above the floating point noise floor.  Returns the final rows and the
+    convergence mask.
     """
     z = z.copy()
     n = z.shape[0]
@@ -268,28 +280,36 @@ def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool,
         cand_val = base.copy()
         moved = np.zeros(idx.size, dtype=bool)
         pending = np.ones(idx.size, dtype=bool)
-        for _bt in range(60):
+        for first in range(0, _MAX_HALVINGS, _LADDER_BLOCK):
             rows = np.flatnonzero(pending)
             if rows.size == 0:
                 break
-            zc = za[rows] - trial[rows][:, None] * grad[rows]
+            # Halving is exact, so ldexp gives rung j the same step as j
+            # successive halvings; rung 0 of the ladder is tried even below
+            # _MIN_TRIAL.
+            rung = np.arange(min(_LADDER_BLOCK, _MAX_HALVINGS - first))
+            t = np.ldexp(trial[rows][:, None], -rung)
+            zc = (za[rows][:, None, :] - t[:, :, None] * grad[rows][:, None, :]).reshape(-1, 4)
             if feasible:
                 zc, ok = _project_feasible(zc, c0)
             else:
                 zc = zc / _row_norms(zc)[:, None]
-                ok = np.ones(rows.size, dtype=bool)
-            vc = obj.value(zc)
-            required = np.maximum(1e-4 * trial[rows] * gnorm2[rows], noise)
-            accept = ok & (vc <= base[rows] - required)
-            hit = rows[accept]
-            cand[hit] = zc[accept]
-            cand_val[hit] = vc[accept]
+                ok = np.ones(zc.shape[0], dtype=bool)
+            vc = obj.value(zc).reshape(t.shape)
+            required = np.maximum(1e-4 * t * gnorm2[rows][:, None], noise)
+            reached = (t >= _MIN_TRIAL) | (first + rung == 0)
+            accept = reached & ok.reshape(t.shape) & (vc <= base[rows][:, None] - required)
+            won = accept.any(axis=1)
+            pick = accept.argmax(axis=1)[won]
+            hit = rows[won]
+            cand[hit] = zc.reshape(*t.shape, 4)[won, pick]
+            cand_val[hit] = vc[won, pick]
+            trial[hit] = t[won, pick]
             moved[hit] = True
             pending[hit] = False
-            miss = rows[~accept]
-            trial[miss] *= 0.5
-            give_up = miss[trial[miss] < 1e-18]
-            pending[give_up] = False
+            miss = rows[~won]
+            trial[miss] = np.ldexp(trial[miss], -reached[~won].sum(axis=1))
+            pending[miss] = trial[miss] >= _MIN_TRIAL
         step_len = _row_norms(cand - za)
         step_len[~moved] = 0.0
         z[idx] = cand

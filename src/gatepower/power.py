@@ -60,7 +60,10 @@ class GateOrdering(enum.Enum):
 
 def _abs_a3(alpha) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
-    return np.array([a[0], a[1], abs(a[2])])
+    a1, a2, a3 = float(a[0]), float(a[1]), abs(float(a[2]))
+    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        raise ValueError(f"chamber coordinates must be finite, got {a.tolist()}")
+    return np.array([a1, a2, a3])
 
 
 def saturation_condition(alpha) -> bool:

@@ -245,6 +245,16 @@ def test_non_unitary_gate_file_exits_two(tmp_path, capsys):
     assert "not unitary" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gate_file_exits_two(tmp_path, capsys):
+    doc = {"matrix": [[[math.nan, 0.0]] * 4] * 4}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["decompose", "--gate", str(path)])
+    assert code == 2
+    assert "not unitary" in err
+
+
 def test_malformed_gate_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

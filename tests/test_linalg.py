@@ -8,13 +8,16 @@ from gatepower import (
     SIGMA_X,
     SIGMA_Z,
     UnitarityError,
+    decompose,
     distance_up_to_phase,
+    is_unitary,
     normalize_special,
     random_unitary,
     tensor_product,
     to_magic_frame,
 )
 from gatepower.canonical import canonical_gate, eigen_phases
+from gatepower.linalg import require_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -98,6 +101,19 @@ def test_to_magic_frame_swap_is_bell_parity():
 def test_to_magic_frame_rejects_non_unitary():
     with pytest.raises(UnitarityError):
         to_magic_frame(np.diag([2.0, 1.0, 1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+def test_non_finite_matrices_are_not_unitary(bad):
+    # NaN > atol is False: the check must still reject, before any LAPACK call.
+    m = random_unitary(4, 5)
+    m[1, 2] = bad
+    assert not is_unitary(m)
+    with pytest.raises(UnitarityError):
+        require_unitary(m)
+    with pytest.raises(UnitarityError):
+        decompose(m)
 
 
 def test_to_magic_frame_preserves_unitarity():

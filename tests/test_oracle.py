@@ -20,7 +20,7 @@ from gatepower import (
     to_magic_coefficients,
     verify_profile,
 )
-from gatepower.oracle import _descend, _initial_starts, _Objective, _pack_result
+from gatepower.oracle import ProfileRow, _descend, _initial_starts, _Objective, _pack_result
 from gatepower.canonical import eigen_phases
 
 QUARTER_PI = math.pi / 4
@@ -205,3 +205,174 @@ def test_conjugate_classes_have_identical_power():
         a = extremal_concurrence(w, c0, Direction.MAX, cfg).extremal_concurrence
         b = extremal_concurrence(flipped, c0, Direction.MAX, cfg).extremal_concurrence
         assert abs(a - b) <= 1e-6
+
+
+# Outputs of backtracking one halving per objective call, recorded with
+# FAST.  Evaluating several halvings per call must reproduce them bit for
+# bit: halving a step is exact, so the arithmetic per row is unchanged.
+GOLDEN_GATES = {
+    "generic": (0.45, 0.25, 0.10),
+    "near_identity": (0.025, 0.015, 0.00625),
+    "facet": (QUARTER_PI, 0.4, 0.4),
+}
+# (gate, c0, direction): (extremal_concurrence, constraint_violation,
+# starts_agreeing, converged, achiever as little-endian complex128 bytes)
+GOLDEN_SEARCHES = {
+    ("generic", 0.0, Direction.MIN): (
+        6.44878330857461e-11, 2.8609792490763985e-16, 21, True,
+        "987b8edae92fac3fe4e16021cf36a13f504c4704f816bd3fb3a80b4ec2e5993f"
+        "041e30858b3cdebf2e0adaf5ed41b6bfe40412a6cf70ebbf0edeafd64048c03f",
+    ),
+    ("generic", 0.0, Direction.MAX): (
+        0.9854497299884601, 0.0, 26, True,
+        "00000000000000000000000000000000468d32cf6b90edbf60a9aea6e27dd83f"
+        "0000000000000000000000000000000000000000000000000000000000000000",
+    ),
+    ("generic", 0.5, Direction.MIN): (
+        5.020288087952725e-13, 1.1102230246251565e-16, 24, True,
+        "cc1fde29b766ce3f31d76759a497e0bf2ade7fff2fe0bc3f8a1735a4732cb6bf"
+        "a4a1ce0ab15ee2bfba9586bf08dad83f88bf1c0f8c00863f47b94cffa5b3da3f",
+    ),
+    ("generic", 0.5, Direction.MAX): (
+        1.0, 0.0, 24, True,
+        "41429901dca0d1bf42e32283828dd0bf0809c1f5588bde3fe01bfbc3228be13f"
+        "260db7c7785ab4bf80eeb1199687683f0310079d0b18d5bf70467d6e419add3f",
+    ),
+    ("generic", 1.0, Direction.MIN): (
+        0.16996714290024104, 4.440892098500626e-16, 26, True,
+        "44a484a315b2a3bdeda5ae10d05a333e1cd4e6ffffffdf3ff1950c000000e0bf"
+        "1cd4e6ffffffdfbff1950c000000e0bf44a484a315b2a3bdeda5ae10d05a33be",
+    ),
+    ("generic", 1.0, Direction.MAX): (
+        1.0, 4.440892098500626e-16, 24, True,
+        "cc3b7f669ea0e6bf98a0179fcd410abef8260bed7846003ef6f928b1f4142cbe"
+        "f8260bed784600bef6f928b1f4142cbecc3b7f669ea0e6bf98a0179fcd410a3e",
+    ),
+    ("near_identity", 0.0, Direction.MIN): (
+        7.884816669869972e-06, 1.2412670766236366e-16, 1, True,
+        "c34ff79e0046c5bf8772c2a3e764d63f89784ca98db0cb3f53dcc4dceaa6db3f"
+        "72197a8feaa7dc3f2e872148e9d3c9bfbbea0bfc2e9fc23f492f47fdce0ae3bf",
+    ),
+    ("near_identity", 0.0, Direction.MAX): (
+        0.07991469396917265, 5.551115123125783e-17, 25, True,
+        "00000000000000000000000000000000fe82eda5ad36ecbf3f2ea195eb32de3f"
+        "000000000000903c000000000000000000000000000000000000000000000000",
+    ),
+    ("near_identity", 0.5, Direction.MIN): (
+        0.4291926980383471, 2.220446049250313e-16, 26, True,
+        "0000000000000000000000000000000056262c743ddbe53f56262c743ddbe5bf"
+        "5299b0d0f56cc7bf5299b0d0f56cc7bf00000000000000000000000000000000",
+    ),
+    ("near_identity", 0.5, Direction.MAX): (
+        0.5676090082642725, 1.1102230246251565e-16, 25, True,
+        "a20646a11027553e21c98c548d8441be889172793ddbe53f1ebbe56e3ddbe53f"
+        "32f957d6f56cc7bf6c3909cbf56cc73f244b4814bec5523ef28b13b980ed36be",
+    ),
+    ("near_identity", 1.0, Direction.MIN): (
+        0.9968017063026193, 3.3306690738754696e-16, 26, True,
+        "29ee349bcde774be537cf7c5ece575be8dd0fb040000e0bffc5d08f6ffffdfbf"
+        "8dd0fb040000e03ffc5d08f6ffffdfbf29ee349bcde774be537cf7c5ece5753e",
+    ),
+    ("near_identity", 1.0, Direction.MAX): (
+        1.0, 1.1102230246251565e-16, 24, True,
+        "d7777f9108e788beef3a7f669ea0e6bfb33b97a25899543e92767cae5bf3fa3d"
+        "b33b97a2589954be92767cae5bf3fa3dd7777f9108e788beef3a7f669ea0e63f",
+    ),
+    ("facet", 0.0, Direction.MIN): (
+        1.1102230246251565e-16, 2.465190328815662e-32, 19, True,
+        "cc3b7f669ea0d63fcc3b7f669ea0d63fcc3b7f669ea0d6bfcc3b7f669ea0d6bf"
+        "cc3b7f669ea0d6bfcc3b7f669ea0d6bfcc3b7f669ea0d63fcc3b7f669ea0d63f",
+    ),
+    ("facet", 0.0, Direction.MAX): (
+        0.9995736030415053, 7.850462293418876e-17, 26, True,
+        "5cb38e0bda80b43fe1089b6f3896df3f5ab38e0bda80b4bfe1089b6f3896dfbf"
+        "5ab38e0bda80b43fe1089b6f3896df3f5cb38e0bda80b4bfe1089b6f3896dfbf",
+    ),
+    ("facet", 0.5, Direction.MIN): (
+        2.5692570234106727e-10, 2.220446049250313e-16, 24, True,
+        "1a8c1fcbdddcb9bf8d4b14e85334d7bf2e91a62d94b6cbbf1312234cede7cd3f"
+        "ac572c56c155b7bfdfb0b360c3bce53f723a3d640283d63f63a4269be3ded93f",
+    ),
+    ("facet", 0.5, Direction.MAX): (
+        1.0, 0.0, 24, True,
+        "a2cbc6d6a1ebab3f13fe4e0a3d53e2bf1a5db94ba162b7bf069491fd3ae1dfbf"
+        "03f0fac08aa7c7bfdf5f524ca7a8c13f97dcae2e4a0ab5bf53c71e04f300e33f",
+    ),
+    ("facet", 1.0, Direction.MIN): (
+        0.02919952230128859, 3.3306690738754696e-16, 26, True,
+        "f6b30b746397753dc17ffbffffffdf3f1f4002000000e03f5aff2bcaf295503d"
+        "1f4002000000e0bf5aff2bcaf295503df6b30b746397753dc17ffbffffffdfbf",
+    ),
+    ("facet", 1.0, Direction.MAX): (
+        1.0, 0.0, 26, True,
+        "7e5a9cda5416e4bf9b8c580248cb89bdf1bf2ec937136b3d5f0708253dd5d4bf"
+        "f1bf2ec937136bbd5f0708253dd5d4bf7e5a9cda5416e4bf9b8c580248cb893d",
+    ),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GOLDEN_GATES))
+def test_extremal_concurrence_matches_recorded_outputs(gate):
+    for (name, c0, direction), expected in GOLDEN_SEARCHES.items():
+        if name != gate:
+            continue
+        r = extremal_concurrence(GOLDEN_GATES[gate], c0, direction, FAST)
+        value, violation, agree, converged, achiever = expected
+        assert r.extremal_concurrence == value
+        assert r.constraint_violation == violation
+        assert r.starts_agreeing == agree
+        assert r.converged is converged
+        assert r.achiever.astype("<c16").tobytes() == bytes.fromhex(achiever)
+
+
+def test_verify_profile_matches_recorded_report():
+    report = verify_profile(GOLDEN_GATES["generic"], [0.0, 0.3, 1.0], FAST)
+    assert report.rows == [
+        ProfileRow(
+            c0=0.0,
+            closed_min=0.0,
+            closed_max=0.9854497299884601,
+            oracle_min=6.44878330857461e-11,
+            oracle_max=0.9854497299884601,
+            deviation_min=6.44878330857461e-11,
+            deviation_max=0.0,
+            converged=True,
+            passed=True,
+        ),
+        ProfileRow(
+            c0=0.3,
+            closed_min=0.0,
+            closed_max=1.0,
+            oracle_min=3.9161128467117534e-11,
+            oracle_max=1.0,
+            deviation_min=3.9161128467117534e-11,
+            deviation_max=0.0,
+            converged=True,
+            passed=True,
+        ),
+        ProfileRow(
+            c0=1.0,
+            closed_min=0.16996714290024104,
+            closed_max=1.0,
+            oracle_min=0.16996714290024104,
+            oracle_max=1.0,
+            deviation_min=0.0,
+            deviation_max=0.0,
+            converged=True,
+            passed=True,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("feasible", [False, True])
+def test_descend_rows_are_independent(feasible):
+    # A row's path must not depend on which other rows share the batch.
+    lam = eigen_phases([0.45, 0.25, 0.10])
+    obj = _Objective(lam, 0.5, -1.0)
+    obj.weight = 0.0 if feasible else 100.0
+    z = _initial_starts(0.5, FAST)
+    full, full_conv = _descend(z, obj, 500, 1e-10, feasible=feasible, c0=0.5)
+    for subset in ([0], [5, 17], [3, 8, 20, 30, 35], list(range(1, z.shape[0], 2))):
+        part, part_conv = _descend(z[subset], obj, 500, 1e-10, feasible=feasible, c0=0.5)
+        assert part.tobytes() == full[subset].tobytes()
+        np.testing.assert_array_equal(part_conv, full_conv[subset])

@@ -62,6 +62,22 @@ def test_effective_angle_range():
         assert 0.0 <= theta <= math.pi / 2
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [math.inf, 0, 0], [0, 0, -math.inf]])
+def test_non_finite_coordinates_raise(bad):
+    for call in (
+        effective_angle,
+        saturation_condition,
+        c0_max,
+        c1_min,
+        lambda w: power_interval(w, 0.5),
+        lambda w: can_reach_max(w, 0.5),
+        lambda w: can_reach_zero(w, 0.5),
+        lambda w: compare_gates(w, CNOT_W),
+    ):
+        with pytest.raises(ValueError):
+            call(bad)
+
+
 def test_power_interval_saturating_gate_spans_everything():
     for c0 in np.linspace(0, 1, 11):
         interval = power_interval(CNOT_W, float(c0))
