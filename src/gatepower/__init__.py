@@ -38,6 +38,7 @@ from .canonical import (
     in_weyl_chamber,
     nearest_kronecker_factor,
     reconstruct,
+    reduce_alpha,
 )
 from .power import (
     GateOrdering,
@@ -90,6 +91,7 @@ __all__ = [
     "in_weyl_chamber",
     "nearest_kronecker_factor",
     "reconstruct",
+    "reduce_alpha",
     "GateOrdering",
     "PowerInterval",
     "c0_max",

@@ -11,8 +11,10 @@ complete invariant of local equivalence.
 
 The extraction works in the magic frame, where U_d is diagonal with
 eigenphases linear in alpha and local factors are real orthogonal:
-m = u~^T u~ is a complex symmetric unitary whose real orthogonal
-eigenbasis and half-eigenphases recover alpha and the local factors.
+m = u~^T u~ is a complex symmetric unitary.  Its spectrum fixes alpha,
+which ``reduce_alpha`` maps into the chamber as plain numbers; its real
+orthogonal eigenbasis, ordered to match the chamber eigenphases, gives
+the local factors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .linalg import (
     MAGIC,
     MAGIC_H,
-    SIGMA,
     UnitarityError,
     distance_up_to_phase,
     normalize_special,
@@ -38,6 +39,7 @@ __all__ = [
     "NotAProductError",
     "CanonicalDecomposition",
     "in_weyl_chamber",
+    "reduce_alpha",
     "eigen_phases",
     "canonical_gate",
     "nearest_kronecker_factor",
@@ -51,7 +53,11 @@ _QUARTER_PI = math.pi / 4.0
 # Acceptance thresholds for the decomposition pipeline.
 INPUT_UNITARY_ATOL = 1e-10
 RECONSTRUCTION_ATOL = 1e-8
-_CLUSTER_TOLS = (1e-10, 1e-8, 1e-6)
+
+# Weights c of the real mixes Re(m) + c Im(m) tried by _orthogonal_eigenbasis:
+# Euler's gamma, the golden ratio, e and pi.  Positive, distinct and
+# irrational, so no common coordinate value makes two eigenvalues collide.
+_MIXES = (0.5772156649015329, 1.618033988749895, 2.718281828459045, 3.141592653589793)
 
 
 class DecompositionError(RuntimeError):
@@ -159,29 +165,30 @@ def _closest_unitary(m: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _orthogonal_eigenbasis(m: np.ndarray, cluster_tol: float) -> np.ndarray:
+def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Real orthogonal eigenbasis of a complex symmetric unitary matrix.
 
-    Re(m) and Im(m) are commuting real symmetric matrices, so a shared
-    real eigenbasis exists.  Diagonalize Re(m) first, then diagonalize the
-    restriction of Im(m) within each eigenvalue cluster of Re(m); this
-    resolves the degeneracies that plain diagonalization of either part
-    leaves open.
+    Re(m) and Im(m) are commuting real symmetric matrices, so the real
+    eigenbasis of any mix Re(m) + c Im(m) diagonalizes m.  Eigenvalues
+    exp(i phi_j), exp(i phi_k) collide under the mix c when
+    phi_j + phi_k = 2 atan(c) (mod 2 pi), i.e. when a coordinate equals
+    +-atan(c)/2 (mod pi/2).  A coordinate can do that for at most one of
+    the positive ``_MIXES``, so one of the four is free of collisions.
+    Returns the first basis whose off-diagonal residual is at most 1e-10,
+    else the best one, together with that residual.
     """
     re = np.real(m)
     im = np.imag(m)
-    vals, basis = np.linalg.eigh(re)
-    order = 0
-    while order < 4:
-        end = order + 1
-        while end < 4 and vals[end] - vals[end - 1] <= cluster_tol:
-            end += 1
-        if end - order > 1:
-            block = basis[:, order:end]
-            _, rot = np.linalg.eigh(block.T @ im @ block)
-            basis[:, order:end] = block @ rot
-        order = end
-    return basis
+    best, best_off = None, np.inf
+    for c in _MIXES:
+        _, basis = np.linalg.eigh(re + c * im)
+        diag = basis.T @ m @ basis
+        off = float(np.linalg.norm(diag - np.diag(np.diagonal(diag))))
+        if off < best_off:
+            best, best_off = basis, off
+        if off <= 1e-10:
+            break
+    return best, best_off
 
 
 def _half_phases(eigvals: np.ndarray) -> np.ndarray:
@@ -201,67 +208,50 @@ def _half_phases(eigvals: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _kron_sigma(axis: int) -> np.ndarray:
-    return tensor_product(SIGMA[axis], SIGMA[axis])
+def reduce_alpha(alpha) -> np.ndarray:
+    """Weyl chamber representative of the gate class with coordinates alpha.
 
+    Works on the three numbers alone.  Each coordinate is shifted by a
+    multiple of pi/2 into (-pi/4, pi/4], the coordinates are sorted by
+    magnitude and pairs of signs are flipped; every move changes the gate
+    only by local factors and a global phase.  On the face a1 = pi/4
+    (within 1e-10) the chamber identifies +-a3 and the non-negative sign
+    is chosen.
 
-def _axis_rotation(axis: int) -> np.ndarray:
-    """exp(-i pi/4 sigma_axis) on both qubits: swaps the other two axes."""
-    r = (np.eye(2) - 1j * SIGMA[axis]) / math.sqrt(2.0)
-    return tensor_product(r, r)
-
-
-def _reduce_to_chamber(alpha, left, right):
-    """Reduce alpha to the Weyl chamber, folding compensating local
-    unitaries into the adjacent local factors.
-
-    Maintains left @ U_d(alpha) @ right invariant up to a global phase.
-    Moves: shifts by pi/2 (compensated by sigma_j (x) sigma_j), coordinate
-    swaps (compensated by pi/2 single-qubit rotations on both sides) and
-    pairwise sign flips (compensated by a Pauli on one side).
+    Raises:
+        ValueError: if a coordinate is not finite.
     """
-    alpha = list(np.asarray(alpha, dtype=float))
+    a = np.asarray(alpha, dtype=float).tolist()
+    if len(a) != 3 or not all(math.isfinite(x) for x in a):
+        raise ValueError(f"chamber coordinates must be three finite numbers, got {a}")
+    a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in a]
+    for j, k in ((0, 1), (1, 2), (0, 1)):
+        if abs(a[j]) < abs(a[k]):
+            a[j], a[k] = a[k], a[j]
+    if a[0] < 0:
+        a[0], a[2] = -a[0], -a[2]
+    if a[1] < 0:
+        a[1], a[2] = -a[1], -a[2]
+    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:
+        a[0], a[2] = _HALF_PI - a[0], -a[2]
+    return np.array(a)
 
-    def shift(k, steps):
-        nonlocal right
-        alpha[k] -= steps * _HALF_PI
-        if steps % 2:
-            right = _kron_sigma(k) @ right
 
-    def swap(j, k):
-        nonlocal left, right
-        axis = 3 - j - k
-        rot = _axis_rotation(axis)
-        alpha[j], alpha[k] = alpha[k], alpha[j]
-        left = left @ rot.conj().T
-        right = rot @ right
+def _match_columns(eigvals: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pair each target[k] with a distinct eigvals[order[k]], nearest pairs first.
 
-    def negate(j, k):
-        nonlocal left, right
-        axis = 3 - j - k
-        pauli = tensor_product(SIGMA[axis], np.eye(2))
-        alpha[j] = -alpha[j]
-        alpha[k] = -alpha[k]
-        left = left @ pauli
-        right = pauli @ right
-
-    for k in range(3):
-        shift(k, math.ceil(alpha[k] / _HALF_PI - 0.5))
-    if abs(alpha[0]) < abs(alpha[1]):
-        swap(0, 1)
-    if abs(alpha[1]) < abs(alpha[2]):
-        swap(1, 2)
-    if abs(alpha[0]) < abs(alpha[1]):
-        swap(0, 1)
-    if alpha[0] < 0:
-        negate(0, 2)
-    if alpha[1] < 0:
-        negate(1, 2)
-    # Chamber boundary a1 = pi/4 identifies +-a3; pick the positive sign.
-    if alpha[2] < -1e-15 and alpha[0] >= _QUARTER_PI - 1e-10:
-        shift(0, 1)
-        negate(0, 2)
-    return np.array(alpha), left, right
+    Returns the order and the largest distance of a chosen pair.
+    """
+    dist = np.abs(eigvals[None, :] - target[:, None])
+    order = np.zeros(4, dtype=int)
+    worst = 0.0
+    for _ in range(4):
+        k, j = divmod(int(np.argmin(dist)), 4)
+        order[k] = j
+        worst = max(worst, float(dist[k, j]))
+        dist[k, :] = np.inf
+        dist[:, j] = np.inf
+    return order, worst
 
 
 def decompose(u: np.ndarray) -> CanonicalDecomposition:
@@ -270,6 +260,11 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     Returns a :class:`CanonicalDecomposition` whose reconstruction matches
     ``u`` up to the stored global phase within 1e-8 and whose coordinates
     satisfy the Weyl chamber inequalities.  Deterministic per input.
+
+    The coordinates are ``reduce_alpha`` of the half-phases of m; the
+    eigenbasis columns are then matched to the chamber eigenphases, so
+    the local factors follow from the spectrum without tracking the
+    reduction moves.
 
     Raises:
         UnitarityError: if ``u`` is not unitary to 1e-10.
@@ -284,46 +279,33 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     m = u_magic.T @ u_magic
     m = 0.5 * (m + m.T)
 
-    basis = None
-    residual = np.inf
-    for tol in _CLUSTER_TOLS:
-        candidate = _orthogonal_eigenbasis(m, tol)
-        diag = candidate.T @ m @ candidate
-        off = float(np.linalg.norm(diag - np.diag(np.diagonal(diag))))
-        if off < residual:
-            basis, residual = candidate, off
-        if off <= 1e-10:
-            break
+    basis, residual = _orthogonal_eigenbasis(m)
     if residual > 1e-8:
         raise DecompositionError("could not diagonalize the magic Gram matrix", residual)
 
-    # Deterministic column signs, then sort by descending eigenphase.
-    for k in range(4):
-        col = basis[:, k]
-        pivot = col[np.argmax(np.abs(col) > 1e-8)]
-        if pivot < 0:
-            basis[:, k] = -col
-    lam = _half_phases(np.diagonal(basis.T @ m @ basis))
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
+    eigvals = np.diagonal(basis.T @ m @ basis)
+    mu = _half_phases(eigvals)
+    alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
+    lam = eigen_phases(alpha)
+    # Every reduction move is local up to a factor i, so the chamber
+    # spectrum exp(2i lam) equals the spectrum of m or of -m.
+    target = np.exp(2j * lam)
+    order, miss = _match_columns(eigvals, target)
+    order_neg, miss_neg = _match_columns(-eigvals, target)
+    if miss_neg < miss:
+        order = order_neg
+        u_magic = 1j * u_magic
     basis = basis[:, order]
     if np.linalg.det(basis) < 0:
         basis[:, 3] = -basis[:, 3]
 
-    alpha_raw = np.array(
-        [(lam[1] + lam[2]) / 2.0, (lam[0] + lam[2]) / 2.0, (lam[0] + lam[1]) / 2.0]
-    )
-    # Magic-frame factors: u~ = o1 diag(exp(i lam)) o2 with o1, o2 in SO(4).
+    # Magic-frame factors: u~ = o1 diag(exp(i lam)) basis^T with o1 in SO(4).
     o1 = u_magic @ basis @ np.diag(np.exp(-1j * lam))
     imag_leak = float(np.linalg.norm(o1.imag))
     if imag_leak > 1e-6:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
-    left = MAGIC @ o1.real @ MAGIC_H
-    right = MAGIC @ basis.T @ MAGIC_H
-
-    alpha, left, right = _reduce_to_chamber(alpha_raw, left, right)
-    post_a, post_b = nearest_kronecker_factor(left)
-    pre_a, pre_b = nearest_kronecker_factor(right)
+    post_a, post_b = nearest_kronecker_factor(MAGIC @ o1.real @ MAGIC_H)
+    pre_a, pre_b = nearest_kronecker_factor(MAGIC @ basis.T @ MAGIC_H)
 
     bare = tensor_product(post_a, post_b) @ canonical_gate(alpha) @ tensor_product(pre_a, pre_b)
     phase = float(np.angle(np.trace(bare.conj().T @ u)))

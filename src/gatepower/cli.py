@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,15 +27,14 @@ import sys
 import numpy as np
 
 from .canonical import (
-    CanonicalDecomposition,
     DecompositionError,
     canonical_gate,
     decompose,
-    distance_up_to_phase,
     eigen_phases,
     reconstruct,
 )
-from .oracle import OptimizerConfig, verify_profile
+from .linalg import distance_up_to_phase
+from .oracle import OptimizerConfig, ProfileReport, verify_profile
 from .power import (
     c0_max,
     c1_min,
@@ -134,11 +134,14 @@ def named_gate(token: str) -> np.ndarray:
 
 
 def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
-    """Resolve a gate spec (token or JSON file path) to (name, unitary).
+    """Resolve a gate spec (token or JSON file path) to (name, matrix).
+
+    The matrix is not checked for unitarity here: every subcommand passes
+    it to :func:`decompose`, which rejects matrices that are not unitary
+    to 1e-10 with a :class:`UnitarityError`.
 
     Raises:
-        GateInputError: on unknown tokens, unreadable files or matrices
-            that are not unitary to 1e-10.
+        GateInputError: on unknown tokens or unreadable files.
     """
     try:
         matrix = named_gate(spec)
@@ -148,9 +151,6 @@ def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
             name, matrix = _load_gate_file(spec)
         else:
             raise
-    defect = float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(4)))
-    if defect > 1e-10:
-        raise GateInputError(f"gate {spec!r} is not unitary (defect {defect:.3e})")
     return name, matrix
 
 
@@ -241,35 +241,32 @@ def _cmd_power(args) -> int:
     return 0
 
 
+def _grid(points: int) -> list[float]:
+    return [k / (points - 1) for k in range(points)]
+
+
+def _profile(alpha, points: int, args, tol: float) -> ProfileReport:
+    """Closed form versus oracle on ``points`` evenly spaced c0 in [0, 1]."""
+    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
+    return verify_profile(alpha, _grid(points), cfg, tol=tol)
+
+
 def _cmd_curve(args) -> int:
     name, matrix = resolve_gate(args.gate)
     if args.steps < 2:
         raise GateInputError(f"--steps must be >= 2, got {args.steps}")
     alpha = decompose(matrix).weyl
-    grid = [k / (args.steps - 1) for k in range(args.steps)]
-    header = "c0,c_min,c_max"
-    rows = []
-    table = []
-    worst = 0.0
+    columns = ["c0", "c_min", "c_max"]
+    failed = False
     if args.verify:
-        header += ",oracle_min,oracle_max"
-        cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-        report = verify_profile(alpha, grid, cfg, tol=1e-3)
-        for row in report.rows:
-            worst = max(worst, row.deviation_min, row.deviation_max)
-            table.append([row.c0, row.closed_min, row.closed_max, row.oracle_min, row.oracle_max])
-            rows.append(
-                f"{_fmt(row.c0)},{_fmt(row.closed_min)},{_fmt(row.closed_max)},"
-                f"{_fmt(row.oracle_min)},{_fmt(row.oracle_max)}"
-            )
+        columns += ["oracle_min", "oracle_max"]
+        report = _profile(alpha, args.steps, args, tol=1e-3)
+        table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
         failed = not report.passed
     else:
-        for c0 in grid:
-            interval = power_interval(alpha, c0)
-            table.append([c0, interval.c_min, interval.c_max])
-            rows.append(f"{_fmt(c0)},{_fmt(interval.c_min)},{_fmt(interval.c_max)}")
-        failed = False
-    text = header + "\n" + "\n".join(rows) + "\n"
+        table = [[c0, *power_interval(alpha, c0)] for c0 in _grid(args.steps)]
+    lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
+    text = "\n".join(lines) + "\n"
     if args.out not in (None, "-"):
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -277,11 +274,12 @@ def _cmd_curve(args) -> int:
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
     elif args.json:
-        doc = {"gate": name, "columns": header.split(","), "rows": table, "passed": not failed}
+        doc = {"gate": name, "columns": columns, "rows": table, "passed": not failed}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         sys.stdout.write(text)
     if failed:
+        worst = max(max(r.deviation_min, r.deviation_max) for r in report.rows)
         print(f"verification failed: max deviation {worst:.3e} > 1e-03", file=sys.stderr)
         return 1
     return 0
@@ -318,29 +316,14 @@ def _cmd_verify(args) -> int:
     if args.tol <= 0:
         raise GateInputError(f"--tol must be positive, got {args.tol}")
     alpha = decompose(matrix).weyl
-    grid = [k / (args.grid - 1) for k in range(args.grid)]
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    report = verify_profile(alpha, grid, cfg, tol=args.tol)
+    report = _profile(alpha, args.grid, args, tol=args.tol)
     if args.json:
         doc = {
             "gate": name,
             "alpha": [float(a) for a in alpha],
             "tol": args.tol,
             "passed": report.passed,
-            "rows": [
-                {
-                    "c0": r.c0,
-                    "closed_min": r.closed_min,
-                    "closed_max": r.closed_max,
-                    "oracle_min": r.oracle_min,
-                    "oracle_max": r.oracle_max,
-                    "deviation_min": r.deviation_min,
-                    "deviation_max": r.deviation_max,
-                    "converged": r.converged,
-                    "passed": r.passed,
-                }
-                for r in report.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in report.rows],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

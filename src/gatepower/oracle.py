@@ -192,7 +192,9 @@ class _Objective:
         return val
 
     def gradient(self, z) -> np.ndarray:
-        s, f = self._terms(z)
+        return self._gradient(z, *self._terms(z))
+
+    def _gradient(self, z, s, f) -> np.ndarray:
         g_f = 4.0 * f[:, None] * np.conj(z * self.phases)
         if self.target is None:
             grad = self.sign * g_f
@@ -200,28 +202,22 @@ class _Objective:
             abs_f2 = (f.conj() * f).real
             grad = 2.0 * (abs_f2 - self.target**2)[:, None] * g_f
         if self.weight:
-            abs_s = np.abs(s)
-            unit = np.where(abs_s > 1e-14, s / np.where(abs_s > 1e-14, abs_s, 1.0), 0.0)
+            abs_s, unit = _unit_phase(s)
             grad = grad + self.weight * 4.0 * (abs_s - self.c0)[:, None] * unit[:, None] * np.conj(z)
         return grad
 
     def manifold_gradient(self, z) -> np.ndarray:
         """Gradient projected onto the tangent of the constraint manifold."""
-        g = self.gradient(z)
-        g = g - np.sum((z.conj() * g).real, axis=1)[:, None] * z
+        s, f = self._terms(z)
+        g = _sphere_tangent(z, self._gradient(z, s, f))
         if 1.0 - self.c0 < 1e-12:
             # Feasible set is the real sphere up to a phase; keep the real part.
-            s, _ = self._terms(z)
             rot = np.exp(-0.5j * np.angle(s))
             zr = (z * rot[:, None]).real
-            gr = (g * rot[:, None]).real
-            gr = gr - np.sum(zr * gr, axis=1)[:, None] * zr
+            gr = _sphere_tangent(zr, (g * rot[:, None]).real)
             return (gr * np.conj(rot)[:, None]).astype(complex)
-        s, _ = self._terms(z)
-        abs_s = np.abs(s)
-        unit = np.where(abs_s > 1e-14, s / np.where(abs_s > 1e-14, abs_s, 1.0), 0.0)
-        n2 = 2.0 * unit[:, None] * np.conj(z)
-        n2 = n2 - np.sum((z.conj() * n2).real, axis=1)[:, None] * z
+        _, unit = _unit_phase(s)
+        n2 = _sphere_tangent(z, 2.0 * unit[:, None] * np.conj(z))
         n2_norm = _row_norms(n2)
         scale = np.where(n2_norm > 1e-8, 1.0 / np.where(n2_norm > 1e-8, n2_norm, 1.0), 0.0)
         n2 = n2 * scale[:, None]
@@ -324,6 +320,12 @@ def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool,
 
 def _sphere_tangent(z, grad):
     return grad - np.sum((z.conj() * grad).real, axis=1)[:, None] * z
+
+
+def _unit_phase(s):
+    """|s| and s/|s| per row, with the phase 0 where |s| <= 1e-14."""
+    abs_s = np.abs(s)
+    return abs_s, np.where(abs_s > 1e-14, s / np.where(abs_s > 1e-14, abs_s, 1.0), 0.0)
 
 
 def _initial_starts(c0: float, cfg: OptimizerConfig) -> np.ndarray:

@@ -11,7 +11,8 @@ controlled by a single effective rotation angle theta in [0, pi/2]:
 Gates satisfying a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 have theta = pi/2
 and can reach any final concurrence from any input; the swap class has
 theta = 0 and changes nothing.  Ordering gates by theta orders them by
-inclusion of their reachable intervals.
+inclusion of their reachable intervals.  Every function here accepts any
+finite coordinates and reduces them into the Weyl chamber first.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import math
 
 from typing import NamedTuple
 
-import numpy as np
-
-from .canonical import eigen_phases
+from .canonical import eigen_phases, reduce_alpha
 
 __all__ = [
     "PowerInterval",
@@ -58,12 +57,14 @@ class GateOrdering(enum.Enum):
     GREATER = ">"
 
 
-def _abs_a3(alpha) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    a1, a2, a3 = float(a[0]), float(a[1]), abs(float(a[2]))
-    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
-        raise ValueError(f"chamber coordinates must be finite, got {a.tolist()}")
-    return np.array([a1, a2, a3])
+def _abs_a3(alpha) -> tuple[float, float, float]:
+    """(a1, a2, |a3|) of the chamber representative of alpha."""
+    a1, a2, a3 = reduce_alpha(alpha).tolist()
+    return a1, a2, abs(a3)
+
+
+def _saturates(a1: float, a2: float, a3: float) -> bool:
+    return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
 
 
 def saturation_condition(alpha) -> bool:
@@ -72,14 +73,13 @@ def saturation_condition(alpha) -> bool:
     Holds iff a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 (non-strict, with a
     1e-12 slack so boundary gates such as the CNOT class qualify).
     """
-    a1, a2, a3 = _abs_a3(alpha)
-    return bool(a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK)
+    return _saturates(*_abs_a3(alpha))
 
 
 def effective_angle(alpha) -> float:
     """The angle by which the gate can rotate arccos(concurrence)."""
     a1, a2, a3 = _abs_a3(alpha)
-    if saturation_condition(alpha):
+    if _saturates(a1, a2, a3):
         theta = math.pi / 2.0
     elif a1 + a2 < _QUARTER_PI:
         theta = 2.0 * (a1 + a2)
@@ -113,8 +113,8 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     return PowerInterval(c_min=c_min, c_max=c_max)
 
 
-def _pair_differences(alpha) -> list[float]:
-    lam = eigen_phases(_abs_a3(alpha))
+def _pair_differences(a) -> list[float]:
+    lam = eigen_phases(a)
     return [lam[j] - lam[k] for j, k in itertools.combinations(range(4), 2)]
 
 
@@ -124,9 +124,10 @@ def c0_max(alpha) -> float:
     One when the saturation condition holds, otherwise the maximum of
     |sin(l_j - l_k)| over eigenphase pairs.
     """
-    if saturation_condition(alpha):
+    a = _abs_a3(alpha)
+    if _saturates(*a):
         return 1.0
-    return max(abs(math.sin(d)) for d in _pair_differences(alpha))
+    return max(abs(math.sin(d)) for d in _pair_differences(a))
 
 
 def c1_min(alpha) -> float:
@@ -135,9 +136,10 @@ def c1_min(alpha) -> float:
     Zero when the saturation condition holds, otherwise the minimum of
     |cos(l_j - l_k)| over eigenphase pairs.
     """
-    if saturation_condition(alpha):
+    a = _abs_a3(alpha)
+    if _saturates(*a):
         return 0.0
-    return min(abs(math.cos(d)) for d in _pair_differences(alpha))
+    return min(abs(math.cos(d)) for d in _pair_differences(a))
 
 
 def can_reach_max(alpha, c0: float) -> bool:

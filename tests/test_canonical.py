@@ -1,7 +1,11 @@
 """Tests for the canonical decomposition and Weyl chamber reduction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_chamber_point, random_local_pair
@@ -17,8 +21,10 @@ from gatepower import (
     nearest_kronecker_factor,
     random_unitary,
     reconstruct,
+    reduce_alpha,
     tensor_product,
 )
+from gatepower import canonical
 from gatepower.canonical import CanonicalDecomposition
 from gatepower.linalg import SIGMA_X, SIGMA_Z
 
@@ -214,3 +220,52 @@ def test_nearest_kronecker_factor_rejects_entangling_gate():
 
 def test_decomposition_error_carries_residual():
     assert DecompositionError("x", 0.5).residual == 0.5
+
+
+def test_noisy_cnot_class_gates_decompose_exactly():
+    # 1e-8 noise splits the degenerate eigenvalue pairs of the CNOT class
+    # by about 1e-8; the eigenbasis must still diagonalize m exactly.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        w = np.array([QUARTER_PI, 0.0, 0.0]) + 1e-8 * rng.standard_normal(3)
+        u = random_local_pair(rng) @ canonical_gate(w) @ random_local_pair(rng)
+        d = decompose(u)
+        assert np.max(np.abs(d.weyl - reduce_alpha(w))) <= 1e-12
+        assert distance_up_to_phase(reconstruct(d), u) <= 1e-12
+
+
+def test_decompose_falls_back_to_the_next_mix(monkeypatch):
+    # A coordinate atan(c)/2 makes two eigenvalues of m collide under the
+    # mix Re(m) + c Im(m), so the first mix alone cannot diagonalize m.
+    w = [0.5, 0.4, math.atan(canonical._MIXES[0]) / 2]
+    rng = np.random.default_rng(37)
+    u = random_local_pair(rng) @ canonical_gate(w) @ random_local_pair(rng)
+    d = decompose(u)
+    assert distance_up_to_phase(reconstruct(d), u) <= 1e-12
+    assert np.max(np.abs(d.weyl - reduce_alpha(w))) <= 1e-12
+    monkeypatch.setattr(canonical, "_MIXES", canonical._MIXES[:1])
+    with pytest.raises(DecompositionError):
+        decompose(u)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf]])
+def test_reduce_alpha_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        reduce_alpha(bad)
+
+
+COORDS = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(COORDS)
+def test_reduce_alpha_lands_in_chamber_and_is_idempotent(w):
+    r = reduce_alpha(w)
+    assert in_weyl_chamber(r)
+    assert np.max(np.abs(reduce_alpha(r) - r)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(COORDS)
+def test_reduce_alpha_matches_decompose(w):
+    np.testing.assert_allclose(decompose(canonical_gate(w)).weyl, reduce_alpha(w), rtol=0, atol=1e-9)

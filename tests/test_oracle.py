@@ -376,3 +376,9 @@ def test_descend_rows_are_independent(feasible):
         part, part_conv = _descend(z[subset], obj, 500, 1e-10, feasible=feasible, c0=0.5)
         assert part.tobytes() == full[subset].tobytes()
         np.testing.assert_array_equal(part_conv, full_conv[subset])
+
+
+@pytest.mark.parametrize("w", [(math.pi / 2, 0, 0), (-0.2, 0.1, 1.0), (1.4, -0.9, 0.35)])
+def test_closed_form_holds_outside_the_chamber(w):
+    # The oracle works on the raw eigenphases, so it sees the true class.
+    assert verify_profile(w, [0, 0.5, 1], FAST).passed

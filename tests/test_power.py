@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chamber_point
 from gatepower import (
@@ -17,6 +19,7 @@ from gatepower import (
     effective_angle,
     eigen_phases,
     power_interval,
+    reduce_alpha,
     saturation_condition,
 )
 
@@ -235,3 +238,17 @@ def test_swap_class_is_minimal():
     for _ in range(200):
         w = random_chamber_point(rng)
         assert compare_gates(SWAP_W, w) in (GateOrdering.LESS, GateOrdering.EQUAL)
+
+
+def test_coordinates_outside_the_chamber_are_reduced():
+    # (pi/2, 0, 0) is locally equivalent to the identity.
+    assert effective_angle([math.pi / 2, 0, 0]) == 0.0
+    assert compare_gates([math.pi / 2, 0, 0], [0, 0, 0]) is GateOrdering.EQUAL
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-4.0, 4.0)] * 3), st.floats(0.0, 1.0))
+def test_power_interval_depends_on_the_class_only(w, c0):
+    a = power_interval(w, c0)
+    b = power_interval(reduce_alpha(w), c0)
+    assert abs(a.c_min - b.c_min) <= 1e-12 and abs(a.c_max - b.c_max) <= 1e-12
