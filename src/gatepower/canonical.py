@@ -216,7 +216,8 @@ def reduce_alpha(alpha) -> np.ndarray:
     magnitude and pairs of signs are flipped; every move changes the gate
     only by local factors and a global phase.  On the face a1 = pi/4
     (within 1e-10) the chamber identifies +-a3 and the non-negative sign
-    is chosen.
+    is chosen; a1 is then set to pi/4, since the exact mirror
+    pi/2 - a1 would lie outside the closed chamber.
 
     Raises:
         ValueError: if a coordinate is not finite.
@@ -233,7 +234,7 @@ def reduce_alpha(alpha) -> np.ndarray:
     if a[1] < 0:
         a[1], a[2] = -a[1], -a[2]
     if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:
-        a[0], a[2] = _HALF_PI - a[0], -a[2]
+        a[0], a[2] = _QUARTER_PI, -a[2]
     return np.array(a)
 
 

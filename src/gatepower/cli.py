@@ -313,8 +313,6 @@ def _cmd_verify(args) -> int:
     name, matrix = resolve_gate(args.gate)
     if args.grid < 2:
         raise GateInputError(f"--grid must be >= 2, got {args.grid}")
-    if args.tol <= 0:
-        raise GateInputError(f"--tol must be positive, got {args.tol}")
     alpha = decompose(matrix).weyl
     report = _profile(alpha, args.grid, args, tol=args.tol)
     if args.json:

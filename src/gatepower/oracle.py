@@ -48,6 +48,7 @@ _VIOLATION_ATOL = 1e-8
 _LADDER_BLOCK = 8
 _MAX_HALVINGS = 60
 _MIN_TRIAL = 1e-18
+_RUNGS = np.arange(_LADDER_BLOCK)
 
 
 class Direction(enum.Enum):
@@ -121,7 +122,7 @@ class ProfileReport:
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum((z.conj() * z).real, axis=1))
+    return np.sqrt((z.conj() * z).real.sum(axis=1))
 
 
 def _project_feasible(z: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,11 +134,11 @@ def _project_feasible(z: np.ndarray, c0: float) -> tuple[np.ndarray, np.ndarray]
     """
     z = z / np.maximum(_row_norms(z), 1e-30)[:, None]
     s = (z * z).sum(axis=1)
-    z = z * np.exp(-0.5j * np.angle(s))[:, None]
+    z = z * _unphase(s)[:, None]
     x = z.real
     y = z.imag
-    p = np.sum(x * x, axis=1)
-    q = np.sum(y * y, axis=1)
+    p = (x * x).sum(axis=1)
+    q = (y * y).sum(axis=1)
     ok = p > 1e-15
     ps = np.maximum(p, 1e-300)
     if 1.0 - c0 < 1e-15:
@@ -212,7 +213,7 @@ class _Objective:
         g = _sphere_tangent(z, self._gradient(z, s, f))
         if 1.0 - self.c0 < 1e-12:
             # Feasible set is the real sphere up to a phase; keep the real part.
-            rot = np.exp(-0.5j * np.angle(s))
+            rot = _unphase(s)
             zr = (z * rot[:, None]).real
             gr = _sphere_tangent(zr, (g * rot[:, None]).real)
             return (gr * np.conj(rot)[:, None]).astype(complex)
@@ -221,7 +222,7 @@ class _Objective:
         n2_norm = _row_norms(n2)
         scale = np.where(n2_norm > 1e-8, 1.0 / np.where(n2_norm > 1e-8, n2_norm, 1.0), 0.0)
         n2 = n2 * scale[:, None]
-        return g - np.sum((n2.conj() * g).real, axis=1)[:, None] * n2
+        return g - (n2.conj() * g).real.sum(axis=1)[:, None] * n2
 
 
 def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool, c0: float):
@@ -238,63 +239,57 @@ def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool,
     exactly as if the rungs had been tried one at a time, so a row's
     result never depends on the other rows.  A row converges when its
     accepted step falls below ``step_tol`` or no step yields a decrease
-    above the floating point noise floor.  Returns the final rows and the
+    above the floating point noise floor.  The state is held for the rows
+    still active only (``idx`` maps them to their input rows); a row is
+    written out when it converges.  Returns the final rows and the
     convergence mask.
     """
-    z = z.copy()
-    n = z.shape[0]
-    step = np.full(n, 0.25)
-    converged = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    out = z.copy()
+    converged = np.zeros(z.shape[0], dtype=bool)
+    idx = np.arange(z.shape[0])
+    step = np.full(z.shape[0], 0.25)
     values = obj.value(z)
-    prev_z = np.zeros_like(z)
-    prev_grad = np.zeros_like(z)
-    have_prev = np.zeros(n, dtype=bool)
     # Decreases below this are floating point noise, not progress.
     noise = 1e-15 * max(1.0, obj.weight)
 
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
+    for it in range(max_iter):
         if idx.size == 0:
             break
-        za = z[idx]
-        grad = obj.manifold_gradient(za) if feasible else _sphere_tangent(za, obj.gradient(za))
-        gnorm2 = np.sum((grad.conj() * grad).real, axis=1)
+        grad = obj.manifold_gradient(z) if feasible else _sphere_tangent(z, obj.gradient(z))
+        gnorm2 = (grad.conj() * grad).real.sum(axis=1)
+        trial = step
+        if it:  # the secant estimate needs the previous iterate
+            dz = z - prev_z
+            dg = grad - prev_grad
+            num = np.abs((dz.conj() * dg).real.sum(axis=1))
+            den = (dg.conj() * dg).real.sum(axis=1)
+            usable = (den > 0) & np.isfinite(num)
+            trial[usable] = np.clip(num[usable] / den[usable], 1e-10, 1e8)
+        prev_z, prev_grad = z, grad
 
-        trial = step[idx].copy()
-        dz = za - prev_z[idx]
-        dg = grad - prev_grad[idx]
-        num = np.abs(np.sum((dz.conj() * dg).real, axis=1))
-        den = np.sum((dg.conj() * dg).real, axis=1)
-        usable = have_prev[idx] & (den > 0) & np.isfinite(num)
-        trial[usable] = np.clip(num[usable] / den[usable], 1e-10, 1e8)
-        prev_z[idx] = za
-        prev_grad[idx] = grad
-
-        base = values[idx]
-        cand = za.copy()
-        cand_val = base.copy()
+        cand = z.copy()
+        cand_val = values.copy()
         moved = np.zeros(idx.size, dtype=bool)
-        pending = np.ones(idx.size, dtype=bool)
+        rows = np.arange(idx.size)
         for first in range(0, _MAX_HALVINGS, _LADDER_BLOCK):
-            rows = np.flatnonzero(pending)
             if rows.size == 0:
                 break
             # Halving is exact, so ldexp gives rung j the same step as j
             # successive halvings; rung 0 of the ladder is tried even below
             # _MIN_TRIAL.
-            rung = np.arange(min(_LADDER_BLOCK, _MAX_HALVINGS - first))
+            rung = _RUNGS[: _MAX_HALVINGS - first]
             t = np.ldexp(trial[rows][:, None], -rung)
-            zc = (za[rows][:, None, :] - t[:, :, None] * grad[rows][:, None, :]).reshape(-1, 4)
+            zc = (z[rows][:, None, :] - t[:, :, None] * grad[rows][:, None, :]).reshape(-1, 4)
             if feasible:
                 zc, ok = _project_feasible(zc, c0)
+                ok = ok.reshape(t.shape)
             else:
                 zc = zc / _row_norms(zc)[:, None]
-                ok = np.ones(zc.shape[0], dtype=bool)
+                ok = True
             vc = obj.value(zc).reshape(t.shape)
             required = np.maximum(1e-4 * t * gnorm2[rows][:, None], noise)
             reached = (t >= _MIN_TRIAL) | (first + rung == 0)
-            accept = reached & ok.reshape(t.shape) & (vc <= base[rows][:, None] - required)
+            accept = reached & ok & (vc <= values[rows][:, None] - required)
             won = accept.any(axis=1)
             pick = accept.argmax(axis=1)[won]
             hit = rows[won]
@@ -302,24 +297,31 @@ def _descend(z, obj: _Objective, max_iter: int, step_tol: float, feasible: bool,
             cand_val[hit] = vc[won, pick]
             trial[hit] = t[won, pick]
             moved[hit] = True
-            pending[hit] = False
             miss = rows[~won]
             trial[miss] = np.ldexp(trial[miss], -reached[~won].sum(axis=1))
-            pending[miss] = trial[miss] >= _MIN_TRIAL
-        step_len = _row_norms(cand - za)
+            rows = miss[trial[miss] >= _MIN_TRIAL]
+        step_len = _row_norms(cand - z)
         step_len[~moved] = 0.0
-        z[idx] = cand
-        values[idx] = cand_val
-        step[idx] = np.minimum(trial * 2.0, 1e8)
-        have_prev[idx] = True
+        z, values = cand, cand_val
+        step = np.minimum(trial * 2.0, 1e8)
         done = step_len < step_tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-    return z, converged
+        if done.any():
+            out[idx[done]] = z[done]
+            converged[idx[done]] = True
+            keep = ~done
+            idx, z, values, step = idx[keep], z[keep], values[keep], step[keep]
+            prev_z, prev_grad = prev_z[keep], prev_grad[keep]
+    out[idx] = z
+    return out, converged
 
 
 def _sphere_tangent(z, grad):
-    return grad - np.sum((z.conj() * grad).real, axis=1)[:, None] * z
+    return grad - (z.conj() * grad).real.sum(axis=1)[:, None] * z
+
+
+def _unphase(s):
+    """Per-row rotation exp(-i arg(s) / 2), with arg(s) computed as np.angle does."""
+    return np.exp(-0.5j * np.arctan2(s.imag, s.real))
 
 
 def _unit_phase(s):
@@ -382,6 +384,11 @@ def _pack_result(obj, z, converged, c0, best_of_max: bool, target: float | None)
     )
 
 
+def _require_unit_interval(value: float, what: str) -> None:
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise ValueError(f"{what} concurrence must be in [0, 1], got {value}")
+
+
 def extremal_concurrence(
     alpha, c0: float, direction: Direction, cfg: OptimizerConfig | None = None
 ) -> OracleResult:
@@ -391,8 +398,7 @@ def extremal_concurrence(
     an explicitly constructed feasible state, so it can undershoot a true
     maximum but never exceed it (and vice versa for minima).
     """
-    if not 0.0 <= c0 <= 1.0:
-        raise ValueError(f"initial concurrence must be in [0, 1], got {c0}")
+    _require_unit_interval(c0, "initial")
     cfg = cfg or OptimizerConfig()
     sign = -1.0 if direction is Direction.MAX else 1.0
     obj, z, converged = _optimize(alpha, c0, cfg, sign, None)
@@ -405,6 +411,8 @@ def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = 
     Used to exercise the continuity claim that every value between the
     extremal concurrences is attainable.
     """
+    _require_unit_interval(c0, "initial")
+    _require_unit_interval(target, "target")
     cfg = cfg or OptimizerConfig()
     obj, z, converged = _optimize(alpha, c0, cfg, 1.0, target)
     return _pack_result(obj, z, converged, c0, False, target)
@@ -449,8 +457,8 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     within ``tol`` and both searches converged; failures are recorded in
     the report, never raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     cfg = cfg or OptimizerConfig()
     alpha = np.asarray(alpha, dtype=float)
     rows = []

@@ -254,6 +254,17 @@ def test_reduce_alpha_rejects_non_finite(bad):
         reduce_alpha(bad)
 
 
+@pytest.mark.parametrize("offset", [1e-10, 5e-11, 1e-13, 0.0])
+def test_reduce_alpha_stays_inside_the_closed_chamber_at_the_facet(offset):
+    # Within 1e-10 of a1 = pi/4 the a3 < 0 representative is folded to
+    # a3 >= 0; that fold must not move a1 past pi/4.
+    w = [QUARTER_PI - offset, 0.3, -0.2]
+    r = reduce_alpha(w)
+    assert in_weyl_chamber(r, tol=0)
+    assert r[0] == QUARTER_PI and r[2] == 0.2
+    assert in_weyl_chamber(decompose(canonical_gate(w)).weyl, tol=0)
+
+
 COORDS = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
 
 

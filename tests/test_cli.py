@@ -212,6 +212,16 @@ def test_verify_fail_exits_one(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_non_finite_tol_exits_two(capsys, tol):
+    code, out, err = run(
+        capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", tol, "--starts", "8"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
 def test_unknown_gate_exits_two(capsys):
     code, _, err = run(capsys, ["power", "--gate", "bogus", "--c0", "0.3"])
     assert code == 2

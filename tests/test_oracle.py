@@ -182,6 +182,24 @@ def test_verify_profile_rejects_bad_tol():
         verify_profile([0, 0, 0], [0.5], FAST, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_verify_profile_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        verify_profile([0, 0, 0], [0.5], FAST, tol=tol)
+
+
+@pytest.mark.parametrize("c0", [1.5, -0.1, math.nan])
+def test_reach_target_rejects_bad_c0(c0):
+    with pytest.raises(ValueError, match="initial concurrence"):
+        reach_target([0.52, 0.33, 0.11], c0, 0.5, FAST)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 2.0, -0.1])
+def test_reach_target_rejects_bad_target(target):
+    with pytest.raises(ValueError, match="target concurrence"):
+        reach_target([0.52, 0.33, 0.11], 0.45, target, FAST)
+
+
 def test_gates_straddling_the_saturation_boundary():
     # a2 + |a3| within 1e-3 of pi/4 on both sides: the hardest landscape
     # for the search, and the branch boundary for the closed forms.
