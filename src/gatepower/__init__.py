@@ -4,14 +4,12 @@ Computes the Kraus-Cirac (Weyl chamber) decomposition of any two-qubit
 unitary, the concurrence of pure two-qubit states, and the exact interval
 [c_min, c_max] of final concurrences reachable from a state of given
 concurrence when the gate is dressed with arbitrary local unitaries.
-Closed forms are cross-checked by an independent constrained optimizer.
+Closed forms are cross-checked by an independent convex-duality bracket.
 """
 
 from .linalg import (
     MAGIC,
-    SIGMA,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     UnitarityError,
     distance_up_to_phase,
@@ -66,9 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAGIC",
-    "SIGMA",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "UnitarityError",
     "distance_up_to_phase",

@@ -92,6 +92,8 @@ def _parse_angle(text: str) -> float:
     if m.group(3):
         value *= math.pi
     if m.group(4):
+        if float(m.group(4)) == 0.0:
+            raise GateInputError(f"zero denominator in angle {text!r}")
         value /= float(m.group(4))
     return sign * value
 
@@ -147,10 +149,12 @@ def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
         matrix = named_gate(spec)
         name = spec
     except GateInputError:
-        if "/" in spec or spec.endswith(".json") or os.path.exists(spec):
-            name, matrix = _load_gate_file(spec)
-        else:
+        # A parametrized token with a bad angle is not a file path.
+        if spec.startswith(("cphase:", "canonical:")) or not (
+            "/" in spec or spec.endswith(".json") or os.path.exists(spec)
+        ):
             raise
+        name, matrix = _load_gate_file(spec)
     return name, matrix
 
 
@@ -350,6 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         p.add_argument("--degrees", action="store_true", help="display angles in degrees")
 
+    def add_ignored(p):
+        ignored = "accepted and ignored: the oracle is a deterministic bracket"
+        p.add_argument("--starts", type=int, default=64, help=ignored)
+        p.add_argument("--seed", type=int, default=0, help=ignored)
+
     p = sub.add_parser("decompose", help="canonical decomposition of a gate")
     p.add_argument("--gate", required=True)
     add_common(p)
@@ -366,8 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--out", default=None, help="output file, '-' for stdout")
     p.add_argument("--verify", action="store_true", help="add oracle columns, exit 1 on mismatch")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    add_ignored(p)
     add_common(p)
     p.set_defaults(func=_cmd_curve)
 
@@ -380,9 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs oracle report")
     p.add_argument("--gate", required=True)
     p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--starts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    add_ignored(p)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
     return parser

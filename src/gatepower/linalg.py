@@ -18,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SIGMA",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
     "MAGIC",
     "MAGIC_H",
@@ -35,11 +33,7 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-#: Pauli matrices indexed 0..2 (x, y, z).
-SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 _SQRT2 = np.sqrt(2.0)
 

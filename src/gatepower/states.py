@@ -52,11 +52,20 @@ def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:
 
     Rotates b by a global phase so sum(b^2) is real non-negative, then
     rescales the real and imaginary parts separately so the result is unit
-    norm with concurrence exactly ``c0``.  Returns None when the rescaling
-    is singular (a purely real b cannot be moved below concurrence one).
+    norm with concurrence exactly ``c0``.  Returns None when b is zero or
+    not finite, or when the rescaling is singular (a purely real b cannot
+    be moved below concurrence one).
+
+    Raises:
+        ValueError: if ``c0`` is outside [0, 1].
     """
+    if not 0.0 <= c0 <= 1.0:  # also rejects NaN
+        raise ValueError(f"target concurrence must be in [0, 1], got {c0}")
     b = np.asarray(b, dtype=complex)
-    b = b / np.linalg.norm(b)
+    norm = np.linalg.norm(b)
+    if not 0.0 < norm < np.inf:  # zero, or NaN / inf entries
+        return None
+    b = b / norm
     s = np.sum(b * b)
     b = b * np.exp(-0.5j * np.angle(s))
     x = b.real.copy()
@@ -85,8 +94,6 @@ def sample_state_with_concurrence(c0: float, seed: int) -> np.ndarray:
     Raises:
         ValueError: if ``c0`` is outside [0, 1].
     """
-    if not 0.0 <= c0 <= 1.0:
-        raise ValueError(f"target concurrence must be in [0, 1], got {c0}")
     rng = np.random.default_rng(seed)
     for _ in range(64):
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)

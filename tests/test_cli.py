@@ -228,6 +228,14 @@ def test_unknown_gate_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("gate", ["canonical:pi/0,0,0", "cphase:0/0"])
+def test_zero_denominator_angle_exits_two(capsys, gate):
+    code, out, err = run(capsys, ["power", "--gate", gate, "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "denominator" in err
+
+
 def test_bad_c0_exits_two(capsys):
     code, _, err = run(capsys, ["power", "--gate", "cnot", "--c0", "1.7"])
     assert code == 2

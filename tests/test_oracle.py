@@ -1,18 +1,24 @@
-"""Tests for the constrained-optimization oracle."""
+"""Tests for the convex-duality oracle."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chamber_point
+from test_edge_cases import facet_and_edge_points
 from gatepower import (
     Direction,
     OptimizerConfig,
+    PowerInterval,
     c1_min,
     c0_max,
     canonical_gate,
     concurrence,
+    decompose,
     envelope_scan,
     extremal_concurrence,
     power_interval,
@@ -20,8 +26,9 @@ from gatepower import (
     to_magic_coefficients,
     verify_profile,
 )
-from gatepower.oracle import ProfileRow, _descend, _initial_starts, _Objective, _pack_result
-from gatepower.canonical import eigen_phases
+from gatepower import oracle, power
+from gatepower.cli import named_gate
+from gatepower.oracle import ProfileRow
 
 QUARTER_PI = math.pi / 4
 FAST = OptimizerConfig(starts=24, seed=13)
@@ -30,10 +37,6 @@ FAST = OptimizerConfig(starts=24, seed=13)
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(penalty_weight_schedule=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        OptimizerConfig(penalty_weight_schedule=(-1.0, 2.0))
 
 
 def test_rejects_bad_c0():
@@ -109,14 +112,14 @@ def test_determinism():
     np.testing.assert_array_equal(a.achiever, b.achiever)
 
 
-def test_unconverged_runs_are_flagged_not_raised():
-    lam = eigen_phases([0.5, 0.21, -0.17])
-    obj = _Objective(lam, 0.3, -1.0)
-    z = _initial_starts(0.3, FAST)
-    z, converged = _descend(z, obj, 0, 1e-10, feasible=True, c0=0.3)
-    assert not converged.any()
-    result = _pack_result(obj, z, converged, 0.3, True, None)
-    assert result.converged is False
+def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
+    # Without bisection rounds the 64 starting directions leave the bracket open.
+    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
+    for direction in (Direction.MAX, Direction.MIN):
+        result = extremal_concurrence([0.025, 0.015, 0.00625], 0.3, direction, FAST)
+        assert result.converged is False
+        assert result.starts_agreeing == 0
+        assert abs(result.bound - result.extremal_concurrence) > 1e-8
 
 
 def test_envelope_scan_identity():
@@ -171,7 +174,12 @@ def test_verify_profile_saturating_gate():
         assert row.closed_min == 0.0 and row.closed_max == 1.0
 
 
-def test_verify_profile_failures_are_data():
+def test_verify_profile_failures_are_data(monkeypatch):
+    # The bracket is exact for the swap class, so shift the closed form.
+    def shifted(alpha, c0):
+        return PowerInterval(*(x + 1e-12 for x in power_interval(alpha, c0)))
+
+    monkeypatch.setattr(oracle, "power_interval", shifted)
     report = verify_profile([QUARTER_PI] * 3, [0.5], FAST, tol=1e-18)
     assert not report.passed
     assert report.rows[0].passed is False
@@ -225,9 +233,10 @@ def test_conjugate_classes_have_identical_power():
         assert abs(a - b) <= 1e-6
 
 
-# Outputs of backtracking one halving per objective call, recorded with
-# FAST.  Evaluating several halvings per call must reproduce them bit for
-# bit: halving a step is exact, so the arithmetic per row is unchanged.
+# Outputs of an earlier multi-start penalty descent, recorded with FAST.
+# Each achiever is an explicit feasible state, so each recorded value is
+# attained: a certified upper bound lies above a recorded maximum and a
+# certified lower bound below a recorded minimum.
 GOLDEN_GATES = {
     "generic": (0.45, 0.25, 0.10),
     "near_identity": (0.025, 0.015, 0.00625),
@@ -334,13 +343,19 @@ def test_extremal_concurrence_matches_recorded_outputs(gate):
     for (name, c0, direction), expected in GOLDEN_SEARCHES.items():
         if name != gate:
             continue
+        value, violation, _, _, achiever = expected
+        witness = np.frombuffer(bytes.fromhex(achiever), dtype="<c16")
+        assert abs(concurrence(witness) - c0) == violation
+        out = concurrence(canonical_gate(GOLDEN_GATES[gate]) @ witness)
+        assert abs(out - value) <= 1e-12
         r = extremal_concurrence(GOLDEN_GATES[gate], c0, direction, FAST)
-        value, violation, agree, converged, achiever = expected
-        assert r.extremal_concurrence == value
-        assert r.constraint_violation == violation
-        assert r.starts_agreeing == agree
-        assert r.converged is converged
-        assert r.achiever.astype("<c16").tobytes() == bytes.fromhex(achiever)
+        assert r.converged
+        if direction is Direction.MAX:
+            assert value <= r.bound
+            assert r.extremal_concurrence >= value - 1e-8
+        else:
+            assert value >= r.bound
+            assert r.extremal_concurrence <= value + 1e-8
 
 
 def test_verify_profile_matches_recorded_report():
@@ -350,10 +365,10 @@ def test_verify_profile_matches_recorded_report():
             c0=0.0,
             closed_min=0.0,
             closed_max=0.9854497299884601,
-            oracle_min=6.44878330857461e-11,
-            oracle_max=0.9854497299884601,
-            deviation_min=6.44878330857461e-11,
-            deviation_max=0.0,
+            oracle_min=1.8619006149354548e-16,
+            oracle_max=0.9854497299884594,
+            deviation_min=1.8619006149354548e-16,
+            deviation_max=7.771561172376096e-16,
             converged=True,
             passed=True,
         ),
@@ -361,10 +376,10 @@ def test_verify_profile_matches_recorded_report():
             c0=0.3,
             closed_min=0.0,
             closed_max=1.0,
-            oracle_min=3.9161128467117534e-11,
-            oracle_max=1.0,
-            deviation_min=3.9161128467117534e-11,
-            deviation_max=0.0,
+            oracle_min=2.3551386880256624e-16,
+            oracle_max=0.9999999999999991,
+            deviation_min=2.3551386880256624e-16,
+            deviation_max=8.881784197001252e-16,
             converged=True,
             passed=True,
         ),
@@ -372,31 +387,89 @@ def test_verify_profile_matches_recorded_report():
             c0=1.0,
             closed_min=0.16996714290024104,
             closed_max=1.0,
-            oracle_min=0.16996714290024104,
-            oracle_max=1.0,
-            deviation_min=0.0,
-            deviation_max=0.0,
+            oracle_min=0.16996714290024073,
+            oracle_max=0.9999999999999994,
+            deviation_min=3.0531133177191805e-16,
+            deviation_max=5.551115123125783e-16,
             converged=True,
             passed=True,
         ),
     ]
 
 
-@pytest.mark.parametrize("feasible", [False, True])
-def test_descend_rows_are_independent(feasible):
-    # A row's path must not depend on which other rows share the batch.
-    lam = eigen_phases([0.45, 0.25, 0.10])
-    obj = _Objective(lam, 0.5, -1.0)
-    obj.weight = 0.0 if feasible else 100.0
-    z = _initial_starts(0.5, FAST)
-    full, full_conv = _descend(z, obj, 500, 1e-10, feasible=feasible, c0=0.5)
-    for subset in ([0], [5, 17], [3, 8, 20, 30, 35], list(range(1, z.shape[0], 2))):
-        part, part_conv = _descend(z[subset], obj, 500, 1e-10, feasible=feasible, c0=0.5)
-        assert part.tobytes() == full[subset].tobytes()
-        np.testing.assert_array_equal(part_conv, full_conv[subset])
-
-
 @pytest.mark.parametrize("w", [(math.pi / 2, 0, 0), (-0.2, 0.1, 1.0), (1.4, -0.9, 0.35)])
 def test_closed_form_holds_outside_the_chamber(w):
     # The oracle works on the raw eigenphases, so it sees the true class.
     assert verify_profile(w, [0, 0.5, 1], FAST).passed
+
+
+def _assert_closed_form_inside(w, c0, require_closed=True):
+    closed = power_interval(w, c0)
+    hi = extremal_concurrence(w, c0, Direction.MAX)
+    lo = extremal_concurrence(w, c0, Direction.MIN)
+    assert hi.extremal_concurrence - 1e-12 <= closed.c_max <= hi.bound + 1e-12
+    assert lo.bound - 1e-12 <= closed.c_min <= lo.extremal_concurrence + 1e-12
+    if require_closed:
+        assert hi.converged and lo.converged
+        assert hi.bound - hi.extremal_concurrence <= 1e-8
+        assert lo.extremal_concurrence - lo.bound <= 1e-8
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.tuples(*[st.floats(-4.0, 4.0)] * 3), st.floats(0.0, 1.0))
+def test_closed_form_lies_inside_the_bracket(w, c0):
+    _assert_closed_form_inside(w, c0, require_closed=False)
+
+
+VERIFY_ANCHORS = {
+    "generic": (0.45, 0.25, 0.10),
+    "near_identity": (0.025, 0.015, 0.00625),
+    "saturating": (0.65, 0.40, 0.05),
+    "facet": (QUARTER_PI, 0.4, 0.4),
+}
+GRID_11 = [k / 10 for k in range(11)]
+
+
+@pytest.mark.parametrize("c0", GRID_11)
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_bracket_closes_on_verify_anchors(gate, c0):
+    _assert_closed_form_inside(VERIFY_ANCHORS[gate], c0)
+
+
+def _criterion_07_gates():
+    rng = np.random.default_rng(707)
+    return [random_chamber_point(rng) for _ in range(20)]
+
+
+def _named_gates():
+    tokens = ("identity", "cnot", "cz", "swap", "iswap", "sqrtswap")
+    return [decompose(named_gate(token)).weyl for token in tokens]
+
+
+@pytest.mark.parametrize(
+    "gates", [_criterion_07_gates, facet_and_edge_points, _named_gates],
+    ids=["criterion_07", "facets_and_edges", "named"],
+)
+def test_bracket_closes_on_tested_gates(gates):
+    # Coincident eigenphases (identity, swap, CNOT, facet gates) included.
+    for w in gates():
+        for c0 in GRID_11:
+            _assert_closed_form_inside(w, c0)
+
+
+def test_bracket_never_calls_the_closed_forms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a closed form")
+
+    for name in power.__all__:
+        if inspect.isfunction(getattr(power, name)):
+            monkeypatch.setattr(power, name, refuse)
+    monkeypatch.setattr(oracle, "power_interval", refuse)
+    w = [0.52, 0.33, 0.11]
+    for c0 in (0.0, 0.45, 1.0):
+        lo = extremal_concurrence(w, c0, Direction.MIN)
+        hi = extremal_concurrence(w, c0, Direction.MAX)
+        assert lo.converged and hi.converged
+        target = 0.5 * (lo.extremal_concurrence + hi.extremal_concurrence)
+        r = reach_target(w, c0, target)
+        assert r.converged and abs(r.extremal_concurrence - target) <= 1e-8

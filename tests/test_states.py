@@ -1,5 +1,7 @@
 """Tests for pure states, magic coefficients and concurrence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gatepower import (
     to_magic_coefficients,
 )
 from gatepower.linalg import MAGIC
+from gatepower.states import rescale_to_concurrence
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -180,3 +183,22 @@ def test_sampler_rejects_out_of_range():
         sample_state_with_concurrence(1.5, 0)
     with pytest.raises(ValueError):
         sample_state_with_concurrence(-0.1, 0)
+
+
+def test_rescale_reaches_the_requested_concurrence():
+    b = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.4, 0.1 - 0.6j])
+    for c0 in (0.0, 0.37, 1.0):
+        out = rescale_to_concurrence(b, c0)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        assert abs(abs(np.sum(out * out)) - c0) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [np.zeros(4), [math.nan, 0.5, 0.5, 0.5], [0.5, math.inf, 0.5, 0.5]])
+def test_rescale_returns_none_for_zero_or_non_finite_coefficients(b):
+    assert rescale_to_concurrence(np.asarray(b, dtype=complex), 0.5) is None
+
+
+@pytest.mark.parametrize("c0", [1.5, -0.2, math.nan])
+def test_rescale_rejects_out_of_range_concurrence(c0):
+    with pytest.raises(ValueError, match="concurrence"):
+        rescale_to_concurrence(np.array([0.5, 0.5j, 0.5, 0.5j]), c0)
