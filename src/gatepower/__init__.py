@@ -7,102 +7,13 @@ concurrence when the gate is dressed with arbitrary local unitaries.
 Closed forms are cross-checked by an independent convex-duality bracket.
 """
 
-from .linalg import (
-    MAGIC,
-    SIGMA_X,
-    SIGMA_Z,
-    UnitarityError,
-    distance_up_to_phase,
-    is_unitary,
-    normalize_special,
-    random_unitary,
-    tensor_product,
-    to_magic_frame,
-)
-from .states import (
-    apply_gate,
-    concurrence,
-    from_magic_coefficients,
-    sample_state_with_concurrence,
-    to_magic_coefficients,
-)
-from .canonical import (
-    CanonicalDecomposition,
-    DecompositionError,
-    NotAProductError,
-    canonical_gate,
-    decompose,
-    eigen_phases,
-    in_weyl_chamber,
-    nearest_kronecker_factor,
-    reconstruct,
-    reduce_alpha,
-)
-from .power import (
-    GateOrdering,
-    PowerInterval,
-    c0_max,
-    c1_min,
-    can_reach_max,
-    can_reach_zero,
-    compare_gates,
-    effective_angle,
-    power_interval,
-    saturation_condition,
-)
-from .oracle import (
-    Direction,
-    OptimizerConfig,
-    OracleResult,
-    envelope_scan,
-    extremal_concurrence,
-    reach_target,
-    verify_profile,
-)
+from . import canonical, linalg, oracle, power, states
+from .linalg import *
+from .states import *
+from .canonical import *
+from .power import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAGIC",
-    "SIGMA_X",
-    "SIGMA_Z",
-    "UnitarityError",
-    "distance_up_to_phase",
-    "is_unitary",
-    "normalize_special",
-    "random_unitary",
-    "tensor_product",
-    "to_magic_frame",
-    "apply_gate",
-    "concurrence",
-    "from_magic_coefficients",
-    "sample_state_with_concurrence",
-    "to_magic_coefficients",
-    "CanonicalDecomposition",
-    "DecompositionError",
-    "NotAProductError",
-    "canonical_gate",
-    "decompose",
-    "eigen_phases",
-    "in_weyl_chamber",
-    "nearest_kronecker_factor",
-    "reconstruct",
-    "reduce_alpha",
-    "GateOrdering",
-    "PowerInterval",
-    "c0_max",
-    "c1_min",
-    "can_reach_max",
-    "can_reach_zero",
-    "compare_gates",
-    "effective_angle",
-    "power_interval",
-    "saturation_condition",
-    "Direction",
-    "OptimizerConfig",
-    "OracleResult",
-    "envelope_scan",
-    "extremal_concurrence",
-    "reach_target",
-    "verify_profile",
-]
+__all__ = [*linalg.__all__, *states.__all__, *canonical.__all__, *power.__all__, *oracle.__all__]

@@ -100,6 +100,18 @@ def in_weyl_chamber(alpha, tol: float = 1e-9) -> bool:
     )
 
 
+def _coordinates(alpha) -> list[float]:
+    """alpha as three Python floats.
+
+    Raises:
+        ValueError: if alpha is not three finite numbers.
+    """
+    a = np.asarray(alpha, dtype=float).tolist()
+    if len(a) != 3 or not all(math.isfinite(x) for x in a):
+        raise ValueError(f"chamber coordinates must be three finite numbers, got {a}")
+    return a
+
+
 def eigen_phases(alpha) -> np.ndarray:
     """Magic-basis eigenphases of the canonical gate with coordinates alpha.
 
@@ -111,8 +123,11 @@ def eigen_phases(alpha) -> np.ndarray:
         l4 = -a1 - a2 - a3
 
     which sum to zero identically.
+
+    Raises:
+        ValueError: if a coordinate is not finite.
     """
-    a1, a2, a3 = np.asarray(alpha, dtype=float)
+    a1, a2, a3 = _coordinates(alpha)
     return np.array([-a1 + a2 + a3, a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3])
 
 
@@ -137,9 +152,12 @@ def nearest_kronecker_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     remaining phase so A (x) B matches ``m`` up to a global phase.
 
     Raises:
-        NotAProductError: if the rank-one fit residual exceeds 1e-6.
+        NotAProductError: if ``m`` has a non-finite entry or the rank-one
+            fit residual exceeds 1e-6.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotAProductError("matrix has non-finite entries")
     r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     u, s, vh = np.linalg.svd(r)
     residual = float(np.linalg.norm(s[1:]))
@@ -191,23 +209,6 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, float]:
     return best, best_off
 
 
-def _half_phases(eigvals: np.ndarray) -> np.ndarray:
-    """Phases mu with exp(2i mu) = eigvals and sum(mu) = 0.
-
-    Principal branches leave the sum as a multiple of pi (det m = 1); the
-    extremal branches are shifted until the sum vanishes.
-    """
-    mu = np.angle(eigvals) / 2.0
-    wraps = round(float(np.sum(mu)) / math.pi)
-    while wraps > 0:
-        mu[np.argmax(mu)] -= math.pi
-        wraps -= 1
-    while wraps < 0:
-        mu[np.argmin(mu)] += math.pi
-        wraps += 1
-    return mu
-
-
 def reduce_alpha(alpha) -> np.ndarray:
     """Weyl chamber representative of the gate class with coordinates alpha.
 
@@ -222,10 +223,7 @@ def reduce_alpha(alpha) -> np.ndarray:
     Raises:
         ValueError: if a coordinate is not finite.
     """
-    a = np.asarray(alpha, dtype=float).tolist()
-    if len(a) != 3 or not all(math.isfinite(x) for x in a):
-        raise ValueError(f"chamber coordinates must be three finite numbers, got {a}")
-    a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in a]
+    a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
     for j, k in ((0, 1), (1, 2), (0, 1)):
         if abs(a[j]) < abs(a[k]):
             a[j], a[k] = a[k], a[j]
@@ -285,7 +283,10 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
         raise DecompositionError("could not diagonalize the magic Gram matrix", residual)
 
     eigvals = np.diagonal(basis.T @ m @ basis)
-    mu = _half_phases(eigvals)
+    # Principal half-phases: only mu[0..2] enter alpha, and a branch shift
+    # of one by pi moves two coordinates by pi/2, a local move that
+    # reduce_alpha undoes.
+    mu = np.angle(eigvals) / 2.0
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
     lam = eigen_phases(alpha)
     # Every reduction move is local up to a factor i, so the chamber

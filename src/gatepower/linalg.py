@@ -23,10 +23,8 @@ __all__ = [
     "MAGIC",
     "MAGIC_H",
     "UnitarityError",
-    "is_unitary",
     "require_unitary",
     "tensor_product",
-    "to_magic_frame",
     "normalize_special",
     "distance_up_to_phase",
     "random_unitary",
@@ -72,30 +70,9 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
     return m
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    """True if ||M^dag M - I||_F <= atol; the test of :func:`require_unitary`."""
-    try:
-        require_unitary(m, atol)
-    except UnitarityError:
-        return False
-    return True
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b; qubit A is the first factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def to_magic_frame(u: np.ndarray) -> np.ndarray:
-    """Rewrite a two-qubit operator in the magic basis: Q^dag U Q.
-
-    Raises:
-        UnitarityError: if ``u`` is not unitary to 1e-12.
-    """
-    u = require_unitary(u, name="gate")
-    if u.shape != (4, 4):
-        raise UnitarityError(f"gate must be 4x4, got shape {u.shape}")
-    return MAGIC_H @ u @ MAGIC
 
 
 def normalize_special(u: np.ndarray) -> tuple[np.ndarray, float]:

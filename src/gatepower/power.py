@@ -18,12 +18,11 @@ finite coordinates and reduces them into the Weyl chamber first.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 
 from typing import NamedTuple
 
-from .canonical import eigen_phases, reduce_alpha
+from .canonical import reduce_alpha
 
 __all__ = [
     "PowerInterval",
@@ -113,33 +112,14 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     return PowerInterval(c_min=c_min, c_max=c_max)
 
 
-def _pair_differences(a) -> list[float]:
-    lam = eigen_phases(a)
-    return [lam[j] - lam[k] for j, k in itertools.combinations(range(4), 2)]
-
-
 def c0_max(alpha) -> float:
-    """Largest final concurrence reachable from a product state.
-
-    One when the saturation condition holds, otherwise the maximum of
-    |sin(l_j - l_k)| over eigenphase pairs.
-    """
-    a = _abs_a3(alpha)
-    if _saturates(*a):
-        return 1.0
-    return max(abs(math.sin(d)) for d in _pair_differences(a))
+    """Largest final concurrence reachable from a product state: sin(theta)."""
+    return power_interval(alpha, 0.0).c_max
 
 
 def c1_min(alpha) -> float:
-    """Smallest final concurrence reachable from a maximally entangled state.
-
-    Zero when the saturation condition holds, otherwise the minimum of
-    |cos(l_j - l_k)| over eigenphase pairs.
-    """
-    a = _abs_a3(alpha)
-    if _saturates(*a):
-        return 0.0
-    return min(abs(math.cos(d)) for d in _pair_differences(a))
+    """Smallest final concurrence reachable from a maximally entangled state: cos(theta)."""
+    return power_interval(alpha, 1.0).c_min
 
 
 def can_reach_max(alpha, c0: float) -> bool:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import MAGIC, MAGIC_H, require_unitary
+from .linalg import MAGIC, MAGIC_H
 
 __all__ = [
     "to_magic_coefficients",
     "from_magic_coefficients",
     "concurrence",
-    "apply_gate",
     "sample_state_with_concurrence",
     "rescale_to_concurrence",
 ]
@@ -39,12 +38,6 @@ def concurrence(state: np.ndarray) -> float:
     """
     b = to_magic_coefficients(state)
     return float(min(abs(np.sum(b * b)), 1.0))
-
-
-def apply_gate(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a unitary gate to a state; rejects non-unitary ``u``."""
-    u = require_unitary(u, name="gate")
-    return u @ np.asarray(state, dtype=complex)
 
 
 def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:

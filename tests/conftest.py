@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
 
-from gatepower import random_unitary, tensor_product
+from gatepower import PowerInterval, oracle, power_interval, random_unitary, tensor_product
 
 
 def random_chamber_point(rng: np.random.Generator) -> np.ndarray:
@@ -22,3 +23,17 @@ def random_local_pair(rng: np.random.Generator) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return psi / np.linalg.norm(psi)
+
+
+@pytest.fixture
+def shifted_closed_form(monkeypatch):
+    """Shift the interval that verify_profile checks by 1e-12.
+
+    The bracket can be exact (swap class), so a failing verification is
+    forced this way rather than left to rounding.
+    """
+
+    def shifted(alpha, c0):
+        return PowerInterval(*(x + 1e-12 for x in power_interval(alpha, c0)))
+
+    monkeypatch.setattr(oracle, "power_interval", shifted)

@@ -232,7 +232,7 @@ def test_criterion_10_extremal_two_coefficient_structure():
     report(10, "10 non-saturating gates: achievers have two coefficients at 1/sqrt(2)")
 
 
-def test_criterion_11_cli_contract(tmp_path, capsys):
+def test_criterion_11_cli_contract(tmp_path, capsys, shifted_closed_form):
     code = main(["decompose", "--gate", "cnot", "--json"])
     out = capsys.readouterr().out
     assert code == 0

@@ -218,6 +218,15 @@ def test_nearest_kronecker_factor_rejects_entangling_gate():
         nearest_kronecker_factor(CNOT)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_nearest_kronecker_factor_rejects_non_finite(bad):
+    # Checked before the SVD, which would raise LinAlgError instead.
+    m = tensor_product(SIGMA_X, SIGMA_Z)
+    m[1, 2] = bad
+    with pytest.raises(NotAProductError, match="non-finite"):
+        nearest_kronecker_factor(m)
+
+
 def test_decomposition_error_carries_residual():
     assert DecompositionError("x", 0.5).residual == 0.5
 
@@ -252,6 +261,13 @@ def test_decompose_falls_back_to_the_next_mix(monkeypatch):
 def test_reduce_alpha_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         reduce_alpha(bad)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf]])
+def test_eigen_phases_and_canonical_gate_reject_non_finite(bad):
+    for call in (reduce_alpha, eigen_phases, canonical_gate):
+        with pytest.raises(ValueError, match="three finite numbers"):
+            call(bad)
 
 
 @pytest.mark.parametrize("offset", [1e-10, 5e-11, 1e-13, 0.0])

@@ -16,7 +16,7 @@ alpha: 0.785398163397 0.785398163397 0.785398163397
 c0: 0.3
 c_min: 0.3
 c_max: 0.3
-c0_max: 1.22464679915e-16
+c0_max: 0
 c1_min: 1
 can_reach_max: false
 can_reach_zero: false
@@ -204,7 +204,7 @@ def test_verify_reports_are_byte_identical_per_seed(capsys):
     assert out1 == out2
 
 
-def test_verify_fail_exits_one(capsys):
+def test_verify_fail_exits_one(capsys, shifted_closed_form):
     code, out, _ = run(
         capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", "1e-18", "--starts", "8"]
     )
@@ -234,6 +234,14 @@ def test_zero_denominator_angle_exits_two(capsys, gate):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "denominator" in err
+
+
+@pytest.mark.parametrize("gate", ["canonical:nan,0,0", "canonical:0,inf,0", "canonical:0,0,-inf"])
+def test_non_finite_canonical_token_exits_two(capsys, gate):
+    code, out, err = run(capsys, ["power", "--gate", gate, "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_bad_c0_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Stress tests on chamber facets, edges and structured gate families."""
 
 import numpy as np
+import pytest
 
 from conftest import random_local_pair
 from gatepower import (
@@ -9,6 +10,7 @@ from gatepower import (
     distance_up_to_phase,
     in_weyl_chamber,
     reconstruct,
+    reduce_alpha,
 )
 
 QUARTER_PI = np.pi / 4
@@ -39,19 +41,23 @@ def facet_and_edge_points():
     return [np.array(p) for p in pts]
 
 
-def test_dressed_boundary_gates_round_trip():
+@pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-8, 1e-6])
+def test_dressed_boundary_gates_round_trip(noise):
     rng = np.random.default_rng(99)
     for w in facet_and_edge_points():
-        u = random_local_pair(rng) @ canonical_gate(w) @ random_local_pair(rng)
+        noisy = w + noise * rng.standard_normal(3)
+        u = random_local_pair(rng) @ canonical_gate(noisy) @ random_local_pair(rng)
         d = decompose(u)
         assert in_weyl_chamber(d.weyl)
         assert distance_up_to_phase(reconstruct(d), u) <= 1e-8
-        expect = w.copy()
-        if abs(expect[0] - QUARTER_PI) < 1e-12:
-            # at a1 = pi/4 the chamber identifies +-a3; the reduction
-            # canonicalizes to the non-negative sign
-            expect[2] = abs(expect[2])
-        np.testing.assert_allclose(d.weyl, expect, atol=1e-9)
+        assert np.max(np.abs(d.weyl - reduce_alpha(noisy))) <= 1e-12
+        if noise == 0.0:
+            expect = w.copy()
+            if abs(expect[0] - QUARTER_PI) < 1e-12:
+                # at a1 = pi/4 the chamber identifies +-a3; the reduction
+                # canonicalizes to the non-negative sign
+                expect[2] = abs(expect[2])
+            np.testing.assert_allclose(d.weyl, expect, atol=1e-9)
 
 
 def test_permutation_gates_decompose():

