@@ -14,7 +14,8 @@ eigenphases linear in alpha and local factors are real orthogonal:
 m = u~^T u~ is a complex symmetric unitary.  Its spectrum fixes alpha,
 which ``reduce_alpha`` maps into the chamber as plain numbers; its real
 orthogonal eigenbasis, ordered to match the chamber eigenphases, gives
-the local factors.
+two rotations in SO(4) whose magic-frame images split exactly into
+SU(2) (x) SU(2) local factors.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from .linalg import (
 
 __all__ = [
     "DecompositionError",
-    "NotAProductError",
     "CanonicalDecomposition",
     "in_weyl_chamber",
     "reduce_alpha",
     "eigen_phases",
     "canonical_gate",
-    "nearest_kronecker_factor",
     "decompose",
     "reconstruct",
 ]
@@ -68,19 +67,15 @@ class DecompositionError(RuntimeError):
         self.residual = residual
 
 
-class NotAProductError(ValueError):
-    """Raised when a matrix is not a tensor product of single-qubit unitaries."""
-
-
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     """Result of :func:`decompose`.
 
     Attributes:
         weyl: chamber-reduced canonical coordinates (a1, a2, a3), radians.
-        pre_local: single-qubit unitaries (V_A, V_B) applied before the
-            canonical gate.
-        post_local: single-qubit unitaries (U_A, U_B) applied after it.
+        pre_local: single-qubit factors (V_A, V_B) in SU(2) applied before
+            the canonical gate.
+        post_local: single-qubit factors (U_A, U_B) in SU(2) applied after it.
         global_phase: phase (radians) making the reconstruction exact.
     """
 
@@ -141,49 +136,20 @@ def canonical_gate(alpha) -> np.ndarray:
     return (MAGIC * phases) @ MAGIC_H
 
 
-def nearest_kronecker_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 4x4 matrix known to be A (x) B into unitary factors (A, B).
+def _su2_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) factors (A, B) with A (x) B = MAGIC o MAGIC^dag for o in SO(4).
 
-    Uses the rank-one structure of the index-reshuffled matrix: for
-    M = A (x) B the rearrangement R[2i+j, 2k+l] = M[2i+k, 2j+l] equals
-    vec(A) vec(B)^T, so its leading singular pair yields the factors.
-    Factors are projected to the nearest unitaries; A gets a non-negative
-    real first (row-major) entry of significant modulus, and B absorbs the
-    remaining phase so A (x) B matches ``m`` up to a global phase.
-
-    Raises:
-        NotAProductError: if ``m`` has a non-finite entry or the rank-one
-            fit residual exceeds 1e-6.
+    Block (i, k) of the magic-frame image is A[i, k] B.  The block of
+    largest norm has |A[i, k]|^2 >= 1/2, so dividing it by the square root
+    of its determinant gives B, and A[i, k] = tr(B^dag block(i, k)) / 2.
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise NotAProductError("matrix has non-finite entries")
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vh = np.linalg.svd(r)
-    residual = float(np.linalg.norm(s[1:]))
-    if residual > 1e-6:
-        raise NotAProductError(
-            f"matrix is not a tensor product of single-qubit operators "
-            f"(rank-one fit residual {residual:.3e})"
-        )
-    a = (np.sqrt(s[0]) * u[:, 0]).reshape(2, 2)
-    b = (np.sqrt(s[0]) * vh[0]).reshape(2, 2)
-    a = _closest_unitary(a)
-    b = _closest_unitary(b)
-    # Phase convention: first entry of a with significant modulus is made
-    # real non-negative; b picks up whatever phase aligns a (x) b with m.
-    pivot = next(x for x in a.ravel() if abs(x) > 1e-6)
-    a = a * np.exp(-1j * np.angle(pivot))
-    b = b * np.exp(1j * np.angle(np.trace(tensor_product(a, b).conj().T @ m)))
-    return a, b
+    blocks = (MAGIC @ o @ MAGIC_H).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    i, k = divmod(int(np.argmax(np.sum(np.abs(blocks) ** 2, axis=(2, 3)))), 2)
+    b = blocks[i, k] / np.sqrt(np.linalg.det(blocks[i, k]))
+    return np.sum(b.conj() * blocks, axis=(2, 3)) / 2.0, b
 
 
-def _closest_unitary(m: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(m)
-    return w @ vh
-
-
-def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, float]:
+def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Real orthogonal eigenbasis of a complex symmetric unitary matrix.
 
     Re(m) and Im(m) are commuting real symmetric matrices, so the real
@@ -193,7 +159,8 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, float]:
     +-atan(c)/2 (mod pi/2).  A coordinate can do that for at most one of
     the positive ``_MIXES``, so one of the four is free of collisions.
     Returns the first basis whose off-diagonal residual is at most 1e-10,
-    else the best one, together with that residual.
+    else the best one, together with the eigenvalues of m it yields (the
+    diagonal of basis^T m basis) and that residual.
     """
     re = np.real(m)
     im = np.imag(m)
@@ -201,12 +168,13 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, float]:
     for c in _MIXES:
         _, basis = np.linalg.eigh(re + c * im)
         diag = basis.T @ m @ basis
-        off = float(np.linalg.norm(diag - np.diag(np.diagonal(diag))))
+        eigvals = np.diagonal(diag)
+        off = float(np.linalg.norm(diag - np.diag(eigvals)))
         if off < best_off:
-            best, best_off = basis, off
+            best, best_off = (basis, eigvals), off
         if off <= 1e-10:
             break
-    return best, best_off
+    return *best, best_off
 
 
 def reduce_alpha(alpha) -> np.ndarray:
@@ -278,11 +246,10 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     m = u_magic.T @ u_magic
     m = 0.5 * (m + m.T)
 
-    basis, residual = _orthogonal_eigenbasis(m)
+    basis, eigvals, residual = _orthogonal_eigenbasis(m)
     if residual > 1e-8:
         raise DecompositionError("could not diagonalize the magic Gram matrix", residual)
 
-    eigvals = np.diagonal(basis.T @ m @ basis)
     # Principal half-phases: only mu[0..2] enter alpha, and a branch shift
     # of one by pi moves two coordinates by pi/2, a local move that
     # reduce_alpha undoes.
@@ -306,8 +273,8 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     imag_leak = float(np.linalg.norm(o1.imag))
     if imag_leak > 1e-6:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
-    post_a, post_b = nearest_kronecker_factor(MAGIC @ o1.real @ MAGIC_H)
-    pre_a, pre_b = nearest_kronecker_factor(MAGIC @ basis.T @ MAGIC_H)
+    post_a, post_b = _su2_factors(o1.real)
+    pre_a, pre_b = _su2_factors(basis.T)
 
     bare = tensor_product(post_a, post_b) @ canonical_gate(alpha) @ tensor_product(pre_a, pre_b)
     phase = float(np.angle(np.trace(bare.conj().T @ u)))

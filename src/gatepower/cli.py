@@ -34,7 +34,7 @@ from .canonical import (
     reconstruct,
 )
 from .linalg import distance_up_to_phase
-from .oracle import OptimizerConfig, ProfileReport, verify_profile
+from .oracle import ProfileReport, verify_profile
 from .power import (
     c0_max,
     c1_min,
@@ -249,10 +249,9 @@ def _grid(points: int) -> list[float]:
     return [k / (points - 1) for k in range(points)]
 
 
-def _profile(alpha, points: int, args, tol: float) -> ProfileReport:
+def _profile(alpha, points: int, tol: float) -> ProfileReport:
     """Closed form versus oracle on ``points`` evenly spaced c0 in [0, 1]."""
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
-    return verify_profile(alpha, _grid(points), cfg, tol=tol)
+    return verify_profile(alpha, _grid(points), tol=tol)
 
 
 def _cmd_curve(args) -> int:
@@ -264,7 +263,7 @@ def _cmd_curve(args) -> int:
     failed = False
     if args.verify:
         columns += ["oracle_min", "oracle_max"]
-        report = _profile(alpha, args.steps, args, tol=1e-3)
+        report = _profile(alpha, args.steps, tol=1e-3)
         table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
         failed = not report.passed
     else:
@@ -318,7 +317,7 @@ def _cmd_verify(args) -> int:
     if args.grid < 2:
         raise GateInputError(f"--grid must be >= 2, got {args.grid}")
     alpha = decompose(matrix).weyl
-    report = _profile(alpha, args.grid, args, tol=args.tol)
+    report = _profile(alpha, args.grid, tol=args.tol)
     if args.json:
         doc = {
             "gate": name,

@@ -65,9 +65,7 @@ def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:
     y = b.imag.copy()
     p = float(np.sum(x * x))
     q = float(np.sum(y * y))
-    # p + q = 1 and p - q = |sum b^2| by construction.
-    if p <= 1e-15:
-        return None
+    # p + q = 1 and p - q = |sum b^2| >= 0 by construction, so p >= 1/2.
     if 1.0 - c0 < 1e-15:
         scaled = x / np.sqrt(p)
         return scaled.astype(complex)

@@ -27,13 +27,14 @@ def random_pure_state(rng: np.random.Generator) -> np.ndarray:
 
 @pytest.fixture
 def shifted_closed_form(monkeypatch):
-    """Shift the interval that verify_profile checks by 1e-12.
+    """Shift the interval that verify_profile checks by 1e-2.
 
     The bracket can be exact (swap class), so a failing verification is
-    forced this way rather than left to rounding.
+    forced this way rather than left to rounding.  The shift exceeds the
+    fixed 1e-3 tolerance of ``curve --verify``, so every check fails.
     """
 
     def shifted(alpha, c0):
-        return PowerInterval(*(x + 1e-12 for x in power_interval(alpha, c0)))
+        return PowerInterval(*(x + 1e-2 for x in power_interval(alpha, c0)))
 
     monkeypatch.setattr(oracle, "power_interval", shifted)

@@ -11,14 +11,12 @@ from scipy.linalg import expm
 from conftest import random_chamber_point, random_local_pair
 from gatepower import (
     DecompositionError,
-    NotAProductError,
     UnitarityError,
     canonical_gate,
     decompose,
     distance_up_to_phase,
     eigen_phases,
     in_weyl_chamber,
-    nearest_kronecker_factor,
     random_unitary,
     reconstruct,
     reduce_alpha,
@@ -146,15 +144,6 @@ def test_decompose_round_trip_on_chamber_points():
         np.testing.assert_allclose(d.weyl, w, atol=1e-9)
 
 
-def test_decompose_local_invariance():
-    rng = np.random.default_rng(23)
-    for seed in range(50):
-        u = random_unitary(4, 1000 + seed)
-        base = decompose(u).weyl
-        dressed = random_local_pair(rng) @ u @ random_local_pair(rng)
-        np.testing.assert_allclose(decompose(dressed).weyl, base, atol=1e-8)
-
-
 def test_decompose_adjoint_preserves_power_class():
     # Conjugation flips the sign of the third coordinate inside the
     # chamber, so the power class (a1, a2, |a3|) is the right invariant.
@@ -193,42 +182,21 @@ def test_reconstruct_hand_built():
     np.testing.assert_allclose(reconstruct(d), canonical_gate([QUARTER_PI, 0, 0]), atol=1e-15)
 
 
-def test_nearest_kronecker_factor_exact_product():
-    a, b = nearest_kronecker_factor(tensor_product(SIGMA_X, SIGMA_Z))
-    assert distance_up_to_phase(a, SIGMA_X) <= 1e-12
-    assert distance_up_to_phase(b, SIGMA_Z) <= 1e-12
-    assert distance_up_to_phase(tensor_product(a, b), tensor_product(SIGMA_X, SIGMA_Z)) <= 1e-12
-
-
-def test_nearest_kronecker_factor_random_products():
-    for seed in range(30):
-        a0 = random_unitary(2, seed)
-        b0 = random_unitary(2, 10_000 + seed)
-        m = tensor_product(a0, b0)
-        a, b = nearest_kronecker_factor(m)
-        assert distance_up_to_phase(a, a0) <= 1e-8
-        assert distance_up_to_phase(b, b0) <= 1e-8
-        assert distance_up_to_phase(tensor_product(a, b), m) <= 1e-8
-        pivot = next(x for x in a.ravel() if abs(x) > 1e-6)
-        assert pivot.real >= 0 and abs(pivot.imag) <= 1e-8 * max(1.0, abs(pivot))
-
-
-def test_nearest_kronecker_factor_rejects_entangling_gate():
-    with pytest.raises(NotAProductError):
-        nearest_kronecker_factor(CNOT)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
-def test_nearest_kronecker_factor_rejects_non_finite(bad):
-    # Checked before the SVD, which would raise LinAlgError instead.
-    m = tensor_product(SIGMA_X, SIGMA_Z)
-    m[1, 2] = bad
-    with pytest.raises(NotAProductError, match="non-finite"):
-        nearest_kronecker_factor(m)
-
-
 def test_decomposition_error_carries_residual():
     assert DecompositionError("x", 0.5).residual == 0.5
+
+
+def test_decompose_reconstruction_check_rejects_a_bad_split(monkeypatch):
+    split = canonical._su2_factors
+    tilt = np.diag(np.exp([1e-6j, -1e-6j]))
+
+    def tilted(o):
+        a, b = split(o)
+        return a, b @ tilt
+
+    monkeypatch.setattr(canonical, "_su2_factors", tilted)
+    with pytest.raises(DecompositionError, match="reconstruction check failed"):
+        decompose(random_unitary(4, 7))
 
 
 def test_noisy_cnot_class_gates_decompose_exactly():
@@ -296,3 +264,21 @@ def test_reduce_alpha_lands_in_chamber_and_is_idempotent(w):
 @given(COORDS)
 def test_reduce_alpha_matches_decompose(w):
     np.testing.assert_allclose(decompose(canonical_gate(w)).weyl, reduce_alpha(w), rtol=0, atol=1e-9)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(SEEDS, SEEDS)
+def test_decompose_local_invariance(gate_seed, local_seed):
+    rng = np.random.default_rng(local_seed)
+    u = random_unitary(4, gate_seed)
+    dressed = random_local_pair(rng) @ u @ random_local_pair(rng)
+    d, d_dressed = decompose(u), decompose(dressed)
+    np.testing.assert_allclose(d_dressed.weyl, d.weyl, rtol=0, atol=1e-8)
+    for gate, dec in ((u, d), (dressed, d_dressed)):
+        assert np.linalg.norm(reconstruct(dec) - gate) <= 1e-8
+        for local in (*dec.pre_local, *dec.post_local):
+            assert np.linalg.norm(local.conj().T @ local - np.eye(2)) <= 1e-12
+            assert abs(np.linalg.det(local) - 1) <= 1e-12

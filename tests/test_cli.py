@@ -1,11 +1,13 @@
 """Tests for the command-line interface contract."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from gatepower import decompose, verify_profile
 from gatepower.cli import main, named_gate, resolve_gate
 
 QUARTER_PI = math.pi / 4
@@ -210,6 +212,44 @@ def test_verify_fail_exits_one(capsys, shifted_closed_form):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_starts_and_seed_are_ignored(capsys):
+    # The bracket has no starts or seed, so any value, even one an
+    # optimizer would reject, leaves the report unchanged.
+    for argv in (
+        ["verify", "--gate", "cnot", "--grid", "3"],
+        ["curve", "--gate", "cnot", "--steps", "3", "--verify"],
+    ):
+        code, baseline, _ = run(capsys, argv)
+        assert code == 0
+        for extra in (["--starts", "0"], ["--starts", "-5", "--seed", "-1"]):
+            assert run(capsys, argv + extra) == (0, baseline, "")
+
+
+def test_curve_json(capsys):
+    code, out, _ = run(capsys, ["curve", "--gate", "cnot", "--steps", "2", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["columns"] == ["c0", "c_min", "c_max"]
+    assert doc["rows"] == [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
+    assert doc["passed"] is True
+
+
+def test_verify_json_rows_are_profile_rows(capsys):
+    code, out, _ = run(capsys, ["verify", "--gate", "cphase:0.8", "--grid", "3", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    report = verify_profile(decompose(named_gate("cphase:0.8")).weyl, [0.0, 0.5, 1.0])
+    assert doc["rows"] == [dataclasses.asdict(r) for r in report.rows]
+    assert doc["passed"] is True
+
+
+def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
+    code, out, err = run(capsys, ["curve", "--gate", "swap", "--steps", "3", "--verify"])
+    assert code == 1
+    assert out.startswith("c0,c_min,c_max,oracle_min,oracle_max\n")
+    assert "verification failed" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
