@@ -10,7 +10,7 @@ D(c0) with support function, by Lagrange duality,
 
 Sampled support values bound max |F| from above and min |F| from below;
 explicit states from the dual active sets bound them from the other side.
-Gaps between directions are bisected until the two sides meet.
+Gaps between directions are split into equal pieces until the two sides meet.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
     return out
 
 
-def _support(lam, c0: float, theta):
+def _support(lam, c0, theta):
     """Certified support values h(theta) of D(c0), their dual minimisers z,
-    and feasible u (sum |u| = 1, sum u = c0) attaining them."""
+    and feasible u (sum |u| = 1, sum u = c0) attaining them; c0 may be a column."""
     psi = 2.0 * lam[None, :] - theta[:, None]
     w = np.exp(1j * psi)
     half = 0.5 * (psi[:, _PAIRS[0]] + psi[:, _PAIRS[1]])
@@ -203,21 +203,22 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
     return np.where(inside, value, -np.inf).max(axis=0)
 
 
-def _reach(f, level: float, hi: float) -> float:
-    """Smallest t in [0, hi] with f(t) >= level, bisected; f is convex with f(0) <= level."""
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if f(mid) < level else (lo, mid)
-    return hi
-
-
 def _pad(u, omega) -> np.ndarray:
     """Move u along the kernel of u -> (sum u, sum u w) until sum |u| = 1."""
     if np.abs(u).sum() >= 1.0 - 1e-12:  # a rounding deficit; at c0 = 1 u must stay real
         return u
     v = np.linalg.svd(np.stack([np.ones(4), omega]))[2][-1].conj()
-    t = _reach(lambda t: np.abs(u + t * v).sum(), 1.0, (1.0 + np.abs(u).sum()) / np.abs(v).sum())
+    # f(t) = sum |u + t v| is convex with f(0) < 1 <= f(t); Newton steps
+    # from the right fall monotonically onto its smallest root.
+    t = (1.0 + np.abs(u).sum()) / np.abs(v).sum()
+    for _ in range(60):
+        x = u + t * v
+        r = np.abs(x)
+        slope = np.divide((x.conj() * v).real, r, out=np.zeros(4), where=r > 0).sum()
+        step = (r.sum() - 1.0) / slope
+        if not t - step < t:
+            break
+        t -= step
     return u + t * v
 
 
@@ -230,10 +231,12 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         mu = _nearest_weights(omega[None], _SEGMENTS_4, _TRIANGLES_4)[0]
         return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
     theta = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
-    h, _, u = _support(lam, c0, theta)
-    if direction is Direction.MAX:  # rotating the c0 = 0 minimiser z0 with the points bounds h
-        h0, z0, _ = _support(lam, 0.0, np.zeros(1))
-        cap = min(1.0, float(h0[0] + c0 * abs(z0[0])) + 8.0 * _EPS)
+    # MAX adds a row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
+    extra = [0.0] * (direction is Direction.MAX)
+    h, z, u = _support(lam, np.array([c0] * theta.size + extra)[:, None], np.append(theta, extra))
+    if extra:
+        cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
+        h, u = h[:-1], u[:-1]
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.diff(theta, append=theta[0] + _TWO_PI)
         if direction is Direction.MAX:
@@ -243,9 +246,12 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         else:
             bound = max(float((-h).max()), 0.0)
             wide = _gap_min_bound(theta, gaps, u @ omega) > bound + 0.1 * _TOL
-        if rnd == _MAX_ROUNDS or not wide.any() or theta.size + wide.sum() > _MAX_DIRECTIONS:
+        # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
+        n_wide = int(wide.sum())
+        pieces = min(16, max(2, 256 // max(n_wide, 1)))
+        if rnd == _MAX_ROUNDS or not n_wide or theta.size + (pieces - 1) * n_wide > _MAX_DIRECTIONS:
             break
-        new = theta[wide] + 0.5 * gaps[wide]
+        new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, _, u_new = _support(lam, c0, new)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
         theta, h, u = (np.concatenate(pair)[order] for pair in ((theta, new), (h, h_new), (u, u_new)))
@@ -293,9 +299,9 @@ def extremal_concurrence(
 def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = None) -> OracleResult:
     """Search for a feasible state whose final concurrence is ``target``.
 
-    Bisects along the segment between the minimising and maximising u,
-    exercising the claim that every value between the extremal
-    concurrences is attainable.  ``cfg`` is ignored.
+    Moves along the segment between the minimising and maximising u to
+    where |F| crosses ``target``, exercising the claim that every value
+    between the extremal concurrences is attainable.  ``cfg`` is ignored.
     """
     _require_unit_interval(c0, "initial")
     _require_unit_interval(target, "target")
@@ -303,8 +309,17 @@ def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = 
     omega = np.exp(2j * lam)
     lo_u = _bracket(lam, float(c0), Direction.MIN)[0]
     hi_u = _bracket(lam, float(c0), Direction.MAX)[0]
-    # |F| is convex along the segment.
-    s = _reach(lambda s: abs(((1.0 - s) * lo_u + s * hi_u) @ omega), target, 1.0)
+    # |F(s)| = |a + s d| is convex; its crossing is the larger root of
+    # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
+    a, d = lo_u @ omega, (hi_u - lo_u) @ omega
+    if abs(a) >= target:
+        s = 0.0
+    elif abs(a + d) <= target:
+        s = 1.0
+    else:
+        p, q, r = (a.conjugate() * d).real, (abs(a) - target) * (abs(a) + target), abs(d) ** 2
+        root = math.sqrt(p * p - r * q)
+        s = (root - p) / r if p < 0 else -q / (p + root)
     return _result(alpha, c0, _pad((1.0 - s) * lo_u + s * hi_u, omega), target)
 
 

@@ -479,3 +479,94 @@ def test_bracket_never_calls_the_closed_forms(monkeypatch):
         target = 0.5 * (lo.extremal_concurrence + hi.extremal_concurrence)
         r = reach_target(w, c0, target)
         assert r.converged and abs(r.extremal_concurrence - target) <= 1e-8
+
+
+def bisected_pad(u, omega):
+    """Reference for ``oracle._pad``: 60 bisection steps for sum |u + t v| = 1."""
+    if np.abs(u).sum() >= 1.0 - 1e-12:
+        return u
+    v = np.linalg.svd(np.stack([np.ones(4), omega]))[2][-1].conj()
+    lo, hi = 0.0, (1.0 + np.abs(u).sum()) / np.abs(v).sum()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.abs(u + mid * v).sum() < 1.0 else (lo, mid)
+    return u + hi * v
+
+
+def test_newton_pad_matches_bisection():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        omega = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 4))
+        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u *= rng.uniform(0.0, 0.999) / np.abs(u).sum()
+        newton, bisected = oracle._pad(u, omega), bisected_pad(u, omega)
+        for out in (newton, bisected):
+            assert abs(np.abs(out).sum() - 1.0) <= 4 * eps
+            assert abs(out.sum() - u.sum()) <= 1e-15
+            assert abs(out @ omega - u @ omega) <= 1e-15
+        # Both move u along the same unit kernel vector, by t = |out - u|.
+        t_newton, t_bisected = np.linalg.norm(newton - u), np.linalg.norm(bisected - u)
+        assert abs(t_newton - t_bisected) <= 1e-12 * t_bisected
+
+
+def test_reach_target_lands_on_the_target():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        w = rng.uniform(-4.0, 4.0, 3)
+        c0 = float(rng.uniform(0.0, 1.0))
+        lo = extremal_concurrence(w, c0, Direction.MIN).extremal_concurrence
+        hi = extremal_concurrence(w, c0, Direction.MAX).extremal_concurrence
+        target = float(rng.uniform(lo, hi))
+        r = reach_target(w, c0, target)
+        assert r.converged
+        assert abs(r.extremal_concurrence - target) <= 1e-12
+
+
+def _counting_support(monkeypatch):
+    """Wrap ``oracle._support``; returns the list of row counts per call."""
+    rows, support = [], oracle._support
+
+    def counted(lam, c0, theta):
+        rows.append(theta.size)
+        return support(lam, c0, theta)
+
+    monkeypatch.setattr(oracle, "_support", counted)
+    return rows
+
+
+@pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
+@pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
+def test_near_identity_search_refines_in_few_rounds(monkeypatch, c0, direction):
+    rows = _counting_support(monkeypatch)
+    assert extremal_concurrence(VERIFY_ANCHORS["near_identity"], c0, direction).converged
+    assert len(rows) <= 5
+    assert max(rows[1:], default=0) <= 256
+
+
+def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
+    # Known limit: the dual minimiser runs to |z| ~ 1e7, so a bracket may
+    # stay open, but it must still hold the closed form.
+    rows = _counting_support(monkeypatch)
+    rng = np.random.default_rng(29)
+    c0 = 1.0 - 1e-14
+    for _ in range(10):
+        w = rng.uniform(-4.0, 4.0, 3)
+        closed = power_interval(w, c0)
+        for direction in (Direction.MIN, Direction.MAX):
+            rows.clear()
+            r = extremal_concurrence(w, c0, direction)
+            if direction is Direction.MAX:
+                assert r.extremal_concurrence - 1e-12 <= closed.c_max <= r.bound + 1e-12
+            else:
+                assert r.bound - 1e-12 <= closed.c_min <= r.extremal_concurrence + 1e-12
+            # MAX evaluates one more row, at c0 = 0, for its cap.
+            assert sum(rows) - (direction is Direction.MAX) <= oracle._MAX_DIRECTIONS
+
+
+@pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
+def test_direction_cap_counts_every_piece(monkeypatch, direction):
+    monkeypatch.setattr(oracle, "_MAX_DIRECTIONS", 100)
+    rows = _counting_support(monkeypatch)
+    extremal_concurrence(VERIFY_ANCHORS["near_identity"], 0.5, direction)
+    assert sum(rows) - (direction is Direction.MAX) <= 100

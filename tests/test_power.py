@@ -27,6 +27,7 @@ QUARTER_PI = math.pi / 4
 CNOT_W = [QUARTER_PI, 0, 0]
 SWAP_W = [QUARTER_PI] * 3
 HALF_CNOT_W = [math.pi / 8, 0, 0]
+COORDS = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
 
 
 def pairwise_extrema(alpha, c0):
@@ -160,15 +161,13 @@ def test_interval_contains_input_concurrence():
             assert 0.0 <= interval.c_min <= interval.c_max <= 1.0
 
 
-def test_interval_endpoints_monotone_in_c0():
-    rng = np.random.default_rng(8)
-    grid = np.linspace(0, 1, 41)
-    for _ in range(50):
-        w = random_chamber_point(rng)
-        intervals = [power_interval(w, float(c)) for c in grid]
-        for a, b in zip(intervals, intervals[1:]):
-            assert b.c_max >= a.c_max - 1e-12
-            assert b.c_min >= a.c_min - 1e-12
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(COORDS)
+def test_interval_endpoints_monotone_in_c0(w):
+    intervals = [power_interval(w, float(c)) for c in np.linspace(0, 1, 41)]
+    for a, b in zip(intervals, intervals[1:]):
+        assert b.c_max >= a.c_max - 1e-12
+        assert b.c_min >= a.c_min - 1e-12
 
 
 def test_endpoint_consistency_identities():
@@ -205,40 +204,36 @@ def test_pairwise_formula_matches_unified_form():
             checked_min += 1
 
 
-def test_interval_nesting_never_flips():
-    rng = np.random.default_rng(11)
-    grid = np.linspace(0, 1, 21)
-    for _ in range(100):
-        wa = random_chamber_point(rng)
-        wb = random_chamber_point(rng)
-        relation = compare_gates(wa, wb)
-        for c0 in grid:
-            ia = power_interval(wa, float(c0))
-            ib = power_interval(wb, float(c0))
-            if relation is GateOrdering.LESS:
-                assert ib.c_min <= ia.c_min + 1e-12 and ia.c_max <= ib.c_max + 1e-12
-            elif relation is GateOrdering.GREATER:
-                assert ia.c_min <= ib.c_min + 1e-12 and ib.c_max <= ia.c_max + 1e-12
-            else:
-                assert abs(ia.c_min - ib.c_min) <= 1e-9 and abs(ia.c_max - ib.c_max) <= 1e-9
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(COORDS, COORDS)
+def test_interval_nesting_never_flips(wa, wb):
+    relation = compare_gates(wa, wb)
+    for c0 in np.linspace(0, 1, 21):
+        ia = power_interval(wa, float(c0))
+        ib = power_interval(wb, float(c0))
+        if relation is GateOrdering.LESS:
+            assert ib.c_min <= ia.c_min + 1e-12 and ia.c_max <= ib.c_max + 1e-12
+        elif relation is GateOrdering.GREATER:
+            assert ia.c_min <= ib.c_min + 1e-12 and ib.c_max <= ia.c_max + 1e-12
+        else:
+            assert abs(ia.c_min - ib.c_min) <= 1e-9 and abs(ia.c_max - ib.c_max) <= 1e-9
 
 
-def test_order_is_antisymmetric_and_transitive():
-    rng = np.random.default_rng(12)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(COORDS, COORDS, COORDS)
+def test_order_is_antisymmetric_and_transitive(wa, wb, wc):
     flip = {
         GateOrdering.LESS: GateOrdering.GREATER,
         GateOrdering.GREATER: GateOrdering.LESS,
         GateOrdering.EQUAL: GateOrdering.EQUAL,
     }
-    for _ in range(100):
-        wa, wb, wc = (random_chamber_point(rng) for _ in range(3))
-        ab = compare_gates(wa, wb)
-        assert compare_gates(wb, wa) is flip[ab]
-        bc = compare_gates(wb, wc)
-        if ab is bc is GateOrdering.LESS:
-            assert compare_gates(wa, wc) is GateOrdering.LESS
-        if ab is bc is GateOrdering.EQUAL:
-            assert compare_gates(wa, wc) is GateOrdering.EQUAL
+    ab = compare_gates(wa, wb)
+    assert compare_gates(wb, wa) is flip[ab]
+    bc = compare_gates(wb, wc)
+    if ab is bc is GateOrdering.LESS:
+        assert compare_gates(wa, wc) is GateOrdering.LESS
+    if ab is bc is GateOrdering.EQUAL:
+        assert compare_gates(wa, wc) is GateOrdering.EQUAL
 
 
 def test_swap_class_is_minimal():
@@ -255,7 +250,7 @@ def test_coordinates_outside_the_chamber_are_reduced():
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.tuples(*[st.floats(-4.0, 4.0)] * 3), st.floats(0.0, 1.0))
+@given(COORDS, st.floats(0.0, 1.0))
 def test_power_interval_depends_on_the_class_only(w, c0):
     a = power_interval(w, c0)
     b = power_interval(reduce_alpha(w), c0)
