@@ -29,8 +29,6 @@ from .linalg import (
     MAGIC,
     MAGIC_H,
     UnitarityError,
-    distance_up_to_phase,
-    normalize_special,
     require_unitary,
     tensor_product,
 )
@@ -99,11 +97,12 @@ def _coordinates(alpha) -> list[float]:
     """alpha as three Python floats.
 
     Raises:
-        ValueError: if alpha is not three finite numbers.
+        ValueError: if alpha is not three finite numbers with |a_j| <= 1e3;
+            beyond that, reduction mod pi/2 loses over 1e-13 to rounding.
     """
     a = np.asarray(alpha, dtype=float).tolist()
-    if len(a) != 3 or not all(math.isfinite(x) for x in a):
-        raise ValueError(f"chamber coordinates must be three finite numbers, got {a}")
+    if len(a) != 3 or not all(abs(x) <= 1e3 for x in a):  # also rejects NaN and inf
+        raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {a}")
     return a
 
 
@@ -120,7 +119,7 @@ def eigen_phases(alpha) -> np.ndarray:
     which sum to zero identically.
 
     Raises:
-        ValueError: if a coordinate is not finite.
+        ValueError: if a coordinate is not finite or exceeds 1e3 in magnitude.
     """
     a1, a2, a3 = _coordinates(alpha)
     return np.array([-a1 + a2 + a3, a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3])
@@ -189,7 +188,7 @@ def reduce_alpha(alpha) -> np.ndarray:
     pi/2 - a1 would lie outside the closed chamber.
 
     Raises:
-        ValueError: if a coordinate is not finite.
+        ValueError: if a coordinate is not finite or exceeds 1e3 in magnitude.
     """
     a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
     for j, k in ((0, 1), (1, 2), (0, 1)):
@@ -241,8 +240,8 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     u = require_unitary(u, atol=INPUT_UNITARY_ATOL, name="gate")
     if u.shape != (4, 4):
         raise UnitarityError(f"gate must be 4x4, got shape {u.shape}")
-    v, _ = normalize_special(u)
-    u_magic = MAGIC_H @ v @ MAGIC
+    # Scaled by exp(-i arg(det u) / 4), the gate has determinant one.
+    u_magic = MAGIC_H @ (u * np.exp(-1j * (float(np.angle(np.linalg.det(u))) / 4))) @ MAGIC
     m = u_magic.T @ u_magic
     m = 0.5 * (m + m.T)
 
@@ -278,16 +277,12 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
 
     bare = tensor_product(post_a, post_b) @ canonical_gate(alpha) @ tensor_product(pre_a, pre_b)
     phase = float(np.angle(np.trace(bare.conj().T @ u)))
-    result = CanonicalDecomposition(
-        weyl=alpha,
-        pre_local=(pre_a, pre_b),
-        post_local=(post_a, post_b),
-        global_phase=phase,
-    )
-    check = distance_up_to_phase(bare, u)
+    check = float(np.linalg.norm(u - np.exp(1j * phase) * bare))
     if check > RECONSTRUCTION_ATOL:
         raise DecompositionError("reconstruction check failed", check)
-    return result
+    return CanonicalDecomposition(
+        weyl=alpha, pre_local=(pre_a, pre_b), post_local=(post_a, post_b), global_phase=phase
+    )
 
 
 def reconstruct(d: CanonicalDecomposition) -> np.ndarray:

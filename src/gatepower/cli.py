@@ -215,8 +215,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_power(args) -> int:
     name, matrix = resolve_gate(args.gate)
-    if not 0.0 <= args.c0 <= 1.0:
-        raise GateInputError(f"--c0 must be in [0, 1], got {args.c0}")
     alpha = decompose(matrix).weyl
     interval = power_interval(alpha, args.c0)
     doc = {

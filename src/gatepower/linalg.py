@@ -25,7 +25,6 @@ __all__ = [
     "UnitarityError",
     "require_unitary",
     "tensor_product",
-    "normalize_special",
     "distance_up_to_phase",
     "random_unitary",
 ]
@@ -73,20 +72,6 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b; qubit A is the first factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def normalize_special(u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split a unitary into a special-unitary part and a global phase.
-
-    Returns ``(v, phase)`` with ``v = exp(-i*phase) * u`` and det(v) = 1,
-    where ``phase = arg(det u) / 4`` with the principal argument in
-    (-pi, pi].  The remaining fourth-root ambiguity (v may differ from
-    another special representative by a factor i) is deliberately left
-    to callers, who only ever use v up to a global phase.
-    """
-    u = np.asarray(u, dtype=complex)
-    phase = float(np.angle(np.linalg.det(u))) / u.shape[0]
-    return u * np.exp(-1j * phase), phase
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 from .canonical import canonical_gate, eigen_phases
 from .power import power_interval
 from .states import (
+    _concurrence,
     concurrence,
     from_magic_coefficients,
     rescale_to_concurrence,
@@ -276,11 +277,6 @@ def _result(alpha, c0: float, u, bound: float) -> OracleResult:
     return OracleResult(value, state, float(violation), bool(converged), int(converged), float(bound))
 
 
-def _require_unit_interval(value: float, what: str) -> None:
-    if not 0.0 <= value <= 1.0:  # also rejects NaN
-        raise ValueError(f"{what} concurrence must be in [0, 1], got {value}")
-
-
 def extremal_concurrence(
     alpha, c0: float, direction: Direction, cfg: OptimizerConfig | None = None
 ) -> OracleResult:
@@ -291,8 +287,8 @@ def extremal_concurrence(
     maximum but never exceed it (and vice versa for minima); ``bound``
     bounds the extremum from the other side.  ``cfg`` is ignored.
     """
-    _require_unit_interval(c0, "initial")
-    u, bound = _bracket(eigen_phases(alpha), float(c0), direction)
+    c0 = _concurrence(c0)
+    u, bound = _bracket(eigen_phases(alpha), c0, direction)
     return _result(alpha, c0, u, bound)
 
 
@@ -303,12 +299,11 @@ def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = 
     where |F| crosses ``target``, exercising the claim that every value
     between the extremal concurrences is attainable.  ``cfg`` is ignored.
     """
-    _require_unit_interval(c0, "initial")
-    _require_unit_interval(target, "target")
+    c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
     omega = np.exp(2j * lam)
-    lo_u = _bracket(lam, float(c0), Direction.MIN)[0]
-    hi_u = _bracket(lam, float(c0), Direction.MAX)[0]
+    lo_u = _bracket(lam, c0, Direction.MIN)[0]
+    hi_u = _bracket(lam, c0, Direction.MAX)[0]
     # |F(s)| = |a + s d| is convex; its crossing is the larger root of
     # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
     a, d = lo_u @ omega, (hi_u - lo_u) @ omega
@@ -355,7 +350,7 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
 
     A row passes when both oracle extrema agree with the closed forms
     within ``tol`` and both brackets converged; failures are recorded in
-    the report, never raised.
+    the report, never raised.  An empty grid raises ``ValueError``.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -382,4 +377,6 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
                 passed=passed,
             )
         )
+    if not rows:
+        raise ValueError("c0 grid must not be empty")
     return ProfileReport(alpha=alpha, tol=tol, rows=rows)

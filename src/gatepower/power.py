@@ -11,8 +11,9 @@ controlled by a single effective rotation angle theta in [0, pi/2]:
 Gates satisfying a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 have theta = pi/2
 and can reach any final concurrence from any input; the swap class has
 theta = 0 and changes nothing.  Ordering gates by theta orders them by
-inclusion of their reachable intervals.  Every function here accepts any
-finite coordinates and reduces them into the Weyl chamber first.
+inclusion of their reachable intervals.  Every function here accepts
+finite coordinates with |a_j| <= 1e3 and reduces them into the Weyl
+chamber first.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from typing import NamedTuple
 
 from .canonical import reduce_alpha
+from .states import _concurrence
 
 __all__ = [
     "PowerInterval",
@@ -62,35 +64,24 @@ def _abs_a3(alpha) -> tuple[float, float, float]:
     return a1, a2, abs(a3)
 
 
-def _saturates(a1: float, a2: float, a3: float) -> bool:
-    return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
-
-
 def saturation_condition(alpha) -> bool:
     """True if the gate reaches both concurrence 0 and 1 from any input.
 
     Holds iff a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 (non-strict, with a
     1e-12 slack so boundary gates such as the CNOT class qualify).
     """
-    return _saturates(*_abs_a3(alpha))
+    a1, a2, a3 = _abs_a3(alpha)
+    return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
 
 
 def effective_angle(alpha) -> float:
-    """The angle by which the gate can rotate arccos(concurrence)."""
+    """The angle by which the gate can rotate arccos(concurrence).
+
+    The paper's three cases (2 (a1 + a2), pi/2 when saturating, and
+    2 (pi/2 - a2 - |a3|)) are one clamped minimum.
+    """
     a1, a2, a3 = _abs_a3(alpha)
-    if _saturates(a1, a2, a3):
-        theta = math.pi / 2.0
-    elif a1 + a2 < _QUARTER_PI:
-        theta = 2.0 * (a1 + a2)
-    else:
-        theta = 2.0 * (math.pi / 2.0 - a2 - a3)
-    return min(max(theta, 0.0), math.pi / 2.0)
-
-
-def _clamp_c0(c0: float) -> float:
-    if not -_BOUNDARY_SLACK <= c0 <= 1.0 + _BOUNDARY_SLACK:
-        raise ValueError(f"initial concurrence must be in [0, 1], got {c0}")
-    return min(max(c0, 0.0), 1.0)
+    return max(min(2.0 * (a1 + a2), 2.0 * (math.pi / 2.0 - a2 - a3), math.pi / 2.0), 0.0)
 
 
 def power_interval(alpha, c0: float) -> PowerInterval:
@@ -100,7 +91,7 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     c0*cos(theta) +- sin(theta)*sqrt(1 - c0^2), which keeps the clamped
     endpoints (0 and 1) and the theta = 0 case exact in floating point.
     """
-    c0 = _clamp_c0(c0)
+    c0 = _concurrence(c0)
     theta = effective_angle(alpha)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
@@ -124,12 +115,12 @@ def c1_min(alpha) -> float:
 
 def can_reach_max(alpha, c0: float) -> bool:
     """True if the final state can be maximally entangled."""
-    return _clamp_c0(c0) >= c1_min(alpha) - _BOUNDARY_SLACK
+    return _concurrence(c0) >= c1_min(alpha) - _BOUNDARY_SLACK
 
 
 def can_reach_zero(alpha, c0: float) -> bool:
     """True if the final state can be a product state."""
-    return _clamp_c0(c0) <= c0_max(alpha) + _BOUNDARY_SLACK
+    return _concurrence(c0) <= c0_max(alpha) + _BOUNDARY_SLACK
 
 
 def compare_gates(alpha_a, alpha_b) -> GateOrdering:

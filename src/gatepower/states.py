@@ -15,6 +15,17 @@ __all__ = [
 ]
 
 
+def _concurrence(value: float, what: str = "initial") -> float:
+    """A concurrence argument, with drift of up to 1e-12 outside [0, 1] clamped.
+
+    Raises:
+        ValueError: if ``value`` lies further outside [0, 1], or is NaN.
+    """
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise ValueError(f"{what} concurrence must be in [0, 1], got {value}")
+    return float(min(max(value, 0.0), 1.0))
+
+
 def to_magic_coefficients(state: np.ndarray) -> np.ndarray:
     """Expansion coefficients b of a state over the magic basis.
 
@@ -50,10 +61,9 @@ def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:
     be moved below concurrence one).
 
     Raises:
-        ValueError: if ``c0`` is outside [0, 1].
+        ValueError: if ``c0`` is outside [0, 1] by more than 1e-12.
     """
-    if not 0.0 <= c0 <= 1.0:  # also rejects NaN
-        raise ValueError(f"target concurrence must be in [0, 1], got {c0}")
+    c0 = _concurrence(c0, "target")
     b = np.asarray(b, dtype=complex)
     norm = np.linalg.norm(b)
     if not 0.0 < norm < np.inf:  # zero, or NaN / inf entries
@@ -83,12 +93,10 @@ def sample_state_with_concurrence(c0: float, seed: int) -> np.ndarray:
     generically (all four coefficients nonzero almost surely).
 
     Raises:
-        ValueError: if ``c0`` is outside [0, 1].
+        ValueError: if ``c0`` is outside [0, 1] by more than 1e-12.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(64):
-        raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        b = rescale_to_concurrence(raw, c0)
-        if b is not None:
-            return from_magic_coefficients(b)
-    raise RuntimeError("state sampling failed to produce a non-singular draw")
+    b = rescale_to_concurrence(rng.standard_normal(4) + 1j * rng.standard_normal(4), c0)
+    if b is None:  # a draw real up to a global phase: probability zero
+        raise RuntimeError("state sampling drew a singular state")
+    return from_magic_coefficients(b)

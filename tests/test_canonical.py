@@ -171,6 +171,11 @@ def test_decompose_rejects_non_unitary():
         decompose(np.diag([1.0, 1.0, 1.0, 1.1]))
 
 
+def test_decompose_rejects_a_single_qubit_gate():
+    with pytest.raises(UnitarityError, match="4x4"):
+        decompose(np.eye(2))
+
+
 def test_reconstruct_hand_built():
     eye = np.eye(2, dtype=complex)
     d = CanonicalDecomposition(

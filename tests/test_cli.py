@@ -284,10 +284,32 @@ def test_non_finite_canonical_token_exits_two(capsys, gate):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--gate", "canonical:pi/x,0,0", "--c0", "0.5"],
+        ["power", "--gate", "canonical:0.1,0.2", "--c0", "0.5"],
+        ["decompose", "--gate", "{dir}/missing.json"],
+        ["decompose", "--gate", "{dir}/not_pairs.json"],
+        ["decompose", "--gate", "{dir}/two_by_two.json"],
+        ["curve", "--gate", "cnot", "--steps", "1"],
+        ["verify", "--gate", "cnot", "--grid", "1"],
+    ],
+)
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    (tmp_path / "not_pairs.json").write_text(json.dumps({"matrix": [[1, 0, 0, 0]] * 4}))
+    two_by_two = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    (tmp_path / "two_by_two.json").write_text(json.dumps({"matrix": two_by_two}))
+    code, out, err = run(capsys, [arg.replace("{dir}", str(tmp_path)) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_c0_exits_two(capsys):
     code, _, err = run(capsys, ["power", "--gate", "cnot", "--c0", "1.7"])
     assert code == 2
-    assert "error" in err
+    assert err == "error: initial concurrence must be in [0, 1], got 1.7\n"
 
 
 def test_gate_file_round_trip(tmp_path, capsys):

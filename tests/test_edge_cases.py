@@ -1,17 +1,29 @@
-"""Stress tests on chamber facets, edges and structured gate families."""
+"""Stress tests on chamber facets, edges, structured gate families and input limits."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 
 from conftest import random_local_pair
 from gatepower import (
+    Direction,
     canonical_gate,
     decompose,
     distance_up_to_phase,
+    eigen_phases,
+    extremal_concurrence,
     in_weyl_chamber,
+    power_interval,
+    reach_target,
     reconstruct,
     reduce_alpha,
+    rescale_to_concurrence,
+    sample_state_with_concurrence,
+    verify_profile,
 )
+from gatepower.cli import main
 
 QUARTER_PI = np.pi / 4
 
@@ -74,3 +86,60 @@ def test_diagonal_phase_gates_decompose():
         d = decompose(u)
         assert distance_up_to_phase(reconstruct(d), u) <= 1e-10
         assert in_weyl_chamber(d.weyl)
+
+
+@pytest.mark.parametrize("big", [1e6, -1e6, 1e15])
+def test_coordinates_too_large_to_reduce_are_rejected(capsys, big):
+    # Reduction mod pi/2 loses ~1e-16 |a|: at 1e15 power_interval was silently wrong.
+    w = [big, 0.1, 0.05]
+    for call in (
+        lambda: reduce_alpha(w),
+        lambda: eigen_phases(w),
+        lambda: power_interval(w, 0.5),
+        lambda: extremal_concurrence(w, 0.5, Direction.MAX),
+    ):
+        with pytest.raises(ValueError, match="three finite numbers"):
+            call()
+    assert main(["decompose", "--gate", f"canonical:{big!r},0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "three finite numbers" in err
+
+
+def test_coordinates_up_to_1e3_are_accepted():
+    w = [1e3, 0.1, 0.05]
+    assert np.max(np.abs(decompose(canonical_gate(w)).weyl - reduce_alpha(w))) <= 1e-12
+    assert verify_profile(w, [0.0, 0.3, 0.7, 1.0]).passed
+
+
+def _cli_power(c0):
+    """CLI ``power`` at ``c0``; an input error comes back as ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["power", "--gate", "cnot", f"--c0={c0!r}"])
+    if code == 2:
+        raise ValueError(err.getvalue())
+    assert code == 0
+
+
+W = [0.3, 0.2, 0.1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: power_interval(W, c),
+        lambda c: extremal_concurrence(W, c, Direction.MIN),
+        lambda c: reach_target(W, c, 0.5),
+        lambda c: reach_target(W, 0.5, c),
+        lambda c: rescale_to_concurrence(np.array([0.5, 0.5j, 0.5, 0.5j]), c),
+        lambda c: sample_state_with_concurrence(c, 3),
+        _cli_power,
+    ],
+    ids=["power_interval", "extremal", "reach_c0", "reach_target", "rescale", "sampler", "cli"],
+)
+def test_concurrence_drift_is_clamped_and_larger_excess_rejected(call):
+    for c in (1.0 + 5e-13, -5e-13):
+        call(c)
+    with pytest.raises(ValueError, match=r"concurrence must be in \[0, 1\], got 1\.00000000001"):
+        call(1.0 + 1e-11)

@@ -13,7 +13,6 @@ from gatepower import (
     decompose,
     distance_up_to_phase,
     eigen_phases,
-    normalize_special,
     random_unitary,
     require_unitary,
     tensor_product,
@@ -110,44 +109,16 @@ def test_non_finite_matrices_are_not_unitary(bad):
         decompose(m)
 
 
+def test_non_square_matrices_are_not_unitary():
+    with pytest.raises(UnitarityError, match="square"):
+        require_unitary(np.eye(2, 3))
+
+
 def test_to_magic_frame_preserves_unitarity():
     for seed in range(20):
         u = random_unitary(4, seed)
         m = MAGIC_H @ u @ MAGIC
         assert np.linalg.norm(m.conj().T @ m - np.eye(4)) <= 1e-12
-
-
-def test_normalize_special_identity():
-    v, phase = normalize_special(np.eye(4))
-    assert phase == 0.0
-    np.testing.assert_allclose(v, np.eye(4), atol=1e-15)
-
-
-def test_normalize_special_pure_phase():
-    # The fourth root is only defined modulo i; the principal-argument
-    # convention lands exp(i pi/3) I on the representative i*I with
-    # phase -pi/6 (equal to pi/3 modulo pi/2).
-    u = np.exp(1j * np.pi / 3) * np.eye(4)
-    v, phase = normalize_special(u)
-    assert abs(np.linalg.det(v) - 1) <= 1e-12
-    assert distance_up_to_phase(v, np.eye(4)) <= 1e-12
-    assert abs((phase - np.pi / 3) % (np.pi / 2)) <= 1e-12
-    np.testing.assert_allclose(v, u * np.exp(-1j * phase), atol=1e-15)
-
-
-def test_normalize_special_diag_example():
-    u = np.diag([1, 1, 1, -1]).astype(complex)
-    v, phase = normalize_special(u)
-    assert abs(phase - np.pi / 4) <= 1e-15
-    np.testing.assert_allclose(v, np.exp(-1j * np.pi / 4) * u, atol=1e-15)
-    assert abs(np.linalg.det(v) - 1) <= 1e-12
-
-
-def test_normalize_special_det_one_for_random_inputs():
-    for seed in range(10):
-        u = random_unitary(4, seed)
-        v, _ = normalize_special(u)
-        assert abs(np.linalg.det(v) - 1) <= 1e-12
 
 
 def test_distance_up_to_phase_basics():

@@ -190,6 +190,21 @@ def test_verify_profile_rejects_non_finite_tol(tol):
         verify_profile([0, 0, 0], [0.5], FAST, tol=tol)
 
 
+def test_verify_profile_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty"):
+        verify_profile([0.3, 0.2, 0.1], [])
+
+
+@pytest.mark.parametrize("target, direction", [(0.1, Direction.MIN), (0.95, Direction.MAX)])
+def test_reach_target_outside_the_interval_stops_at_its_end(target, direction):
+    # theta = pi/8: from c0 = 0.6 the gate reaches [0.248..., 0.860...] only.
+    w = [math.pi / 16, 0.0, 0.0]
+    end = extremal_concurrence(w, 0.6, direction)
+    r = reach_target(w, 0.6, target)
+    assert not r.converged
+    assert abs(r.extremal_concurrence - end.extremal_concurrence) <= 1e-12
+
+
 @pytest.mark.parametrize("c0", [1.5, -0.1, math.nan])
 def test_reach_target_rejects_bad_c0(c0):
     with pytest.raises(ValueError, match="initial concurrence"):

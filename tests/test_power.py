@@ -66,6 +66,42 @@ def test_effective_angle_range():
         assert 0.0 <= theta <= math.pi / 2
 
 
+def _branch_angle(alpha):
+    """The paper's three cases for theta, with the predicates' 1e-12 slack."""
+    a1, a2, a3 = reduce_alpha(alpha).tolist()
+    a3 = abs(a3)
+    if a1 + a2 >= QUARTER_PI - 1e-12 and a2 + a3 <= QUARTER_PI + 1e-12:
+        theta = math.pi / 2.0
+    elif a1 + a2 < QUARTER_PI:
+        theta = 2.0 * (a1 + a2)
+    else:
+        theta = 2.0 * (math.pi / 2.0 - a2 - a3)
+    return min(max(theta, 0.0), math.pi / 2.0)
+
+
+# Points within 3e-12 of a face of the saturating region: a1 + a2 = pi/4 or a2 + |a3| = pi/4.
+NEAR_FACE = st.builds(
+    lambda x, s, eps, face: (
+        [x, QUARTER_PI - x + eps, s * (QUARTER_PI - x)]
+        if face
+        else [x + s * (QUARTER_PI - x), x, QUARTER_PI - x + eps]
+    ),
+    st.floats(math.pi / 8, QUARTER_PI),
+    st.floats(0.0, 1.0),
+    st.floats(-3e-12, 3e-12),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(COORDS | NEAR_FACE)
+def test_effective_angle_is_the_branch_form(w):
+    a1, a2, a3 = reduce_alpha(w).tolist()
+    in_band = min(abs(a1 + a2 - QUARTER_PI), abs(a2 + abs(a3) - QUARTER_PI)) <= 1e-12 + 1e-15
+    gap = abs(effective_angle(w) - _branch_angle(w))
+    assert gap <= 2e-12 if in_band else gap == 0.0
+
+
 @pytest.mark.parametrize("bad", [[math.nan, 0, 0], [math.inf, 0, 0], [0, 0, -math.inf]])
 def test_non_finite_coordinates_raise(bad):
     for call in (

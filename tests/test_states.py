@@ -186,6 +186,10 @@ def test_rescale_returns_none_for_zero_or_non_finite_coefficients(b):
     assert rescale_to_concurrence(np.asarray(b, dtype=complex), 0.5) is None
 
 
+def test_rescale_of_a_real_vector_below_one_is_singular():
+    assert rescale_to_concurrence(np.array([0.5, -0.5, 0.5, 0.5]), 0.5) is None
+
+
 @pytest.mark.parametrize("c0", [1.5, -0.2, math.nan])
 def test_rescale_rejects_out_of_range_concurrence(c0):
     with pytest.raises(ValueError, match="concurrence"):
