@@ -34,7 +34,7 @@ from .canonical import (
     reconstruct,
 )
 from .linalg import distance_up_to_phase
-from .oracle import ProfileReport, verify_profile
+from .oracle import verify_profile
 from .power import (
     c0_max,
     c1_min,
@@ -158,6 +158,12 @@ def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
     return name, matrix
 
 
+def _weyl(spec: str) -> tuple[str, np.ndarray]:
+    """Resolve a gate spec to its name and Weyl chamber coordinates."""
+    name, matrix = resolve_gate(spec)
+    return name, decompose(matrix).weyl
+
+
 def _fmt(x: float, degrees: bool = False) -> str:
     if degrees:
         x = math.degrees(x)
@@ -214,8 +220,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    name, matrix = resolve_gate(args.gate)
-    alpha = decompose(matrix).weyl
+    name, alpha = _weyl(args.gate)
     interval = power_interval(alpha, args.c0)
     doc = {
         "gate": name,
@@ -243,29 +248,25 @@ def _cmd_power(args) -> int:
     return 0
 
 
-def _grid(points: int) -> list[float]:
+def _grid(points: int, flag: str) -> list[float]:
+    """``points`` evenly spaced c0 in [0, 1]; ``flag`` names the option in errors."""
+    if points < 2:
+        raise GateInputError(f"{flag} must be >= 2, got {points}")
     return [k / (points - 1) for k in range(points)]
 
 
-def _profile(alpha, points: int, tol: float) -> ProfileReport:
-    """Closed form versus oracle on ``points`` evenly spaced c0 in [0, 1]."""
-    return verify_profile(alpha, _grid(points), tol=tol)
-
-
 def _cmd_curve(args) -> int:
-    name, matrix = resolve_gate(args.gate)
-    if args.steps < 2:
-        raise GateInputError(f"--steps must be >= 2, got {args.steps}")
-    alpha = decompose(matrix).weyl
+    name, alpha = _weyl(args.gate)
+    grid = _grid(args.steps, "--steps")
     columns = ["c0", "c_min", "c_max"]
     failed = False
     if args.verify:
         columns += ["oracle_min", "oracle_max"]
-        report = _profile(alpha, args.steps, tol=1e-3)
+        report = verify_profile(alpha, grid, tol=1e-3)
         table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
         failed = not report.passed
     else:
-        table = [[c0, *power_interval(alpha, c0)] for c0 in _grid(args.steps)]
+        table = [[c0, *power_interval(alpha, c0)] for c0 in grid]
     lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
     text = "\n".join(lines) + "\n"
     if args.out not in (None, "-"):
@@ -287,10 +288,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    name_a, matrix_a = resolve_gate(args.gate_a)
-    name_b, matrix_b = resolve_gate(args.gate_b)
-    alpha_a = decompose(matrix_a).weyl
-    alpha_b = decompose(matrix_b).weyl
+    name_a, alpha_a = _weyl(args.gate_a)
+    name_b, alpha_b = _weyl(args.gate_b)
     relation = compare_gates(alpha_a, alpha_b)
     theta_a = effective_angle(alpha_a)
     theta_b = effective_angle(alpha_b)
@@ -311,32 +310,28 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    name, matrix = resolve_gate(args.gate)
-    if args.grid < 2:
-        raise GateInputError(f"--grid must be >= 2, got {args.grid}")
-    alpha = decompose(matrix).weyl
-    report = _profile(alpha, args.grid, tol=args.tol)
-    if args.json:
-        doc = {
-            "gate": name,
-            "alpha": [float(a) for a in alpha],
-            "tol": args.tol,
-            "passed": report.passed,
-            "rows": [dataclasses.asdict(r) for r in report.rows],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"gate: {name}")
-        print("alpha: " + " ".join(_fmt(a, args.degrees) for a in alpha))
-        print("c0,closed_min,closed_max,oracle_min,oracle_max,max_dev,status")
-        for r in report.rows:
-            dev = max(r.deviation_min, r.deviation_max)
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"{_fmt(r.c0)},{_fmt(r.closed_min)},{_fmt(r.closed_max)},"
-                f"{_fmt(r.oracle_min)},{_fmt(r.oracle_max)},{dev:.3e},{status}"
-            )
-        print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    name, alpha = _weyl(args.gate)
+    report = verify_profile(alpha, _grid(args.grid, "--grid"), tol=args.tol)
+    doc = {
+        "gate": name,
+        "alpha": [float(a) for a in alpha],
+        "tol": args.tol,
+        "passed": report.passed,
+        "rows": [dataclasses.asdict(r) for r in report.rows],
+    }
+    lines = [
+        f"gate: {name}",
+        "alpha: " + " ".join(_fmt(a, args.degrees) for a in alpha),
+        "c0,closed_min,closed_max,oracle_min,oracle_max,max_dev,status",
+    ]
+    for r in report.rows:
+        lines.append(
+            f"{_fmt(r.c0)},{_fmt(r.closed_min)},{_fmt(r.closed_max)},{_fmt(r.oracle_min)},"
+            f"{_fmt(r.oracle_max)},{max(r.deviation_min, r.deviation_max):.3e},"
+            f"{'PASS' if r.passed else 'FAIL'}"
+        )
+    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    _emit(doc, args.json, lines)
     return 0 if report.passed else 1
 
 
@@ -351,11 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         p.add_argument("--degrees", action="store_true", help="display angles in degrees")
 
-    def add_ignored(p):
-        ignored = "accepted and ignored: the oracle is a deterministic bracket"
-        p.add_argument("--starts", type=int, default=64, help=ignored)
-        p.add_argument("--seed", type=int, default=0, help=ignored)
-
     p = sub.add_parser("decompose", help="canonical decomposition of a gate")
     p.add_argument("--gate", required=True)
     add_common(p)
@@ -363,7 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="reachable concurrence interval")
     p.add_argument("--gate", required=True)
-    p.add_argument("--c0", type=float, required=True)
+    p.add_argument(
+        "--c0", type=float, required=True, help="input concurrence in [0, 1]; write -5e-13 as --c0=-5e-13"
+    )
     add_common(p)
     p.set_defaults(func=_cmd_power)
 
@@ -372,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--out", default=None, help="output file, '-' for stdout")
     p.add_argument("--verify", action="store_true", help="add oracle columns, exit 1 on mismatch")
-    add_ignored(p)
     add_common(p)
     p.set_defaults(func=_cmd_curve)
 
@@ -386,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", required=True)
     p.add_argument("--grid", type=int, default=11)
     p.add_argument("--tol", type=float, default=1e-3)
-    add_ignored(p)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
     return parser

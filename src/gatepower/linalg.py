@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Z",
     "MAGIC",
     "MAGIC_H",
     "UnitarityError",
@@ -28,9 +26,6 @@ __all__ = [
     "distance_up_to_phase",
     "random_unitary",
 ]
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _SQRT2 = np.sqrt(2.0)
 

@@ -24,24 +24,16 @@ import numpy as np
 
 from .canonical import canonical_gate, eigen_phases
 from .power import power_interval
-from .states import (
-    _concurrence,
-    concurrence,
-    from_magic_coefficients,
-    rescale_to_concurrence,
-    sample_state_with_concurrence,
-)
+from .states import _concurrence, concurrence, from_magic_coefficients, rescale_to_concurrence
 
 __all__ = [
     "Direction",
     "OptimizerConfig",
     "OracleResult",
-    "EnvelopeRow",
     "ProfileRow",
     "ProfileReport",
     "extremal_concurrence",
     "reach_target",
-    "envelope_scan",
     "verify_profile",
 ]
 
@@ -96,16 +88,6 @@ class OracleResult:
     converged: bool
     starts_agreeing: int
     bound: float
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    c0: float
-    oracle_min: float
-    oracle_max: float
-    min_converged: bool
-    max_converged: bool
-    samples_inside: bool
 
 
 @dataclass(frozen=True)
@@ -292,12 +274,12 @@ def extremal_concurrence(
     return _result(alpha, c0, u, bound)
 
 
-def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = None) -> OracleResult:
+def reach_target(alpha, c0: float, target: float) -> OracleResult:
     """Search for a feasible state whose final concurrence is ``target``.
 
     Moves along the segment between the minimising and maximising u to
     where |F| crosses ``target``, exercising the claim that every value
-    between the extremal concurrences is attainable.  ``cfg`` is ignored.
+    between the extremal concurrences is attainable.
     """
     c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
@@ -316,33 +298,6 @@ def reach_target(alpha, c0: float, target: float, cfg: OptimizerConfig | None = 
         root = math.sqrt(p * p - r * q)
         s = (root - p) / r if p < 0 else -q / (p + root)
     return _result(alpha, c0, _pad((1.0 - s) * lo_u + s * hi_u, omega), target)
-
-
-def envelope_scan(alpha, c0_grid, cfg: OptimizerConfig | None = None) -> list[EnvelopeRow]:
-    """Oracle [min, max] envelope over a grid of initial concurrences.
-
-    Each row additionally checks 1000 random fixed-c0 states: their final
-    concurrences must land inside the oracle envelope widened by 1e-6.
-    """
-    gate = canonical_gate(alpha)
-    rows = []
-    for c0 in c0_grid:
-        lo = extremal_concurrence(alpha, c0, Direction.MIN)
-        hi = extremal_concurrence(alpha, c0, Direction.MAX)
-        states = (sample_state_with_concurrence(c0, 10_000_019 + i) for i in range(1000))
-        outs = [concurrence(gate @ state) for state in states]
-        inside = lo.extremal_concurrence - 1e-6 <= min(outs) and max(outs) <= hi.extremal_concurrence + 1e-6
-        rows.append(
-            EnvelopeRow(
-                c0=float(c0),
-                oracle_min=lo.extremal_concurrence,
-                oracle_max=hi.extremal_concurrence,
-                min_converged=lo.converged,
-                max_converged=hi.converged,
-                samples_inside=inside,
-            )
-        )
-    return rows
 
 
 def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: float = 1e-3) -> ProfileReport:

@@ -10,7 +10,6 @@ __all__ = [
     "to_magic_coefficients",
     "from_magic_coefficients",
     "concurrence",
-    "sample_state_with_concurrence",
     "rescale_to_concurrence",
 ]
 
@@ -84,19 +83,3 @@ def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:
     out = np.sqrt((1.0 + c0) / (2.0 * p)) * x + 1j * np.sqrt((1.0 - c0) / (2.0 * q)) * y
     return out / np.linalg.norm(out)
 
-
-def sample_state_with_concurrence(c0: float, seed: int) -> np.ndarray:
-    """Random pure state with concurrence exactly ``c0``, deterministic per seed.
-
-    Draws a Haar-random state and rescales its magic coefficients onto the
-    fixed-concurrence manifold, so repeated seeds cover the manifold
-    generically (all four coefficients nonzero almost surely).
-
-    Raises:
-        ValueError: if ``c0`` is outside [0, 1] by more than 1e-12.
-    """
-    rng = np.random.default_rng(seed)
-    b = rescale_to_concurrence(rng.standard_normal(4) + 1j * rng.standard_normal(4), c0)
-    if b is None:  # a draw real up to a global phase: probability zero
-        raise RuntimeError("state sampling drew a singular state")
-    return from_magic_coefficients(b)

@@ -1,9 +1,26 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from gatepower import PowerInterval, oracle, power_interval, random_unitary, tensor_product
+from gatepower import (
+    Direction,
+    PowerInterval,
+    canonical_gate,
+    concurrence,
+    extremal_concurrence,
+    from_magic_coefficients,
+    oracle,
+    power_interval,
+    random_unitary,
+    rescale_to_concurrence,
+    tensor_product,
+)
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_chamber_point(rng: np.random.Generator) -> np.ndarray:
@@ -23,6 +40,45 @@ def random_local_pair(rng: np.random.Generator) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return psi / np.linalg.norm(psi)
+
+
+def sample_state_with_concurrence(c0: float, seed: int) -> np.ndarray:
+    """Random pure state with concurrence exactly ``c0``, deterministic per seed.
+
+    Draws a Haar-random state and rescales its magic coefficients onto the
+    fixed-concurrence manifold, so repeated seeds cover the manifold
+    generically (all four coefficients nonzero almost surely).
+    """
+    rng = np.random.default_rng(seed)
+    b = rescale_to_concurrence(rng.standard_normal(4) + 1j * rng.standard_normal(4), c0)
+    if b is None:  # a draw real up to a global phase: probability zero
+        raise RuntimeError("state sampling drew a singular state")
+    return from_magic_coefficients(b)
+
+
+@dataclass(frozen=True)
+class EnvelopeRow:
+    c0: float
+    oracle_min: float
+    oracle_max: float
+    samples_inside: bool
+
+
+def envelope_scan(alpha, c0_grid) -> list[EnvelopeRow]:
+    """Oracle [min, max] envelope over a grid of initial concurrences.
+
+    Each row additionally checks 1000 random fixed-c0 states: their final
+    concurrences must land inside the oracle envelope widened by 1e-6.
+    """
+    gate = canonical_gate(alpha)
+    rows = []
+    for c0 in c0_grid:
+        lo = extremal_concurrence(alpha, c0, Direction.MIN).extremal_concurrence
+        hi = extremal_concurrence(alpha, c0, Direction.MAX).extremal_concurrence
+        outs = [concurrence(gate @ sample_state_with_concurrence(c0, 10_000_019 + i)) for i in range(1000)]
+        inside = lo - 1e-6 <= min(outs) and max(outs) <= hi + 1e-6
+        rows.append(EnvelopeRow(float(c0), lo, hi, inside))
+    return rows
 
 
 @pytest.fixture

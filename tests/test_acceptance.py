@@ -16,7 +16,6 @@ from conftest import random_chamber_point, random_local_pair
 from gatepower import (
     Direction,
     GateOrdering,
-    OptimizerConfig,
     c0_max,
     c1_min,
     can_reach_max,
@@ -126,13 +125,12 @@ def test_criterion_07_closed_form_matches_oracle():
     start = time.time()
     rng = np.random.default_rng(707)
     gates = [random_chamber_point(rng) for _ in range(20)]
-    cfg = OptimizerConfig(seed=7)
     worst = 0.0
     for w in gates:
         for c0 in GRID_11:
             closed = power_interval(w, c0)
-            hi = extremal_concurrence(w, c0, Direction.MAX, cfg)
-            lo = extremal_concurrence(w, c0, Direction.MIN, cfg)
+            hi = extremal_concurrence(w, c0, Direction.MAX)
+            lo = extremal_concurrence(w, c0, Direction.MIN)
             assert hi.converged and lo.converged
             dev = max(
                 abs(hi.extremal_concurrence - closed.c_max),
@@ -210,7 +208,6 @@ def test_criterion_09_order_properties():
 
 def test_criterion_10_extremal_two_coefficient_structure():
     rng = np.random.default_rng(1010)
-    cfg = OptimizerConfig(seed=10)
     gates = []
     while len(gates) < 10:
         w = random_chamber_point(rng)
@@ -223,7 +220,7 @@ def test_criterion_10_extremal_two_coefficient_structure():
         gates.append(w)
     for w in gates:
         c0 = 0.5 * c1_min(w)
-        result = extremal_concurrence(w, c0, Direction.MAX, cfg)
+        result = extremal_concurrence(w, c0, Direction.MAX)
         assert result.converged
         mods = np.sort(np.abs(to_magic_coefficients(result.achiever)))[::-1]
         assert np.all(mods[:2] > 1e-4)
@@ -252,9 +249,7 @@ def test_criterion_11_cli_contract(tmp_path, capsys, shifted_closed_form):
     assert code == 0
     assert out == "c0,c_min,c_max\n0,0,0\n0.5,0.5,0.5\n1,1,1\n"
 
-    code = main(
-        ["verify", "--gate", "swap", "--grid", "3", "--tol", "1e-18", "--starts", "8"]
-    )
+    code = main(["verify", "--gate", "swap", "--grid", "3", "--tol", "1e-18"])
     capsys.readouterr()
     assert code == 1
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_chamber_point, random_local_pair
+from conftest import SIGMA_X, SIGMA_Z, random_chamber_point, random_local_pair
 from gatepower import (
     DecompositionError,
     UnitarityError,
@@ -24,7 +24,6 @@ from gatepower import (
 )
 from gatepower import canonical
 from gatepower.canonical import CanonicalDecomposition
-from gatepower.linalg import SIGMA_X, SIGMA_Z
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

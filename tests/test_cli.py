@@ -181,7 +181,7 @@ def test_curve_writes_file(tmp_path, capsys):
 def test_curve_verify_adds_oracle_columns(capsys):
     code, out, _ = run(
         capsys,
-        ["curve", "--gate", "canonical:pi/8,0,0", "--steps", "3", "--verify", "--starts", "16"],
+        ["curve", "--gate", "canonical:pi/8,0,0", "--steps", "3", "--verify"],
     )
     assert code == 0
     lines = out.splitlines()
@@ -191,15 +191,13 @@ def test_curve_verify_adds_oracle_columns(capsys):
 
 
 def test_verify_pass_and_exit_zero(capsys):
-    code, out, _ = run(
-        capsys, ["verify", "--gate", "swap", "--grid", "5", "--tol", "1e-6", "--starts", "8"]
-    )
+    code, out, _ = run(capsys, ["verify", "--gate", "swap", "--grid", "5", "--tol", "1e-6"])
     assert code == 0
     assert out.rstrip().endswith("overall: PASS")
 
 
 def test_verify_reports_are_byte_identical_per_seed(capsys):
-    argv = ["verify", "--gate", "cphase:0.8", "--grid", "3", "--starts", "8", "--seed", "5"]
+    argv = ["verify", "--gate", "cphase:0.8", "--grid", "3"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
@@ -207,24 +205,23 @@ def test_verify_reports_are_byte_identical_per_seed(capsys):
 
 
 def test_verify_fail_exits_one(capsys, shifted_closed_form):
-    code, out, _ = run(
-        capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", "1e-18", "--starts", "8"]
-    )
+    code, out, _ = run(capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", "1e-18"])
     assert code == 1
     assert "FAIL" in out
 
 
-def test_starts_and_seed_are_ignored(capsys):
-    # The bracket has no starts or seed, so any value, even one an
-    # optimizer would reject, leaves the report unchanged.
-    for argv in (
-        ["verify", "--gate", "cnot", "--grid", "3"],
-        ["curve", "--gate", "cnot", "--steps", "3", "--verify"],
-    ):
-        code, baseline, _ = run(capsys, argv)
-        assert code == 0
-        for extra in (["--starts", "0"], ["--starts", "-5", "--seed", "-1"]):
-            assert run(capsys, argv + extra) == (0, baseline, "")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--gate", "cnot", "--grid", "3", "--starts", "8"],
+        ["curve", "--gate", "cnot", "--steps", "3", "--seed", "5"],
+    ],
+)
+def test_retired_starts_and_seed_flags_are_rejected(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_curve_json(capsys):
@@ -254,9 +251,7 @@ def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_verify_non_finite_tol_exits_two(capsys, tol):
-    code, out, err = run(
-        capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", tol, "--starts", "8"]
-    )
+    code, out, err = run(capsys, ["verify", "--gate", "swap", "--grid", "3", "--tol", tol])
     assert code == 2
     assert out == ""
     assert "tol" in err
@@ -304,6 +299,17 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_help_names_the_equals_form_that_reads_a_negative_exponent_c0(capsys):
+    # argparse takes "-5e-13" after a space for an option, so --help shows
+    # the "=" form, which is read as a value (and the drift clamped to 0).
+    code, out, _ = run(capsys, ["power", "--help"])
+    assert code == 0
+    assert "--c0=-5e-13" in out
+    code, out, _ = run(capsys, ["power", "--gate", "cnot", "--c0=-5e-13"])
+    assert code == 0
+    assert "c_min: 0\n" in out
 
 
 def test_bad_c0_exits_two(capsys):

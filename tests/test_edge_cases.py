@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_local_pair
+from conftest import random_local_pair, sample_state_with_concurrence
 from gatepower import (
     Direction,
     canonical_gate,
@@ -20,7 +20,6 @@ from gatepower import (
     reconstruct,
     reduce_alpha,
     rescale_to_concurrence,
-    sample_state_with_concurrence,
     verify_profile,
 )
 from gatepower.cli import main

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import SIGMA_X, SIGMA_Z
 from gatepower import (
     MAGIC,
     MAGIC_H,
-    SIGMA_X,
-    SIGMA_Z,
     UnitarityError,
     canonical_gate,
     decompose,

@@ -1,5 +1,6 @@
 """Tests for the convex-duality oracle."""
 
+import dataclasses
 import inspect
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chamber_point
+from conftest import envelope_scan, random_chamber_point
 from test_edge_cases import facet_and_edge_points
 from gatepower import (
     Direction,
@@ -18,7 +19,6 @@ from gatepower import (
     canonical_gate,
     concurrence,
     decompose,
-    envelope_scan,
     extremal_concurrence,
     power_interval,
     reach_target,
@@ -30,7 +30,6 @@ from gatepower.cli import named_gate
 from gatepower.oracle import ProfileRow
 
 QUARTER_PI = math.pi / 4
-FAST = OptimizerConfig(starts=24, seed=13)
 
 
 def test_config_validation():
@@ -38,33 +37,52 @@ def test_config_validation():
         OptimizerConfig(starts=0)
 
 
+def _assert_same_fields(a, b):
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
+def test_config_changes_nothing_in_the_benchmark_call_shapes():
+    # The two calls perfbench/ makes with a config; each must equal the
+    # same call without one, field for field.
+    w = [0.52, 0.33, 0.11]
+    _assert_same_fields(
+        extremal_concurrence(w, 0.5, Direction.MAX, OptimizerConfig(starts=4, max_iterations=20)),
+        extremal_concurrence(w, 0.5, Direction.MAX),
+    )
+    _assert_same_fields(
+        verify_profile(w, (0.3,), OptimizerConfig(seed=9), tol=1e-3),
+        verify_profile(w, (0.3,), tol=1e-3),
+    )
+
+
 def test_rejects_bad_c0():
     with pytest.raises(ValueError):
-        extremal_concurrence([0, 0, 0], 1.2, Direction.MAX, FAST)
+        extremal_concurrence([0, 0, 0], 1.2, Direction.MAX)
 
 
 def test_identity_gate_cannot_change_concurrence():
     for c0 in (0.0, 0.37, 1.0):
-        r = extremal_concurrence([0, 0, 0], c0, Direction.MAX, FAST)
+        r = extremal_concurrence([0, 0, 0], c0, Direction.MAX)
         assert abs(r.extremal_concurrence - c0) <= 1e-6
         assert r.converged
         assert r.constraint_violation <= 1e-8
 
 
 def test_saturating_gate_reaches_one_from_product_states():
-    r = extremal_concurrence([QUARTER_PI, 0, 0], 0.0, Direction.MAX, FAST)
+    r = extremal_concurrence([QUARTER_PI, 0, 0], 0.0, Direction.MAX)
     assert abs(r.extremal_concurrence - 1.0) <= 1e-4
     assert r.converged
 
 
 def test_half_cnot_maximum_from_c0_06():
-    r = extremal_concurrence([math.pi / 8, 0, 0], 0.6, Direction.MAX, FAST)
+    r = extremal_concurrence([math.pi / 8, 0, 0], 0.6, Direction.MAX)
     assert abs(r.extremal_concurrence - 0.98994949366) <= 1e-3
     assert r.converged
 
 
 def test_swap_class_preserves_maximal_entanglement():
-    r = extremal_concurrence([QUARTER_PI] * 3, 1.0, Direction.MIN, FAST)
+    r = extremal_concurrence([QUARTER_PI] * 3, 1.0, Direction.MIN)
     assert abs(r.extremal_concurrence - 1.0) <= 1e-6
     assert r.converged
 
@@ -72,7 +90,7 @@ def test_swap_class_preserves_maximal_entanglement():
 def test_achiever_is_a_feasible_witness():
     w = np.array([0.45, 0.3, -0.1])
     for direction in (Direction.MAX, Direction.MIN):
-        r = extremal_concurrence(w, 0.4, direction, FAST)
+        r = extremal_concurrence(w, 0.4, direction)
         assert abs(np.linalg.norm(r.achiever) - 1.0) <= 1e-10
         assert abs(concurrence(r.achiever) - 0.4) <= 1e-8
         out = concurrence(canonical_gate(w) @ r.achiever)
@@ -85,8 +103,8 @@ def test_oracle_stays_inside_closed_form_interval():
         w = random_chamber_point(rng)
         c0 = float(rng.uniform(0, 1))
         closed = power_interval(w, c0)
-        hi = extremal_concurrence(w, c0, Direction.MAX, FAST)
-        lo = extremal_concurrence(w, c0, Direction.MIN, FAST)
+        hi = extremal_concurrence(w, c0, Direction.MAX)
+        lo = extremal_concurrence(w, c0, Direction.MIN)
         assert hi.extremal_concurrence <= closed.c_max + 1e-6
         assert lo.extremal_concurrence >= closed.c_min - 1e-6
 
@@ -94,7 +112,7 @@ def test_oracle_stays_inside_closed_form_interval():
 def test_extremal_achiever_has_two_equal_coefficients():
     w = np.array([0.31, 0.22, 0.08])  # non saturating, generic eigenphases
     c0 = 0.5 * c1_min(w)
-    r = extremal_concurrence(w, c0, Direction.MAX, OptimizerConfig(seed=2))
+    r = extremal_concurrence(w, c0, Direction.MAX, )
     assert r.converged
     mods = np.sort(np.abs(to_magic_coefficients(r.achiever)))[::-1]
     assert np.all(mods[:2] > 1e-4)
@@ -104,8 +122,8 @@ def test_extremal_achiever_has_two_equal_coefficients():
 
 def test_determinism():
     w = np.array([0.5, 0.21, -0.17])
-    a = extremal_concurrence(w, 0.3, Direction.MAX, FAST)
-    b = extremal_concurrence(w, 0.3, Direction.MAX, FAST)
+    a = extremal_concurrence(w, 0.3, Direction.MAX)
+    b = extremal_concurrence(w, 0.3, Direction.MAX)
     assert a.extremal_concurrence == b.extremal_concurrence
     assert a.starts_agreeing == b.starts_agreeing
     np.testing.assert_array_equal(a.achiever, b.achiever)
@@ -115,14 +133,14 @@ def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
     # Without bisection rounds the 64 starting directions leave the bracket open.
     monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     for direction in (Direction.MAX, Direction.MIN):
-        result = extremal_concurrence([0.025, 0.015, 0.00625], 0.3, direction, FAST)
+        result = extremal_concurrence([0.025, 0.015, 0.00625], 0.3, direction)
         assert result.converged is False
         assert result.starts_agreeing == 0
         assert abs(result.bound - result.extremal_concurrence) > 1e-8
 
 
 def test_envelope_scan_identity():
-    rows = envelope_scan([0, 0, 0], [0.0, 0.5, 1.0], FAST)
+    rows = envelope_scan([0, 0, 0], [0.0, 0.5, 1.0])
     for row in rows:
         assert abs(row.oracle_min - row.c0) <= 1e-6
         assert abs(row.oracle_max - row.c0) <= 1e-6
@@ -130,7 +148,7 @@ def test_envelope_scan_identity():
 
 
 def test_envelope_scan_saturating_gate():
-    rows = envelope_scan([QUARTER_PI, 0, 0], [0.0, 1.0], FAST)
+    rows = envelope_scan([QUARTER_PI, 0, 0], [0.0, 1.0])
     for row in rows:
         assert row.oracle_min <= 1e-4
         assert row.oracle_max >= 1.0 - 1e-4
@@ -138,7 +156,7 @@ def test_envelope_scan_saturating_gate():
 
 
 def test_envelope_scan_half_cnot_from_product():
-    rows = envelope_scan([math.pi / 8, 0, 0], [0.0], FAST)
+    rows = envelope_scan([math.pi / 8, 0, 0], [0.0])
     assert abs(rows[0].oracle_max - math.sin(QUARTER_PI)) <= 1e-3
     assert rows[0].oracle_min <= 1e-6
     assert rows[0].samples_inside
@@ -148,18 +166,18 @@ def test_interior_targets_are_attainable():
     rng = np.random.default_rng(17)
     w = np.array([0.52, 0.33, 0.11])
     c0 = 0.45
-    lo = extremal_concurrence(w, c0, Direction.MIN, FAST).extremal_concurrence
-    hi = extremal_concurrence(w, c0, Direction.MAX, FAST).extremal_concurrence
+    lo = extremal_concurrence(w, c0, Direction.MIN).extremal_concurrence
+    hi = extremal_concurrence(w, c0, Direction.MAX).extremal_concurrence
     assert hi - lo > 0.05
     for _ in range(3):
         target = float(rng.uniform(lo + 0.01, hi - 0.01))
-        r = reach_target(w, c0, target, FAST)
+        r = reach_target(w, c0, target)
         assert abs(r.extremal_concurrence - target) <= 1e-4
         assert abs(concurrence(r.achiever) - c0) <= 1e-8
 
 
 def test_verify_profile_swap_is_tight():
-    report = verify_profile([QUARTER_PI] * 3, np.linspace(0, 1, 11), FAST, tol=1e-6)
+    report = verify_profile([QUARTER_PI] * 3, np.linspace(0, 1, 11), tol=1e-6)
     assert report.passed
     for row in report.rows:
         assert row.deviation_min <= 1e-6
@@ -167,27 +185,27 @@ def test_verify_profile_swap_is_tight():
 
 
 def test_verify_profile_saturating_gate():
-    report = verify_profile([QUARTER_PI, 0, 0], np.linspace(0, 1, 11), FAST)
+    report = verify_profile([QUARTER_PI, 0, 0], np.linspace(0, 1, 11))
     assert report.passed
     for row in report.rows:
         assert row.closed_min == 0.0 and row.closed_max == 1.0
 
 
 def test_verify_profile_failures_are_data(shifted_closed_form):
-    report = verify_profile([QUARTER_PI] * 3, [0.5], FAST, tol=1e-18)
+    report = verify_profile([QUARTER_PI] * 3, [0.5], tol=1e-18)
     assert not report.passed
     assert report.rows[0].passed is False
 
 
 def test_verify_profile_rejects_bad_tol():
     with pytest.raises(ValueError):
-        verify_profile([0, 0, 0], [0.5], FAST, tol=0.0)
+        verify_profile([0, 0, 0], [0.5], tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_verify_profile_rejects_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tol"):
-        verify_profile([0, 0, 0], [0.5], FAST, tol=tol)
+        verify_profile([0, 0, 0], [0.5], tol=tol)
 
 
 def test_verify_profile_rejects_an_empty_grid():
@@ -208,13 +226,13 @@ def test_reach_target_outside_the_interval_stops_at_its_end(target, direction):
 @pytest.mark.parametrize("c0", [1.5, -0.1, math.nan])
 def test_reach_target_rejects_bad_c0(c0):
     with pytest.raises(ValueError, match="initial concurrence"):
-        reach_target([0.52, 0.33, 0.11], c0, 0.5, FAST)
+        reach_target([0.52, 0.33, 0.11], c0, 0.5)
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 2.0, -0.1])
 def test_reach_target_rejects_bad_target(target):
     with pytest.raises(ValueError, match="target concurrence"):
-        reach_target([0.52, 0.33, 0.11], 0.45, target, FAST)
+        reach_target([0.52, 0.33, 0.11], 0.45, target)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -232,29 +250,27 @@ def test_oracle_rejects_non_finite_coordinates(bad):
 def test_gates_straddling_the_saturation_boundary():
     # a2 + |a3| within 1e-3 of pi/4 on both sides: the hardest landscape
     # for the search, and the branch boundary for the closed forms.
-    cfg = OptimizerConfig(seed=42)
     for eps in (1e-3, -1e-3):
         w = np.array([0.75, 0.35, QUARTER_PI - 0.35 + eps])
         for c0 in (0.0, 0.7):
             closed = power_interval(w, c0)
-            hi = extremal_concurrence(w, c0, Direction.MAX, cfg)
-            lo = extremal_concurrence(w, c0, Direction.MIN, cfg)
+            hi = extremal_concurrence(w, c0, Direction.MAX)
+            lo = extremal_concurrence(w, c0, Direction.MIN)
             assert hi.converged and lo.converged
             assert abs(hi.extremal_concurrence - closed.c_max) <= 1e-3
             assert abs(lo.extremal_concurrence - closed.c_min) <= 1e-3
 
 
 def test_conjugate_classes_have_identical_power():
-    cfg = OptimizerConfig(starts=16, seed=5)
     w = [0.6, 0.4, 0.2]
     flipped = [0.6, 0.4, -0.2]
     for c0 in (0.2, 0.8):
-        a = extremal_concurrence(w, c0, Direction.MAX, cfg).extremal_concurrence
-        b = extremal_concurrence(flipped, c0, Direction.MAX, cfg).extremal_concurrence
+        a = extremal_concurrence(w, c0, Direction.MAX).extremal_concurrence
+        b = extremal_concurrence(flipped, c0, Direction.MAX).extremal_concurrence
         assert abs(a - b) <= 1e-6
 
 
-# Outputs of an earlier multi-start penalty descent, recorded with FAST.
+# Outputs of an earlier multi-start penalty descent, recorded with 24 starts, seed 13.
 # Each achiever is an explicit feasible state, so each recorded value is
 # attained: a certified upper bound lies above a recorded maximum and a
 # certified lower bound below a recorded minimum.
@@ -369,7 +385,7 @@ def test_extremal_concurrence_matches_recorded_outputs(gate):
         assert abs(concurrence(witness) - c0) == violation
         out = concurrence(canonical_gate(GOLDEN_GATES[gate]) @ witness)
         assert abs(out - value) <= 1e-12
-        r = extremal_concurrence(GOLDEN_GATES[gate], c0, direction, FAST)
+        r = extremal_concurrence(GOLDEN_GATES[gate], c0, direction)
         assert r.converged
         if direction is Direction.MAX:
             assert value <= r.bound
@@ -380,7 +396,7 @@ def test_extremal_concurrence_matches_recorded_outputs(gate):
 
 
 def test_verify_profile_matches_recorded_report():
-    report = verify_profile(GOLDEN_GATES["generic"], [0.0, 0.3, 1.0], FAST)
+    report = verify_profile(GOLDEN_GATES["generic"], [0.0, 0.3, 1.0])
     assert report.rows == [
         ProfileRow(
             c0=0.0,
@@ -421,7 +437,7 @@ def test_verify_profile_matches_recorded_report():
 @pytest.mark.parametrize("w", [(math.pi / 2, 0, 0), (-0.2, 0.1, 1.0), (1.4, -0.9, 0.35)])
 def test_closed_form_holds_outside_the_chamber(w):
     # The oracle works on the raw eigenphases, so it sees the true class.
-    assert verify_profile(w, [0, 0.5, 1], FAST).passed
+    assert verify_profile(w, [0, 0.5, 1]).passed
 
 
 def _assert_closed_form_inside(w, c0, require_closed=True):

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_local_pair, random_pure_state
+from conftest import random_local_pair, random_pure_state, sample_state_with_concurrence
 from gatepower import (
     canonical_gate,
     concurrence,
     eigen_phases,
     from_magic_coefficients,
     random_unitary,
-    sample_state_with_concurrence,
     to_magic_coefficients,
 )
 from gatepower.linalg import MAGIC
