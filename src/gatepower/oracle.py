@@ -121,21 +121,24 @@ def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
     (2, s) and triangles (3, t) of point indices, leaving out the points
     where ``valid`` is False.  Returns (n, m) weights.
     """
+    s = segments.shape[1]
+    index = np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T
+    weights = np.zeros((len(p), len(index), 3))
     a, e = p[:, segments[0]], p[:, segments[1]] - p[:, segments[0]]
     ee = (e.conj() * e).real
     t = np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
-    seg_w = np.stack([1.0 - t, t, np.zeros_like(t)], axis=2)
-    x, y, z = (p[:, i] for i in triangles)
-    bary = np.stack([(y.conj() * z).imag, (z.conj() * x).imag, (x.conj() * y).imag], axis=2)
+    weights[:, :s, 0], weights[:, :s, 1] = 1.0 - t, t
+    # Barycentric weights, up to the area: Im(conj(p_k) p_l) opposite each vertex.
+    bary = (p[:, triangles[[1, 2, 0]].T].conj() * p[:, triangles[[2, 0, 1]].T]).imag
     area = bary.sum(axis=2)
-    inside = (area != 0) & np.all(bary * area[:, :, None] >= 0, axis=2)
-    tri_w = np.divide(bary, area[:, :, None], out=np.zeros_like(bary), where=inside[:, :, None])
-    index = np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T
-    weights = np.concatenate([seg_w, tri_w], axis=1)
+    # Signs, not products: bary * area can underflow to -0.0 and pass as inside.
+    inside = (area != 0) & np.all(bary * np.sign(area)[:, :, None] >= 0, axis=2)
+    np.divide(bary, area[:, :, None], out=weights[:, s:], where=inside[:, :, None])
     dist = np.abs((weights * p[:, index]).sum(axis=2))
-    ok = np.concatenate([np.ones(t.shape, dtype=bool), inside], axis=1)
+    ok = np.ones(dist.shape, dtype=bool)
+    ok[:, s:] = inside
     if valid is not None:
-        ok = ok & valid[:, index].all(axis=2)
+        ok &= valid[:, index].all(axis=2)
     best = np.where(ok, dist, np.inf).argmin(axis=1)
     rows = np.arange(len(p))
     out = np.zeros(p.shape)
@@ -144,8 +147,8 @@ def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
 
 
 def _support(lam, c0, theta):
-    """Certified support values h(theta) of D(c0), their dual minimisers z,
-    and feasible u (sum |u| = 1, sum u = c0) attaining them; c0 may be a column."""
+    """Certified support values h(theta) of D(c0) and their dual data: the
+    minimisers z, the points w_j and the distances |w_j - z|; c0 may be a column."""
     psi = 2.0 * lam[None, :] - theta[:, None]
     w = np.exp(1j * psi)
     half = 0.5 * (psi[:, _PAIRS[0]] + psi[:, _PAIRS[1]])
@@ -158,16 +161,35 @@ def _support(lam, c0, theta):
     g = c0 * cand.real + dist.max(axis=2)
     best = g.argmin(axis=1)
     rows = np.arange(theta.size)
-    z, r = cand[rows, best], dist[rows, best]
+    z = cand[rows, best]
+    # Any z bounds h from above; the margin covers rounding in evaluating g.
+    return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, w, dist[rows, best]
+
+
+def _primal(w, z, r, c0):
+    """Feasible u (sum |u| = 1, sum u = c0) attaining the support values of
+    the dual data (w, z, r) from :func:`_support`; c0 may be a column."""
     # Optimality of z puts c0 in the hull of the unit vectors from z to the
     # active points; the hull weights mu give u_j = mu_j conj(unit_j).
     active = r >= r.max(axis=1, keepdims=True) - _ACTIVE_ATOL
     units = np.divide(w - z[:, None], r, out=np.ones_like(w), where=r > _ACTIVE_ATOL)
     # When every point sits at z, any unit vectors are subgradients.
     units[r.max(axis=1) <= _ACTIVE_ATOL] = [1.0, -1.0, 1.0, -1.0]
-    mu = _nearest_weights(units - c0, _SEGMENTS_4, _TRIANGLES_4, active)
-    # Any z bounds h from above; the margin covers rounding in evaluating g.
-    return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, mu * units.conj()
+    p, mu = units - c0, np.zeros(r.shape)
+    pair = active.sum(axis=1) == 2
+    if pair.any():
+        # Two active points: the point of their segment nearest to 0, by the
+        # arithmetic of _nearest_weights (adding to zeros keeps signed zeros).
+        rows, cols = np.nonzero(active & pair[:, None])
+        i, j = (rows[::2], cols[::2]), (rows[1::2], cols[1::2])
+        a, e = p[i], p[j] - p[i]
+        ee = (e.conj() * e).real
+        t = np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+        mu[i] += 1.0 - t
+        mu[j] += t
+    if not pair.all():
+        mu[~pair] = _nearest_weights(p[~pair], _SEGMENTS_4, _TRIANGLES_4, active[~pair])
+    return mu * units.conj()
 
 
 def _gap_min_bound(theta, gaps, f) -> np.ndarray:
@@ -214,12 +236,19 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         mu = _nearest_weights(omega[None], _SEGMENTS_4, _TRIANGLES_4)[0]
         return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
     theta = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
+
+    def sweep(col, directions):
+        """Support values and what the search reads of each row: MIN every
+        support point u, MAX only the dual data, for its final row."""
+        h, z, w, r = _support(lam, col, directions)
+        return h, [z, w, r] if direction is Direction.MAX else [_primal(w, z, r, col)]
+
     # MAX adds a row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     extra = [0.0] * (direction is Direction.MAX)
-    h, z, u = _support(lam, np.array([c0] * theta.size + extra)[:, None], np.append(theta, extra))
+    h, kept = sweep(np.array([c0] * theta.size + extra)[:, None], np.append(theta, extra))
     if extra:
-        cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
-        h, u = h[:-1], u[:-1]
+        cap = min(1.0, float(h[-1] + c0 * abs(kept[0][-1])) + 8.0 * _EPS)
+        h, kept = h[:-1], [x[:-1] for x in kept]
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.diff(theta, append=theta[0] + _TWO_PI)
         if direction is Direction.MAX:
@@ -228,19 +257,22 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
             wide = gap_bound > h.max() + 0.1 * _TOL
         else:
             bound = max(float((-h).max()), 0.0)
-            wide = _gap_min_bound(theta, gaps, u @ omega) > bound + 0.1 * _TOL
+            wide = _gap_min_bound(theta, gaps, kept[0] @ omega) > bound + 0.1 * _TOL
         # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
         n_wide = int(wide.sum())
         pieces = min(16, max(2, 256 // max(n_wide, 1)))
         if rnd == _MAX_ROUNDS or not n_wide or theta.size + (pieces - 1) * n_wide > _MAX_DIRECTIONS:
             break
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
-        h_new, _, u_new = _support(lam, c0, new)
+        h_new, kept_new = sweep(c0, new)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
-        theta, h, u = (np.concatenate(pair)[order] for pair in ((theta, new), (h, h_new), (u, u_new)))
+        pairs = zip((theta, h, *kept), (new, h_new, *kept_new))
+        theta, h, *kept = (np.concatenate(pair)[order] for pair in pairs)
     if direction is Direction.MAX:
-        return u[h.argmax()], bound
+        z, w, r = (x[[h.argmax()]] for x in kept)
+        return _primal(w, z, r, c0)[0], bound
     # The point nearest 0 of the support points' hull (in D): edges, fan triangles, diagonals.
+    u = kept[0]
     k = np.arange(len(theta))
     segments = np.concatenate([np.stack([k, np.roll(k, -1)]), np.stack([0 * k, k])], axis=1)
     triangles = np.stack([0 * k[1:-1], k[1:-1], k[2:]])

@@ -601,3 +601,78 @@ def test_direction_cap_counts_every_piece(monkeypatch, direction):
     rows = _counting_support(monkeypatch)
     extremal_concurrence(VERIFY_ANCHORS["near_identity"], 0.5, direction)
     assert sum(rows) - (direction is Direction.MAX) <= 100
+
+
+def _counting_primal(monkeypatch):
+    """Wrap ``oracle._primal``; returns the list of row counts per call."""
+    rows, primal = [], oracle._primal
+
+    def counted(w, z, r, c0):
+        rows.append(len(z))
+        return primal(w, z, r, c0)
+
+    monkeypatch.setattr(oracle, "_primal", counted)
+    return rows
+
+
+@pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("gate", ["generic", "near_identity"])
+def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
+    support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
+    # MAX reads the state of its final direction only.
+    assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
+    assert primal_rows == [1]
+    # MIN reads every support point, in the gap bounds and in the final hull.
+    support_rows.clear()
+    primal_rows.clear()
+    assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MIN).converged
+    assert primal_rows == support_rows
+
+
+def test_nearest_weights_survive_a_subnormal_triangle_area():
+    # Two points 2e-305 rad apart: a barycentric weight times the triangle's
+    # area underflowed to -0.0, so the triangle passed as inside and
+    # dividing by its area overflowed.
+    tiny = 2.1400817583260724e-305
+    p = np.exp(1j * np.array([[tiny, tiny, 0.0, 3.0]])) - 0.2591679257250581
+    mu = oracle._nearest_weights(p, oracle._SEGMENTS_4, oracle._TRIANGLES_4)
+    np.testing.assert_allclose(mu, [[0.62958396, 0.0, 0.0, 0.37041604]], atol=1e-8)
+
+
+# Two active points at angles (first, second), c0: the nearest point of
+# their segment is clipped to the first end, clipped to the second end, and
+# the two points coincide (|e| = 0).
+TWO_POINT_EDGES = [((0.1, 0.3), 0.9, [1.0, 0.0]), ((0.3, 0.1), 0.9, [0.0, 1.0]), ((0.7, 0.7), 0.4, [1.0, 0.0])]
+ANGLES = st.floats(-math.pi, math.pi)
+TWO_POINT_ROWS = st.tuples(
+    st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    ANGLES,
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5), ANGLES),
+    st.tuples(ANGLES, ANGLES),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(TWO_POINT_ROWS, min_size=1, max_size=12))
+def test_two_point_primal_matches_the_general_hull_solver(drawn):
+    # The dual minimiser is 0; the two active points lie at distance 2 and
+    # the other two at 0.5, so exactly two distances are within
+    # _ACTIVE_ATOL of the largest.
+    edges = [((0, 1), *angles, (1.0, 2.0), c0) for angles, c0, _ in TWO_POINT_EDGES]
+    rows = edges + [(pair, a, a + d, others, c0) for pair, a, d, others, c0 in drawn]
+    w = np.zeros((len(rows), 4), dtype=complex)
+    for k, (pair, first, second, others, _) in enumerate(rows):
+        rest = [j for j in range(4) if j not in pair]
+        w[k, list(pair)] = 2.0 * np.exp(1j * np.array([first, second]))
+        w[k, rest] = 0.5 * np.exp(1j * np.array(others))
+    z, r, c0 = np.zeros(len(rows), dtype=complex), np.abs(w), np.array([[row[-1]] for row in rows])
+    active = r >= r.max(axis=1, keepdims=True) - oracle._ACTIVE_ATOL
+    assert np.all(active.sum(axis=1) == 2)
+    units = w / r
+    mu = oracle._nearest_weights(units - c0, oracle._SEGMENTS_4, oracle._TRIANGLES_4, active)
+    for k, (*_, weights) in enumerate(TWO_POINT_EDGES):
+        np.testing.assert_array_equal(mu[k, :2], weights)
+    # u = mu conj(unit) with unit vectors: equal u means equal weights.
+    u = oracle._primal(w, z, r, c0)
+    np.testing.assert_allclose(u, mu * units.conj(), rtol=0.0, atol=1e-15)
