@@ -12,12 +12,17 @@ parametrized tokens (cphase:<radians>, canonical:<a1>,<a2>,<a3>) or paths
 to JSON files of the form {"matrix": [[[re, im], ...], ...]}.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
+
+``main`` can be called repeatedly in one process.  It builds its argument
+parser on the first call and reuses it afterwards; output goes to the
+``sys.stdout`` and ``sys.stderr`` of each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -335,6 +340,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# One build per process: parse_args leaves the parser unchanged, and argparse
+# looks up sys.stdout/sys.stderr when it writes, not when it is built.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatepower",

@@ -65,8 +65,15 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b; qubit A is the first factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product a (x) b of two matrices; qubit A is the first factor.
+
+    Forms the same products as ``np.kron`` (bit-identical result) by one
+    broadcast multiply, without ``np.kron``'s general-rank set-up.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

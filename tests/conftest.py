@@ -19,6 +19,8 @@ from gatepower import (
     tensor_product,
 )
 
+pytest_plugins = ["pytester"]
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

@@ -1,6 +1,9 @@
 """Tests for the command-line interface contract."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
@@ -366,3 +369,66 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+# main is called many times per process (tests, scripts, the benchmark);
+# it builds its parser once and writes to the streams of each call.
+REUSE_VALID = [
+    ["power", "--gate", "cnot", "--c0", "0.5"],
+    ["decompose", "--gate", "iswap", "--json"],
+    ["curve", "--gate", "cphase:pi/3", "--steps", "3"],
+    ["compare", "--gate-a", "swap", "--gate-b", "cnot", "--degrees"],
+]
+REUSE_INVALID = [
+    (["frobnicate"], "usage: gatepower"),
+    (["power", "--gate"], "usage: gatepower power"),
+    (["power", "--gate", "cnot", "--c0", "1.5"], "error: initial concurrence must be in [0, 1]"),
+]
+
+
+def call(argv):
+    """Run main with fresh stdout/stderr buffers; returns (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch):
+    call(REUSE_VALID[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in [*REUSE_VALID, *(argv for argv, _ in REUSE_INVALID), ["--help"], ["curve", "--help"]]:
+        call(argv)
+    assert built == []
+    argparse.ArgumentParser(prog="probe")  # the counter itself sees constructions
+    assert built == ["probe"]
+
+
+def test_main_interleaves_invalid_and_valid_argv_without_drift():
+    first = [call(argv) for argv in REUSE_VALID]
+    assert all(code == 0 and out and err == "" for code, out, err in first)
+    for _ in range(2):
+        for bad, stderr_start in REUSE_INVALID:
+            code, out, err = call(bad)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(stderr_start)
+            for argv, expected in zip(REUSE_VALID, first):
+                assert call(argv) == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["power", "--help"]])
+def test_help_prints_identical_bytes_twice(argv):
+    code1, out1, err1 = call(argv)
+    code2, out2, err2 = call(argv)
+    assert code1 == code2 == 0
+    assert out1.startswith("usage: gatepower")
+    assert out1 == out2
+    assert err1 == err2 == ""

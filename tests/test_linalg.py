@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIGMA_X, SIGMA_Z
 from gatepower import (
@@ -75,6 +77,32 @@ def test_tensor_product_mixed_product_property():
         lhs = tensor_product(a, b) @ tensor_product(c, d)
         rhs = tensor_product(a @ c, b @ d)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
+
+
+ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _matrix(rows, cols):
+    return st.lists(ENTRY, min_size=rows * cols, max_size=rows * cols).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(rows, cols)
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrix(2, 2), _matrix(2, 2))
+def test_tensor_product_is_bit_identical_to_kron(a, b):
+    t = tensor_product(a, b)
+    assert np.array_equal(t, np.kron(a, b))
+    assert t.tobytes() == np.kron(a, b).tobytes()  # signed zeros too
+
+
+def test_tensor_product_matches_kron_on_non_square_factors():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    t = tensor_product(a, b)
+    assert t.shape == (6, 3)
+    assert np.array_equal(t, np.kron(a, b))
 
 
 def test_to_magic_frame_identity():
