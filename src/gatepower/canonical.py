@@ -40,6 +40,7 @@ __all__ = [
     "reduce_alpha",
     "eigen_phases",
     "canonical_gate",
+    "weyl_coordinates",
     "decompose",
     "reconstruct",
 ]
@@ -206,36 +207,24 @@ def reduce_alpha(alpha) -> np.ndarray:
 def _match_columns(eigvals: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Pair each target[k] with a distinct eigvals[order[k]], nearest pairs first.
 
-    Returns the order and the largest distance of a chosen pair.
+    A stable sort visits pairs in repeated-argmin order, ties included.
+    Returns the order and the largest distance of a chosen pair (the last).
     """
-    dist = np.abs(eigvals[None, :] - target[:, None])
-    order = np.zeros(4, dtype=int)
-    worst = 0.0
-    for _ in range(4):
-        k, j = divmod(int(np.argmin(dist)), 4)
-        order[k] = j
-        worst = max(worst, float(dist[k, j]))
-        dist[k, :] = np.inf
-        dist[:, j] = np.inf
-    return order, worst
+    dist = np.abs(eigvals[None, :] - target[:, None]).ravel()
+    order, taken, worst = [-1] * 4, [False] * 4, 0.0
+    for flat in np.argsort(dist, kind="stable").tolist():
+        k, j = divmod(flat, 4)
+        if order[k] < 0 and not taken[j]:
+            order[k], taken[j], worst = j, True, float(dist[flat])
+    return np.array(order), worst
 
 
-def decompose(u: np.ndarray) -> CanonicalDecomposition:
-    """Canonical decomposition of a two-qubit unitary.
+def _chamber_match(u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Validated gate, magic-frame image, matched eigenbasis, alpha, lam, miss.
 
-    Returns a :class:`CanonicalDecomposition` whose reconstruction matches
-    ``u`` up to the stored global phase within 1e-8 and whose coordinates
-    satisfy the Weyl chamber inequalities.  Deterministic per input.
-
-    The coordinates are ``reduce_alpha`` of the half-phases of m; the
-    eigenbasis columns are then matched to the chamber eigenphases, so
-    the local factors follow from the spectrum without tracking the
-    reduction moves.
-
-    Raises:
-        UnitarityError: if ``u`` is not unitary to 1e-10.
-        DecompositionError: if the eigenbasis extraction or the final
-            reconstruction check fails.
+    alpha is ``reduce_alpha`` of the half-phases of m.  Every reduction
+    move is local up to a factor i, so exp(2i lam) is the spectrum of m or
+    of -m (the image then gains a factor i); the basis follows the better.
     """
     u = require_unitary(u, atol=INPUT_UNITARY_ATOL, name="gate")
     if u.shape != (4, 4):
@@ -255,15 +244,47 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     mu = np.angle(eigvals) / 2.0
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
     lam = eigen_phases(alpha)
-    # Every reduction move is local up to a factor i, so the chamber
-    # spectrum exp(2i lam) equals the spectrum of m or of -m.
     target = np.exp(2j * lam)
     order, miss = _match_columns(eigvals, target)
     order_neg, miss_neg = _match_columns(-eigvals, target)
     if miss_neg < miss:
-        order = order_neg
-        u_magic = 1j * u_magic
-    basis = basis[:, order]
+        order, miss, u_magic = order_neg, miss_neg, 1j * u_magic
+    return u, u_magic, basis[:, order], alpha, lam, miss
+
+
+def weyl_coordinates(u: np.ndarray) -> np.ndarray:
+    """Weyl chamber coordinates of a two-qubit unitary, without local factors.
+
+    Equal bit for bit to ``decompose(u).weyl``.  The spectrum of +-m is a
+    complete local invariant, so in place of a reconstruction check the
+    chamber spectrum must match it within 1e-8.
+
+    Raises:
+        UnitarityError: if ``u`` is not a 4x4 unitary to 1e-10.
+        DecompositionError: if the eigenbasis or the spectrum match fails.
+    """
+    *_, alpha, _, miss = _chamber_match(u)
+    if miss > RECONSTRUCTION_ATOL:
+        raise DecompositionError("chamber spectrum does not match the gate", miss)
+    return alpha
+
+
+def decompose(u: np.ndarray) -> CanonicalDecomposition:
+    """Canonical decomposition of a two-qubit unitary.
+
+    Returns a :class:`CanonicalDecomposition` whose reconstruction matches
+    ``u`` up to the stored global phase within 1e-8 and whose coordinates
+    satisfy the Weyl chamber inequalities.  Deterministic per input.
+
+    The eigenbasis matched to the chamber eigenphases gives the local
+    factors without tracking the reduction moves.
+
+    Raises:
+        UnitarityError: if ``u`` is not unitary to 1e-10.
+        DecompositionError: if the eigenbasis extraction or the final
+            reconstruction check fails.
+    """
+    u, u_magic, basis, alpha, lam, _ = _chamber_match(u)
     if np.linalg.det(basis) < 0:
         basis[:, 3] = -basis[:, 3]
 

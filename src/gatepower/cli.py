@@ -11,6 +11,9 @@ Gates are named tokens (identity, cnot, cz, swap, iswap, sqrtswap),
 parametrized tokens (cphase:<radians>, canonical:<a1>,<a2>,<a3>) or paths
 to JSON files of the form {"matrix": [[[re, im], ...], ...]}.
 
+Only ``decompose`` builds local factors; ``power``, ``curve``, ``compare``
+and ``verify`` read the chamber coordinates alone (``weyl_coordinates``).
+
 Exit codes: 0 success, 1 verification failure, 2 input error.
 
 ``main`` can be called repeatedly in one process.  It builds its argument
@@ -37,6 +40,7 @@ from .canonical import (
     decompose,
     eigen_phases,
     reconstruct,
+    weyl_coordinates,
 )
 from .linalg import distance_up_to_phase
 from .oracle import verify_profile
@@ -144,8 +148,8 @@ def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
     """Resolve a gate spec (token or JSON file path) to (name, matrix).
 
     The matrix is not checked for unitarity here: every subcommand passes
-    it to :func:`decompose`, which rejects matrices that are not unitary
-    to 1e-10 with a :class:`UnitarityError`.
+    it to :func:`decompose` or :func:`weyl_coordinates`, which reject
+    matrices that are not unitary to 1e-10 with a :class:`UnitarityError`.
 
     Raises:
         GateInputError: on unknown tokens or unreadable files.
@@ -166,7 +170,7 @@ def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
 def _weyl(spec: str) -> tuple[str, np.ndarray]:
     """Resolve a gate spec to its name and Weyl chamber coordinates."""
     name, matrix = resolve_gate(spec)
-    return name, decompose(matrix).weyl
+    return name, weyl_coordinates(matrix)
 
 
 def _fmt(x: float, degrees: bool = False) -> str:

@@ -53,11 +53,14 @@ class UnitarityError(ValueError):
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the matrix as a complex ndarray.
 
-    Non-finite entries make the defect NaN or inf and are rejected too.
+    Non-finite entries are rejected before any arithmetic touches them.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UnitarityError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        bad = np.argwhere(~np.isfinite(m)).tolist()
+        raise UnitarityError(f"{name} is not unitary: non-finite entries at {bad}")
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
     if not defect <= atol:
         raise UnitarityError(f"{name} is not unitary: ||M^dag M - I||_F = {defect:.3e} > {atol:.1e}")

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import SIGMA_X, SIGMA_Z, random_chamber_point, random_local_pair
+from test_edge_cases import facet_and_edge_points
 from gatepower import (
     DecompositionError,
     UnitarityError,
@@ -21,6 +22,7 @@ from gatepower import (
     reconstruct,
     reduce_alpha,
     tensor_product,
+    weyl_coordinates,
 )
 from gatepower import canonical
 from gatepower.canonical import CanonicalDecomposition
@@ -286,3 +288,110 @@ def test_decompose_local_invariance(gate_seed, local_seed):
         for local in (*dec.pre_local, *dec.post_local):
             assert np.linalg.norm(local.conj().T @ local - np.eye(2)) <= 1e-12
             assert abs(np.linalg.det(local) - 1) <= 1e-12
+
+
+def test_weyl_coordinates_equal_decompose_on_haar_gates():
+    for seed in range(1000):
+        u = random_unitary(4, seed)
+        assert np.array_equal(weyl_coordinates(u), decompose(u).weyl)
+
+
+@pytest.mark.parametrize("noise", [1e-12, 1e-10, 1e-8, 1e-6])
+def test_weyl_coordinates_equal_decompose_on_dressed_boundary_gates(noise):
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        for w in facet_and_edge_points():
+            noisy = w + noise * rng.standard_normal(3)
+            u = random_local_pair(rng) @ canonical_gate(noisy) @ random_local_pair(rng)
+            assert np.array_equal(weyl_coordinates(u), decompose(u).weyl)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.diag([1.0, 1.0, 1.0, 1.1]), np.eye(2), np.eye(8), np.full((4, 4), np.nan), np.diag([1, 1, 1, np.inf])],
+    ids=["non_unitary", "2x2", "8x8", "nan", "inf"],
+)
+def test_weyl_coordinates_raise_what_decompose_raises(bad):
+    with pytest.raises(UnitarityError) as expected:
+        decompose(bad)
+    with pytest.raises(UnitarityError) as got:
+        weyl_coordinates(bad)
+    assert type(got.value) is type(expected.value)
+
+
+def _makhlin_invariants(u):
+    """Makhlin's local invariants G1, G2 (Quantum Inf. Process. 1, 243, 2002)."""
+    ub = canonical.MAGIC_H @ u @ canonical.MAGIC
+    m = ub.T @ ub
+    det = np.linalg.det(u)
+    tr = np.trace(m)
+    return tr**2 / (16 * det), (tr**2 - np.trace(m @ m)) / (4 * det)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(SEEDS)
+def test_weyl_coordinates_keep_the_makhlin_invariants(seed):
+    u = random_unitary(4, seed)
+    g_u = _makhlin_invariants(u)
+    g_weyl = _makhlin_invariants(canonical_gate(weyl_coordinates(u)))
+    assert max(abs(a - b) for a, b in zip(g_u, g_weyl)) <= 1e-10
+
+
+@pytest.mark.parametrize("shift, raises", [(1e-6, True), (1e-10, False)])
+def test_weyl_coordinates_certify_the_spectrum_match(monkeypatch, shift, raises):
+    # alpha reads only the first three eigenvalues, so turning the fourth
+    # moves the spectrum away from the chamber spectrum by about ``shift``.
+    extract = canonical._orthogonal_eigenbasis
+
+    def turned(m):
+        basis, eigvals, residual = extract(m)
+        return basis, eigvals * np.exp([0, 0, 0, 1j * shift]), residual
+
+    monkeypatch.setattr(canonical, "_orthogonal_eigenbasis", turned)
+    u = random_unitary(4, 7)
+    if raises:
+        with pytest.raises(DecompositionError, match="chamber spectrum") as err:
+            weyl_coordinates(u)
+        assert err.value.residual > canonical.RECONSTRUCTION_ATOL
+    else:
+        weyl_coordinates(u)
+
+
+def _argmin_match_columns(eigvals, target):
+    """The argmin loop that ``_match_columns`` replaced, kept verbatim as its reference."""
+    dist = np.abs(eigvals[None, :] - target[:, None])
+    order = np.zeros(4, dtype=int)
+    worst = 0.0
+    for _ in range(4):
+        k, j = divmod(int(np.argmin(dist)), 4)
+        order[k] = j
+        worst = max(worst, float(dist[k, j]))
+        dist[k, :] = np.inf
+        dist[:, j] = np.inf
+    return order, worst
+
+
+# Few distinct points make exact ties in the distances common.
+_UNIT_POINTS = st.sampled_from([1, 1j, -1, -1j, (1 + 1j) / math.sqrt(2)])
+_UNIT_ANGLES = st.floats(-math.pi, math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+_SPECTRA = st.lists(st.one_of(_UNIT_POINTS, _UNIT_ANGLES), min_size=4, max_size=4).map(
+    lambda v: np.array(v, dtype=complex)
+)
+_ALL_EQUAL = np.ones(4, dtype=complex)
+_REPEATED = np.array([1, 1, -1, -1], dtype=complex)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_SPECTRA, st.one_of(st.none(), _SPECTRA))
+@example(_ALL_EQUAL, None)
+@example(_ALL_EQUAL, _ALL_EQUAL * 1j)
+@example(_REPEATED, None)
+@example(_REPEATED, _REPEATED[::-1])
+@example(np.array([1, 1j, -1, -1j]), np.array([-1j, -1, 1j, 1]))
+def test_match_columns_equals_the_argmin_reference(eigvals, target):
+    target = eigvals if target is None else target
+    for sign in (1, -1):
+        order, worst = canonical._match_columns(sign * eigvals, target)
+        ref_order, ref_worst = _argmin_match_columns(sign * eigvals, target)
+        assert np.array_equal(order, ref_order)
+        assert worst == ref_worst

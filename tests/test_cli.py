@@ -1,6 +1,7 @@
 """Tests for the command-line interface contract."""
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import io
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gatepower import decompose, verify_profile
+from gatepower import canonical, cli, decompose, verify_profile
 from gatepower.cli import main, named_gate, resolve_gate
 
 QUARTER_PI = math.pi / 4
@@ -342,7 +343,6 @@ def test_non_unitary_gate_file_exits_two(tmp_path, capsys):
     assert "not unitary" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_gate_file_exits_two(tmp_path, capsys):
     doc = {"matrix": [[[math.nan, 0.0]] * 4] * 4}
     path = tmp_path / "nan.json"
@@ -350,6 +350,18 @@ def test_non_finite_gate_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["decompose", "--gate", str(path)])
     assert code == 2
     assert "not unitary" in err
+
+
+def test_overflowing_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
+    # JSON reads 1e400 as inf; the unitarity check must reject it before
+    # any arithmetic can warn about it.
+    rows = [["[1e400, 0]" if i == j == 0 else f"[{int(i == j)}, 0]" for j in range(4)] for i in range(4)]
+    path = tmp_path / "inf.json"
+    path.write_text('{"matrix": [' + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]}")
+    code, out, err = run(capsys, ["power", "--gate", str(path), "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gate is not unitary") and err.count("\n") == 1
 
 
 def test_malformed_gate_file_exits_two(tmp_path, capsys):
@@ -422,6 +434,30 @@ def test_main_interleaves_invalid_and_valid_argv_without_drift():
             assert err.startswith(stderr_start)
             for argv, expected in zip(REUSE_VALID, first):
                 assert call(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, resolves",
+    [
+        (["power", "--gate", "cnot", "--c0", "0.5"], {"weyl_coordinates": 1}),
+        (["curve", "--gate", "iswap", "--steps", "3"], {"weyl_coordinates": 1}),
+        (["compare", "--gate-a", "cnot", "--gate-b", "swap"], {"weyl_coordinates": 2}),
+        (["verify", "--gate", "swap", "--grid", "2"], {"weyl_coordinates": 1}),
+        (["decompose", "--gate", "cnot", "--json"], {"decompose": 1}),
+    ],
+)
+def test_only_decompose_builds_local_factors(monkeypatch, argv, resolves):
+    calls = collections.Counter()
+    for module, name in ((cli, "decompose"), (cli, "weyl_coordinates"), (canonical, "decompose")):
+        fn = getattr(module, name)
+
+        def counted(u, fn=fn, name=name):
+            calls[name] += 1
+            return fn(u)
+
+        monkeypatch.setattr(module, name, counted)
+    assert call(argv)[0] == 0
+    assert calls == resolves
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["power", "--help"]])

@@ -124,7 +124,6 @@ def test_to_magic_frame_swap_is_bell_parity():
     np.testing.assert_allclose(MAGIC_H @ SWAP @ MAGIC, np.diag([1, 1, 1, -1]), atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
 def test_non_finite_matrices_are_not_unitary(bad):
     # NaN > atol is False: the check must still reject, before any LAPACK call.
