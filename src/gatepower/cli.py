@@ -135,6 +135,8 @@ def named_gate(token: str) -> np.ndarray:
         return _NAMED_GATES[token].copy()
     if token.startswith("cphase:"):
         theta = _parse_angle(token.split(":", 1)[1])
+        if not math.isfinite(theta):
+            raise GateInputError(f"cphase angle must be finite, got {theta}")
         return np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]).astype(complex)
     if token.startswith("canonical:"):
         parts = token.split(":", 1)[1].split(",")
@@ -147,24 +149,21 @@ def named_gate(token: str) -> np.ndarray:
 def resolve_gate(spec: str) -> tuple[str, np.ndarray]:
     """Resolve a gate spec (token or JSON file path) to (name, matrix).
 
-    The matrix is not checked for unitarity here: every subcommand passes
-    it to :func:`decompose` or :func:`weyl_coordinates`, which reject
-    matrices that are not unitary to 1e-10 with a :class:`UnitarityError`.
+    Registry names and ``cphase:``/``canonical:`` tokens are tokens even when
+    a file of that name exists; any other spec is a gate file if it has a
+    "/", ends in ".json" or names an existing file.  The matrix is not
+    checked for unitarity here: every subcommand passes it to
+    :func:`decompose` or :func:`weyl_coordinates`, which reject matrices
+    that are not unitary to 1e-10 with a :class:`UnitarityError`.
 
     Raises:
         GateInputError: on unknown tokens or unreadable files.
     """
-    try:
-        matrix = named_gate(spec)
-        name = spec
-    except GateInputError:
-        # A parametrized token with a bad angle is not a file path.
-        if spec.startswith(("cphase:", "canonical:")) or not (
-            "/" in spec or spec.endswith(".json") or os.path.exists(spec)
-        ):
-            raise
-        name, matrix = _load_gate_file(spec)
-    return name, matrix
+    if spec in _NAMED_GATES or spec.startswith(("cphase:", "canonical:")) or not (
+        "/" in spec or spec.endswith(".json") or os.path.exists(spec)
+    ):
+        return spec, named_gate(spec)
+    return _load_gate_file(spec)
 
 
 def _weyl(spec: str) -> tuple[str, np.ndarray]:
@@ -271,27 +270,23 @@ def _cmd_curve(args) -> int:
     failed = False
     if args.verify:
         columns += ["oracle_min", "oracle_max"]
-        report = verify_profile(alpha, grid, tol=1e-3)
+        report = verify_profile(alpha, grid)
         table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
         failed = not report.passed
     else:
         table = [[c0, *power_interval(alpha, c0)] for c0 in grid]
     lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
-    text = "\n".join(lines) + "\n"
     if args.out not in (None, "-"):
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.write("\n".join(lines) + "\n")
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
-    elif args.json:
-        doc = {"gate": name, "columns": columns, "rows": table, "passed": not failed}
-        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        sys.stdout.write(text)
+        _emit({"gate": name, "columns": columns, "rows": table, "passed": not failed}, args.json, lines)
     if failed:
         worst = max(max(r.deviation_min, r.deviation_max) for r in report.rows)
-        print(f"verification failed: max deviation {worst:.3e} > 1e-03", file=sys.stderr)
+        print(f"verification failed: max deviation {worst:.3e} > {report.tol:.0e}", file=sys.stderr)
         return 1
     return 0
 
@@ -402,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GateInputError, ValueError, DecompositionError) as exc:
+    except (ValueError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

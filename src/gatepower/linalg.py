@@ -53,14 +53,17 @@ class UnitarityError(ValueError):
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the matrix as a complex ndarray.
 
-    Non-finite entries are rejected before any arithmetic touches them.
+    An entry with a real or imaginary part above 1 (NaN and inf included) is
+    rejected before M^dag M is formed, where it could overflow.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UnitarityError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        bad = np.argwhere(~np.isfinite(m)).tolist()
-        raise UnitarityError(f"{name} is not unitary: non-finite entries at {bad}")
+    ok = (np.abs(m.real) <= 1.0 + atol) & (np.abs(m.imag) <= 1.0 + atol)
+    if not ok.all():
+        finite = np.isfinite(m)
+        what, bad = ("non-finite entries", ~finite) if not finite.all() else ("entries above 1", ~ok)
+        raise UnitarityError(f"{name} is not unitary: {what} at {np.argwhere(bad).tolist()}")
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
     if not defect <= atol:
         raise UnitarityError(f"{name} is not unitary: ||M^dag M - I||_F = {defect:.3e} > {atol:.1e}")

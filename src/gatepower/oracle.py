@@ -114,6 +114,12 @@ class ProfileReport:
         return all(r.passed for r in self.rows)
 
 
+def _segment_t(a, e) -> np.ndarray:
+    """Clipped parameter t in [0, 1] of the point a + t e nearest to the origin."""
+    ee = (e.conj() * e).real
+    return np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+
+
 def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
     """Convex weights of the point of each row's hull nearest to the origin.
 
@@ -124,9 +130,7 @@ def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
     s = segments.shape[1]
     index = np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T
     weights = np.zeros((len(p), len(index), 3))
-    a, e = p[:, segments[0]], p[:, segments[1]] - p[:, segments[0]]
-    ee = (e.conj() * e).real
-    t = np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+    t = _segment_t(p[:, segments[0]], p[:, segments[1]] - p[:, segments[0]])
     weights[:, :s, 0], weights[:, :s, 1] = 1.0 - t, t
     # Barycentric weights, up to the area: Im(conj(p_k) p_l) opposite each vertex.
     bary = (p[:, triangles[[1, 2, 0]].T].conj() * p[:, triangles[[2, 0, 1]].T]).imag
@@ -178,13 +182,11 @@ def _primal(w, z, r, c0):
     p, mu = units - c0, np.zeros(r.shape)
     pair = active.sum(axis=1) == 2
     if pair.any():
-        # Two active points: the point of their segment nearest to 0, by the
-        # arithmetic of _nearest_weights (adding to zeros keeps signed zeros).
+        # Two active points: the point of their segment nearest to 0, as
+        # _nearest_weights finds it (adding to zeros keeps signed zeros).
         rows, cols = np.nonzero(active & pair[:, None])
         i, j = (rows[::2], cols[::2]), (rows[1::2], cols[1::2])
-        a, e = p[i], p[j] - p[i]
-        ee = (e.conj() * e).real
-        t = np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+        t = _segment_t(p[i], p[j] - p[i])
         mu[i] += 1.0 - t
         mu[j] += t
     if not pair.all():
@@ -238,17 +240,17 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
     theta = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
 
     def sweep(col, directions):
-        """Support values and what the search reads of each row: MIN every
-        support point u, MAX only the dual data, for its final row."""
+        """Support values and the one per-row array the search reads: MIN
+        every support point u, MAX the dual minimisers z."""
         h, z, w, r = _support(lam, col, directions)
-        return h, [z, w, r] if direction is Direction.MAX else [_primal(w, z, r, col)]
+        return h, z if direction is Direction.MAX else _primal(w, z, r, col)
 
     # MAX adds a row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     extra = [0.0] * (direction is Direction.MAX)
     h, kept = sweep(np.array([c0] * theta.size + extra)[:, None], np.append(theta, extra))
     if extra:
-        cap = min(1.0, float(h[-1] + c0 * abs(kept[0][-1])) + 8.0 * _EPS)
-        h, kept = h[:-1], [x[:-1] for x in kept]
+        cap = min(1.0, float(h[-1] + c0 * abs(kept[-1])) + 8.0 * _EPS)
+        h, kept = h[:-1], kept[:-1]
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.diff(theta, append=theta[0] + _TWO_PI)
         if direction is Direction.MAX:
@@ -257,7 +259,7 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
             wide = gap_bound > h.max() + 0.1 * _TOL
         else:
             bound = max(float((-h).max()), 0.0)
-            wide = _gap_min_bound(theta, gaps, kept[0] @ omega) > bound + 0.1 * _TOL
+            wide = _gap_min_bound(theta, gaps, kept @ omega) > bound + 0.1 * _TOL
         # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
         n_wide = int(wide.sum())
         pieces = min(16, max(2, 256 // max(n_wide, 1)))
@@ -266,18 +268,17 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, kept_new = sweep(c0, new)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
-        pairs = zip((theta, h, *kept), (new, h_new, *kept_new))
-        theta, h, *kept = (np.concatenate(pair)[order] for pair in pairs)
+        theta, h, kept = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (kept, kept_new)))
     if direction is Direction.MAX:
-        z, w, r = (x[[h.argmax()]] for x in kept)
-        return _primal(w, z, r, c0)[0], bound
+        k = h.argmax()  # rebuild the final row's dual data as _support does
+        z, w = kept[[k]], np.exp(1j * (2.0 * lam - theta[k]))[None]
+        return _primal(w, z, np.abs(w - z[:, None]), c0)[0], bound
     # The point nearest 0 of the support points' hull (in D): edges, fan triangles, diagonals.
-    u = kept[0]
     k = np.arange(len(theta))
     segments = np.concatenate([np.stack([k, np.roll(k, -1)]), np.stack([0 * k, k])], axis=1)
     triangles = np.stack([0 * k[1:-1], k[1:-1], k[2:]])
-    mu = _nearest_weights((u @ omega)[None], segments, triangles)[0]
-    return _pad(mu @ u, omega), bound
+    mu = _nearest_weights((kept @ omega)[None], segments, triangles)[0]
+    return _pad(mu @ kept, omega), bound
 
 
 def _result(alpha, c0: float, u, bound: float) -> OracleResult:

@@ -89,7 +89,7 @@ def shifted_closed_form(monkeypatch):
 
     The bracket can be exact (swap class), so a failing verification is
     forced this way rather than left to rounding.  The shift exceeds the
-    fixed 1e-3 tolerance of ``curve --verify``, so every check fails.
+    default 1e-3 tolerance that ``curve --verify`` uses, so every check fails.
     """
 
     def shifted(alpha, c0):

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,37 @@ def test_registry_cphase_and_canonical_tokens():
 def test_resolve_gate_rejects_garbage():
     with pytest.raises(Exception):
         resolve_gate("nonsense")
+
+
+ISWAP_DOC = {"name": "from-file", "matrix": [[[z.real, z.imag] for z in row] for row in named_gate("iswap")]}
+
+
+@pytest.mark.parametrize(
+    "spec, expect",
+    [
+        ("cnot", "cnot"),
+        ("cphase:pi/4", "cphase:pi/4"),
+        ("canonical:pi/8,0,0", "canonical:pi/8,0,0"),
+        ("mygate", "from-file"),  # an existing file without ".json"
+        ("swap", "swap"),  # a file of a registry name: the token wins
+        ("cphase:inf", "cphase angle must be finite"),  # a file of that name exists
+        ("cphase:pi/x", "cannot parse angle"),
+        ("nonsense", "unknown gate token"),
+        ("x/y.json", "cannot read gate file"),
+        ("nosuch.json", "cannot read gate file"),
+    ],
+)
+def test_resolve_gate_routes_tokens_and_files(tmp_path, monkeypatch, spec, expect):
+    for name in ("mygate", "swap", "cphase:inf"):
+        (tmp_path / name).write_text(json.dumps(ISWAP_DOC))
+    monkeypatch.chdir(tmp_path)
+    if expect in ("from-file", spec):
+        name, matrix = resolve_gate(spec)
+        assert name == expect
+        np.testing.assert_array_equal(matrix, named_gate("iswap" if expect == "from-file" else spec))
+    else:
+        with pytest.raises(cli.GateInputError, match=re.escape(expect)):
+            resolve_gate(spec)
 
 
 def test_power_swap_golden(capsys):
@@ -251,6 +283,8 @@ def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
     assert code == 1
     assert out.startswith("c0,c_min,c_max,oracle_min,oracle_max\n")
     assert "verification failed" in err
+    # The threshold printed is the tolerance the report was checked against.
+    assert err.endswith("> 1e-03\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -281,6 +315,14 @@ def test_non_finite_canonical_token_exits_two(capsys, gate):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("gate", ["cphase:inf", "cphase:-inf", "cphase:1e400"])
+def test_non_finite_cphase_token_exits_two_with_one_error_line(capsys, gate):
+    code, out, err = run(capsys, ["power", "--gate", gate, "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cphase angle must be finite") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -352,13 +394,27 @@ def test_non_finite_gate_file_exits_two(tmp_path, capsys):
     assert "not unitary" in err
 
 
+def _identity_file_with(path, first: str):
+    """Write the identity as a gate file whose first entry reads ``[first, 0]``."""
+    rows = [[f"[{first}, 0]" if i == j == 0 else f"[{int(i == j)}, 0]" for j in range(4)] for i in range(4)]
+    path.write_text('{"matrix": [' + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]}")
+    return str(path)
+
+
 def test_overflowing_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
     # JSON reads 1e400 as inf; the unitarity check must reject it before
     # any arithmetic can warn about it.
-    rows = [["[1e400, 0]" if i == j == 0 else f"[{int(i == j)}, 0]" for j in range(4)] for i in range(4)]
-    path = tmp_path / "inf.json"
-    path.write_text('{"matrix": [' + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]}")
-    code, out, err = run(capsys, ["power", "--gate", str(path), "--c0", "0.5"])
+    path = _identity_file_with(tmp_path / "inf.json", "1e400")
+    code, out, err = run(capsys, ["power", "--gate", path, "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gate is not unitary") and err.count("\n") == 1
+
+
+def test_huge_finite_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
+    # 1e200 is finite, but squaring it in M^dag M would overflow.
+    path = _identity_file_with(tmp_path / "huge.json", "1e200")
+    code, out, err = run(capsys, ["power", "--gate", path, "--c0", "0.5"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: gate is not unitary") and err.count("\n") == 1

@@ -135,6 +135,17 @@ def test_non_finite_matrices_are_not_unitary(bad):
         decompose(m)
 
 
+@pytest.mark.parametrize("big", [1e200, 1e200j, -1e200])
+def test_huge_entries_are_not_unitary_without_overflow(big):
+    # Finite, but M^dag M would overflow; the entry bound rejects it first.
+    m = random_unitary(4, 5)
+    m[1, 2] = big
+    with pytest.raises(UnitarityError, match=r"^matrix is not unitary: entries above 1 at \[\[1, 2\]\]$"):
+        require_unitary(m)
+    with pytest.raises(UnitarityError):
+        decompose(m)
+
+
 def test_non_square_matrices_are_not_unitary():
     with pytest.raises(UnitarityError, match="square"):
         require_unitary(np.eye(2, 3))
