@@ -79,6 +79,8 @@ _NAMED_GATES = {
     ),
 }
 
+# curve --steps and verify --grid build their grid in memory before any output.
+_MAX_GRID_POINTS = 1_000_000
 _ANGLE_RE = re.compile(r"^(-?)(\d+(?:\.\d*)?|\.\d+)?\s*(pi|π)?(?:/(\d+(?:\.\d*)?))?$")
 
 
@@ -258,8 +260,8 @@ def _cmd_power(args) -> int:
 
 def _grid(points: int, flag: str) -> list[float]:
     """``points`` evenly spaced c0 in [0, 1]; ``flag`` names the option in errors."""
-    if points < 2:
-        raise GateInputError(f"{flag} must be >= 2, got {points}")
+    if not 2 <= points <= _MAX_GRID_POINTS:
+        raise GateInputError(f"{flag} must be in [2, {_MAX_GRID_POINTS}], got {points}")
     return [k / (points - 1) for k in range(points)]
 
 

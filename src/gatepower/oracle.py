@@ -15,6 +15,8 @@ Gaps between directions are split into equal pieces until the two sides meet.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import itertools
 import math
@@ -46,6 +48,13 @@ _MAX_DIRECTIONS = 8192
 _ACTIVE_ATOL = 1e-11
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
+# Every search opens on these directions; the opening sweep appends MAX's
+# cap row at c0 = 0, theta = 0 (see _opening).
+_OPENING_THETA = np.append(np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False), 0.0)
+_OPENING_THETA.flags.writeable = False
+# Inside verify_profile and reach_target: () or the latest opening as
+# (key, support data), so MIN and MAX at one (gate, c0) share it.
+_HELD_OPENING = contextvars.ContextVar("_HELD_OPENING", default=None)
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
 # point w_j, or the optimum on the bisector of one of these pairs.
 _PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
@@ -170,6 +179,36 @@ def _support(lam, c0, theta):
     return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, w, dist[rows, best]
 
 
+def _opening(lam, c0: float):
+    """Support data (h, z, w, r) of the opening sweep: the start directions
+    at c0, then MAX's cap row at c0 = 0, theta = 0 (MIN drops it)."""
+    held = _HELD_OPENING.get()
+    key = (lam.tobytes(), c0.hex())
+    if held and held[0] == key:
+        return held[1]
+    col = np.full((_OPENING_THETA.size, 1), c0)
+    col[-1] = 0.0
+    opening = _support(lam, col, _OPENING_THETA)
+    if held is not None:
+        _HELD_OPENING.set((key, opening))
+    return opening
+
+
+@contextlib.contextmanager
+def _sharing_openings():
+    """Let the searches inside share their latest opening sweep, and only them."""
+    token = _HELD_OPENING.set(())
+    try:
+        yield
+    finally:
+        _HELD_OPENING.reset(token)
+
+
+def _rolled(x) -> np.ndarray:
+    """np.roll(x, -1) without its Python-level wrapper."""
+    return np.concatenate((x[1:], x[:1]))
+
+
 def _primal(w, z, r, c0):
     """Feasible u (sum |u| = 1, sum u = c0) attaining the support values of
     the dual data (w, z, r) from :func:`_support`; c0 may be a column."""
@@ -187,6 +226,8 @@ def _primal(w, z, r, c0):
         rows, cols = np.nonzero(active & pair[:, None])
         i, j = (rows[::2], cols[::2]), (rows[1::2], cols[1::2])
         t = _segment_t(p[i], p[j] - p[i])
+        # A clipped t takes the nearer end, the first on a tie, as _nearest_weights does.
+        t = np.where((0.0 < t) & (t < 1.0), t, np.abs(p[i]) > np.abs(p[j]))
         mu[i] += 1.0 - t
         mu[j] += t
     if not pair.all():
@@ -201,7 +242,7 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
     the two support points; the largest value of minus that function lies
     at an end, at the segment's normal, or opposite one of the points.
     """
-    p, q = f, np.roll(f, -1)
+    p, q = f, _rolled(f)
     cand = np.stack([theta, theta + gaps, np.angle(1j * (q - p)), np.angle(1j * (p - q)),
                      np.angle(-p), np.angle(-q)])
     rot = np.exp(-1j * cand)
@@ -237,24 +278,21 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
             return np.eye(4, dtype=complex)[0], 1.0
         mu = _nearest_weights(omega[None], _SEGMENTS_4, _TRIANGLES_4)[0]
         return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
-    theta = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
+    theta = _OPENING_THETA[:-1]
 
-    def sweep(col, directions):
-        """Support values and the one per-row array the search reads: MIN
-        every support point u, MAX the dual minimisers z."""
-        h, z, w, r = _support(lam, col, directions)
-        return h, z if direction is Direction.MAX else _primal(w, z, r, col)
+    def reads(z, w, r):
+        """The one per-row array the search reads: MIN every support point u,
+        MAX the dual minimisers z."""
+        return z if direction is Direction.MAX else _primal(w, z, r, c0)
 
-    # MAX adds a row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
-    extra = [0.0] * (direction is Direction.MAX)
-    h, kept = sweep(np.array([c0] * theta.size + extra)[:, None], np.append(theta, extra))
-    if extra:
-        cap = min(1.0, float(h[-1] + c0 * abs(kept[-1])) + 8.0 * _EPS)
-        h, kept = h[:-1], kept[:-1]
+    h, z, w, r = _opening(lam, c0)
+    # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
+    cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
+    h, kept = h[:-1], reads(z[:-1], w[:-1], r[:-1])
     for rnd in range(_MAX_ROUNDS + 1):
-        gaps = np.diff(theta, append=theta[0] + _TWO_PI)
+        gaps = np.append(theta[1:], theta[0] + _TWO_PI) - theta
         if direction is Direction.MAX:
-            gap_bound = np.minimum(np.maximum(h, np.roll(h, -1)) / np.cos(0.5 * gaps), cap)
+            gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
             bound = float(gap_bound.max())
             wide = gap_bound > h.max() + 0.1 * _TOL
         else:
@@ -266,7 +304,8 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         if rnd == _MAX_ROUNDS or not n_wide or theta.size + (pieces - 1) * n_wide > _MAX_DIRECTIONS:
             break
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
-        h_new, kept_new = sweep(c0, new)
+        h_new, z, w, r = _support(lam, c0, new)
+        kept_new = reads(z, w, r)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
         theta, h, kept = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (kept, kept_new)))
     if direction is Direction.MAX:
@@ -275,7 +314,7 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         return _primal(w, z, np.abs(w - z[:, None]), c0)[0], bound
     # The point nearest 0 of the support points' hull (in D): edges, fan triangles, diagonals.
     k = np.arange(len(theta))
-    segments = np.concatenate([np.stack([k, np.roll(k, -1)]), np.stack([0 * k, k])], axis=1)
+    segments = np.concatenate([np.stack([k, _rolled(k)]), np.stack([0 * k, k])], axis=1)
     triangles = np.stack([0 * k[1:-1], k[1:-1], k[2:]])
     mu = _nearest_weights((kept @ omega)[None], segments, triangles)[0]
     return _pad(mu @ kept, omega), bound
@@ -312,13 +351,15 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
 
     Moves along the segment between the minimising and maximising u to
     where |F| crosses ``target``, exercising the claim that every value
-    between the extremal concurrences is attainable.
+    between the extremal concurrences is attainable.  The two searches
+    share one opening sweep.
     """
     c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
     omega = np.exp(2j * lam)
-    lo_u = _bracket(lam, c0, Direction.MIN)[0]
-    hi_u = _bracket(lam, c0, Direction.MAX)[0]
+    with _sharing_openings():
+        lo_u = _bracket(lam, c0, Direction.MIN)[0]
+        hi_u = _bracket(lam, c0, Direction.MAX)[0]
     # |F(s)| = |a + s d| is convex; its crossing is the larger root of
     # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
     a, d = lo_u @ omega, (hi_u - lo_u) @ omega
@@ -338,7 +379,8 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
 
     A row passes when both oracle extrema agree with the closed forms
     within ``tol`` and both brackets converged; failures are recorded in
-    the report, never raised.  An empty grid raises ``ValueError``.
+    the report, never raised.  An empty grid raises ``ValueError``.  The
+    MIN and MAX searches at one c0 share one opening sweep.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -346,8 +388,9 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     rows = []
     for c0 in c0_grid:
         closed = power_interval(alpha, c0)
-        lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
-        hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
+        with _sharing_openings():
+            lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
+            hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
         dev_min = abs(closed.c_min - lo.extremal_concurrence)
         dev_max = abs(closed.c_max - hi.extremal_concurrence)
         converged = lo.converged and hi.converged

@@ -347,6 +347,17 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["curve", "--steps"], ["verify", "--grid"]])
+def test_grid_above_a_million_points_exits_two_before_building_it(capsys, argv):
+    command, flag = argv
+    code, out, err = run(capsys, [command, "--gate", "cnot", flag, "100000000000"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be in [2, 1000000], got 100000000000\n"
+    assert len(cli._grid(1_000_000, flag)) == 1_000_000
+    with pytest.raises(cli.GateInputError):
+        cli._grid(1_000_001, flag)
+
+
 def test_help_names_the_equals_form_that_reads_a_negative_exponent_c0(capsys):
     # argparse takes "-5e-13" after a space for an option, so --help shows
     # the "=" form, which is read as a value (and the drift clamped to 0).

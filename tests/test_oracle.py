@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import envelope_scan, random_chamber_point
@@ -591,8 +591,8 @@ def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
                 assert r.extremal_concurrence - 1e-12 <= closed.c_max <= r.bound + 1e-12
             else:
                 assert r.bound - 1e-12 <= closed.c_min <= r.extremal_concurrence + 1e-12
-            # MAX evaluates one more row, at c0 = 0, for its cap.
-            assert sum(rows) - (direction is Direction.MAX) <= oracle._MAX_DIRECTIONS
+            # The opening sweep evaluates one more row, at c0 = 0, for MAX's cap.
+            assert sum(rows) - 1 <= oracle._MAX_DIRECTIONS
 
 
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
@@ -600,7 +600,7 @@ def test_direction_cap_counts_every_piece(monkeypatch, direction):
     monkeypatch.setattr(oracle, "_MAX_DIRECTIONS", 100)
     rows = _counting_support(monkeypatch)
     extremal_concurrence(VERIFY_ANCHORS["near_identity"], 0.5, direction)
-    assert sum(rows) - (direction is Direction.MAX) <= 100
+    assert sum(rows) - 1 <= 100
 
 
 def _counting_primal(monkeypatch):
@@ -622,11 +622,99 @@ def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gat
     # MAX reads the state of its final direction only.
     assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
     assert primal_rows == [1]
-    # MIN reads every support point, in the gap bounds and in the final hull.
+    # MIN reads every support point, in the gap bounds and in the final
+    # hull, but not the opening's cap row.
     support_rows.clear()
     primal_rows.clear()
     assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MIN).converged
-    assert primal_rows == support_rows
+    assert primal_rows == [support_rows[0] - 1, *support_rows[1:]]
+
+
+OPENING_ROWS = oracle._START_DIRECTIONS + 1
+
+
+def _standalone_rows(alpha, grid):
+    """Profile rows built from standalone searches, as verify_profile builds them."""
+    rows = []
+    for c0 in grid:
+        closed = power_interval(alpha, c0)
+        lo = extremal_concurrence(alpha, c0, Direction.MIN)
+        hi = extremal_concurrence(alpha, c0, Direction.MAX)
+        dev_min = abs(closed.c_min - lo.extremal_concurrence)
+        dev_max = abs(closed.c_max - hi.extremal_concurrence)
+        converged = lo.converged and hi.converged
+        rows.append(ProfileRow(
+            c0, closed.c_min, closed.c_max, lo.extremal_concurrence, hi.extremal_concurrence,
+            dev_min, dev_max, converged, converged and dev_min <= 1e-3 and dev_max <= 1e-3,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_shared_opening_leaves_profile_rows_bit_identical(gate):
+    def bits(rows):
+        return np.array([dataclasses.astuple(r) for r in rows], dtype=float).tobytes()
+
+    shared = verify_profile(VERIFY_ANCHORS[gate], GRID_11).rows
+    assert bits(shared) == bits(_standalone_rows(VERIFY_ANCHORS[gate], GRID_11))
+
+
+def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
+    rows, held = _counting_support(monkeypatch), []
+    support = oracle._support
+
+    def watched(lam, c0, theta):
+        held.append(oracle._HELD_OPENING.get())
+        return support(lam, c0, theta)
+
+    monkeypatch.setattr(oracle, "_support", watched)
+    grid = [k / 50 for k in range(50)]
+    verify_profile(VERIFY_ANCHORS["generic"], grid)
+    assert rows.count(OPENING_ROWS) == len(grid)
+    # In scope: nothing yet, or one (key, support data) pair.
+    assert all(h == () or (len(h) == 2 and len(h[1]) == 4) for h in held)
+    assert oracle._HELD_OPENING.get() is None
+    rows.clear()
+    verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
+    assert rows.count(OPENING_ROWS) == 1
+
+
+def test_standalone_searches_evaluate_their_own_openings(monkeypatch):
+    rows = _counting_support(monkeypatch)
+    alpha = VERIFY_ANCHORS["generic"]
+    extremal_concurrence(alpha, 0.5, Direction.MIN)
+    extremal_concurrence(alpha, 0.5, Direction.MAX)
+    assert rows.count(OPENING_ROWS) == 2
+
+
+def test_profile_that_raises_resets_the_shared_opening(monkeypatch):
+    alpha = VERIFY_ANCHORS["generic"]
+    with pytest.raises(ValueError):
+        verify_profile(alpha, [0.2, 1.5])
+    assert oracle._HELD_OPENING.get() is None
+    search = oracle.extremal_concurrence
+
+    def max_fails(alpha, c0, direction, cfg=None):
+        if direction is Direction.MAX:
+            raise RuntimeError("search failed")
+        return search(alpha, c0, direction, cfg)
+
+    # Raised between the two searches of one row, inside the shared scope.
+    monkeypatch.setattr(oracle, "extremal_concurrence", max_fails)
+    with pytest.raises(RuntimeError):
+        verify_profile(alpha, [0.4])
+    assert oracle._HELD_OPENING.get() is None
+    monkeypatch.undo()
+    rows = _counting_support(monkeypatch)
+    extremal_concurrence(alpha, 0.4, Direction.MAX)
+    assert rows[0] == OPENING_ROWS
+
+
+def test_reach_target_makes_one_opening(monkeypatch):
+    rows = _counting_support(monkeypatch)
+    assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).converged
+    assert rows.count(OPENING_ROWS) == 1
+    assert oracle._HELD_OPENING.get() is None
 
 
 def test_nearest_weights_survive_a_subnormal_triangle_area():
@@ -655,6 +743,7 @@ TWO_POINT_ROWS = st.tuples(
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(TWO_POINT_ROWS, min_size=1, max_size=12))
+@example(drawn=[((0, 1), 3.0, 1e-15, (0.0, 0.0), 0.0)])
 def test_two_point_primal_matches_the_general_hull_solver(drawn):
     # The dual minimiser is 0; the two active points lie at distance 2 and
     # the other two at 0.5, so exactly two distances are within
