@@ -101,10 +101,11 @@ def _coordinates(alpha) -> list[float]:
         ValueError: if alpha is not three finite numbers with |a_j| <= 1e3;
             beyond that, reduction mod pi/2 loses over 1e-13 to rounding.
     """
-    a = np.asarray(alpha, dtype=float).tolist()
-    if len(a) != 3 or not all(abs(x) <= 1e3 for x in a):  # also rejects NaN and inf
-        raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {a}")
-    return a
+    a = np.asarray(alpha, dtype=float)
+    values = a.tolist()
+    if a.shape != (3,) or not all(abs(x) <= 1e3 for x in values):  # also rejects NaN and inf
+        raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {values}")
+    return values
 
 
 def eigen_phases(alpha) -> np.ndarray:

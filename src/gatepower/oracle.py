@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,15 +54,12 @@ _TWO_PI = 2.0 * math.pi
 _OPENING_THETA = np.append(np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False), 0.0)
 _OPENING_THETA.flags.writeable = False
 # Inside verify_profile and reach_target: () or the latest opening as
-# (key, support data), so MIN and MAX at one (gate, c0) share it.
+# (key, support data, primal states of its start rows or None), so MIN and
+# MAX at one (gate, c0) share it.
 _HELD_OPENING = contextvars.ContextVar("_HELD_OPENING", default=None)
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
 # point w_j, or the optimum on the bisector of one of these pairs.
 _PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
-# Every point of the hull of four planar points lies on one of these
-# segments (a repeated index is a single point) or in one of these triangles.
-_SEGMENTS_4 = np.array(list(itertools.combinations_with_replacement(range(4), 2))).T
-_TRIANGLES_4 = np.array(list(itertools.combinations(range(4), 3))).T
 
 
 class Direction(enum.Enum):
@@ -129,20 +127,45 @@ def _segment_t(a, e) -> np.ndarray:
     return np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
 
 
-def _nearest_weights(p, segments, triangles, valid=None) -> np.ndarray:
+def _hull(segments, triangles) -> tuple:
+    """Read-only index tables of :func:`_nearest_weights` for a hull searched
+    over the given segments (2, s) and triangles (3, t) of point indices."""
+    tables = (segments[0], segments[1], triangles[[1, 2, 0]].T, triangles[[2, 0, 1]].T,
+              np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# Every point of the hull of four planar points lies on one of these
+# segments (a repeated index is a single point) or in one of these triangles.
+_HULL_4 = _hull(np.array(list(itertools.combinations_with_replacement(range(4), 2))).T,
+                np.array(list(itertools.combinations(range(4), 3))).T)
+
+
+@functools.lru_cache(maxsize=8)
+def _fan(n: int) -> tuple:
+    """Hull tables of n points in angular order: edges, diagonals and fan
+    triangles from point 0."""
+    k = np.arange(n)
+    segments = np.concatenate([np.stack([k, _rolled(k)]), np.stack([0 * k, k])], axis=1)
+    return _hull(segments, np.stack([0 * k[1:-1], k[1:-1], k[2:]]))
+
+
+def _nearest_weights(p, hull, valid=None) -> np.ndarray:
     """Convex weights of the point of each row's hull nearest to the origin.
 
-    ``p`` is (n, m); the hull of a row is searched over the given segments
-    (2, s) and triangles (3, t) of point indices, leaving out the points
-    where ``valid`` is False.  Returns (n, m) weights.
+    ``p`` is (n, m); the hull of a row is searched over the pieces of the
+    tables ``hull`` from :func:`_hull`, leaving out the points where
+    ``valid`` is False.  Returns (n, m) weights.
     """
-    s = segments.shape[1]
-    index = np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T
+    first, second, by_one, by_two, index = hull
+    s = first.size
     weights = np.zeros((len(p), len(index), 3))
-    t = _segment_t(p[:, segments[0]], p[:, segments[1]] - p[:, segments[0]])
+    t = _segment_t(p[:, first], p[:, second] - p[:, first])
     weights[:, :s, 0], weights[:, :s, 1] = 1.0 - t, t
     # Barycentric weights, up to the area: Im(conj(p_k) p_l) opposite each vertex.
-    bary = (p[:, triangles[[1, 2, 0]].T].conj() * p[:, triangles[[2, 0, 1]].T]).imag
+    bary = (p[:, by_one].conj() * p[:, by_two]).imag
     area = bary.sum(axis=2)
     # Signs, not products: bary * area can underflow to -0.0 and pass as inside.
     inside = (area != 0) & np.all(bary * np.sign(area)[:, :, None] >= 0, axis=2)
@@ -179,19 +202,24 @@ def _support(lam, c0, theta):
     return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, w, dist[rows, best]
 
 
-def _opening(lam, c0: float):
+def _opening(lam, c0: float, direction: Direction):
     """Support data (h, z, w, r) of the opening sweep: the start directions
-    at c0, then MAX's cap row at c0 = 0, theta = 0 (MIN drops it)."""
+    at c0, then MAX's cap row at c0 = 0, theta = 0; and the primal states of
+    the start rows, always built for MIN, held for a later MAX, else None."""
     held = _HELD_OPENING.get()
     key = (lam.tobytes(), c0.hex())
     if held and held[0] == key:
-        return held[1]
-    col = np.full((_OPENING_THETA.size, 1), c0)
-    col[-1] = 0.0
-    opening = _support(lam, col, _OPENING_THETA)
+        _, opening, states = held
+    else:
+        col = np.full((_OPENING_THETA.size, 1), c0)
+        col[-1] = 0.0
+        opening, states = _support(lam, col, _OPENING_THETA), None
+    if direction is Direction.MIN and states is None:
+        _, z, w, r = opening
+        states = _primal(w[:-1], z[:-1], r[:-1], c0)
     if held is not None:
-        _HELD_OPENING.set((key, opening))
-    return opening
+        _HELD_OPENING.set((key, opening, states))
+    return opening, states
 
 
 @contextlib.contextmanager
@@ -231,7 +259,7 @@ def _primal(w, z, r, c0):
         mu[i] += 1.0 - t
         mu[j] += t
     if not pair.all():
-        mu[~pair] = _nearest_weights(p[~pair], _SEGMENTS_4, _TRIANGLES_4, active[~pair])
+        mu[~pair] = _nearest_weights(p[~pair], _HULL_4, active[~pair])
     return mu * units.conj()
 
 
@@ -276,28 +304,29 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
     if c0 >= 1.0:  # D(1) is the hull of the w_j
         if direction is Direction.MAX:
             return np.eye(4, dtype=complex)[0], 1.0
-        mu = _nearest_weights(omega[None], _SEGMENTS_4, _TRIANGLES_4)[0]
+        mu = _nearest_weights(omega[None], _HULL_4)[0]
         return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
     theta = _OPENING_THETA[:-1]
-
-    def reads(z, w, r):
-        """The one per-row array the search reads: MIN every support point u,
-        MAX the dual minimisers z."""
-        return z if direction is Direction.MAX else _primal(w, z, r, c0)
-
-    h, z, w, r = _opening(lam, c0)
+    (h, z, w, r), states = _opening(lam, c0, direction)
     # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
-    h, kept = h[:-1], reads(z[:-1], w[:-1], r[:-1])
+    # The one per-row array the search reads: MIN every support point u, MAX the dual minimisers z.
+    h, kept = h[:-1], (z[:-1] if direction is Direction.MAX else states)
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.append(theta[1:], theta[0] + _TWO_PI) - theta
+        mu = None  # MIN's weights of the point nearest 0 of the support points' hull (in D)
         if direction is Direction.MAX:
             gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
             bound = float(gap_bound.max())
             wide = gap_bound > h.max() + 0.1 * _TOL
         else:
             bound = max(float((-h).max()), 0.0)
-            wide = _gap_min_bound(theta, gaps, kept @ omega) > bound + 0.1 * _TOL
+            f = kept @ omega
+            if not bound:  # no direction separates 0 from D: [0, |F|] closes once the hull holds 0
+                mu = _nearest_weights(f[None], _fan(theta.size))[0]
+                if abs(mu @ f) <= 0.1 * _TOL:
+                    break
+            wide = _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
         # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
         n_wide = int(wide.sum())
         pieces = min(16, max(2, 256 // max(n_wide, 1)))
@@ -305,18 +334,18 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
             break
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, z, w, r = _support(lam, c0, new)
-        kept_new = reads(z, w, r)
+        kept_new = z if direction is Direction.MAX else _primal(w, z, r, c0)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
         theta, h, kept = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (kept, kept_new)))
     if direction is Direction.MAX:
-        k = h.argmax()  # rebuild the final row's dual data as _support does
+        k = h.argmax()
+        if not rnd and states is not None:  # this row's state, as MIN built it from the same sweep
+            return states[k], bound
+        # Rebuild the final row's dual data as _support does.
         z, w = kept[[k]], np.exp(1j * (2.0 * lam - theta[k]))[None]
         return _primal(w, z, np.abs(w - z[:, None]), c0)[0], bound
-    # The point nearest 0 of the support points' hull (in D): edges, fan triangles, diagonals.
-    k = np.arange(len(theta))
-    segments = np.concatenate([np.stack([k, _rolled(k)]), np.stack([0 * k, k])], axis=1)
-    triangles = np.stack([0 * k[1:-1], k[1:-1], k[2:]])
-    mu = _nearest_weights((kept @ omega)[None], segments, triangles)[0]
+    if mu is None:
+        mu = _nearest_weights(f[None], _fan(theta.size))[0]
     return _pad(mu @ kept, omega), bound
 
 
@@ -352,7 +381,8 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
     Moves along the segment between the minimising and maximising u to
     where |F| crosses ``target``, exercising the claim that every value
     between the extremal concurrences is attainable.  The two searches
-    share one opening sweep.
+    share one opening sweep and MIN's states of its start directions; MAX
+    takes its state from those when it needs no further direction.
     """
     c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
@@ -380,7 +410,9 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     A row passes when both oracle extrema agree with the closed forms
     within ``tol`` and both brackets converged; failures are recorded in
     the report, never raised.  An empty grid raises ``ValueError``.  The
-    MIN and MAX searches at one c0 share one opening sweep.
+    MIN and MAX searches at one c0 share one opening sweep and MIN's states
+    of its start directions; MAX takes its state from those when it needs
+    no further direction.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -237,7 +237,7 @@ def test_reduce_alpha_rejects_non_finite(bad):
         reduce_alpha(bad)
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf]])
+@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf], 0.5, np.float64(0.5)])
 def test_eigen_phases_and_canonical_gate_reject_non_finite(bad):
     for call in (reduce_alpha, eigen_phases, canonical_gate):
         with pytest.raises(ValueError, match="three finite numbers"):

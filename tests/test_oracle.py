@@ -671,8 +671,9 @@ def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
     assert rows.count(OPENING_ROWS) == len(grid)
-    # In scope: nothing yet, or one (key, support data) pair.
-    assert all(h == () or (len(h) == 2 and len(h[1]) == 4) for h in held)
+    # In scope: nothing yet, or one (key, support data, MIN's opening states) triple.
+    assert all(h == () or (len(h) == 3 and len(h[1]) == 4 and h[2].shape == (oracle._START_DIRECTIONS, 4))
+               for h in held)
     assert oracle._HELD_OPENING.get() is None
     rows.clear()
     verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
@@ -717,13 +718,75 @@ def test_reach_target_makes_one_opening(monkeypatch):
     assert oracle._HELD_OPENING.get() is None
 
 
+@pytest.mark.parametrize("gate", ["saturating", "facet"])
+def test_profile_row_builds_the_opening_states_once(monkeypatch, gate):
+    support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
+    verify_profile(VERIFY_ANCHORS[gate], [0.5])
+    # Neither search refines, so MAX takes its state from MIN's opening states.
+    assert support_rows == [OPENING_ROWS]
+    assert primal_rows == [oracle._START_DIRECTIONS]
+    primal_rows.clear()
+    extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MAX)
+    assert primal_rows == [1]
+
+
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
+    calls, gap_min_bound = [], oracle._gap_min_bound
+
+    def counted(*args):
+        calls.append(args)
+        return gap_min_bound(*args)
+
+    monkeypatch.setattr(oracle, "_gap_min_bound", counted)
+    r = extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MIN)
+    assert r.converged
+    if gate == "near_identity":  # c_min > 0: a direction separates 0 from D
+        assert r.bound > 0 and len(calls) >= 1
+    else:
+        assert r.bound == 0 and calls == []
+        assert r.extremal_concurrence <= 0.1 * oracle._TOL
+
+
+# reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
+RECORDED_REACH = {
+    "generic": (0.5, 0.49999999999999983, 1.1102230246251565e-16,
+                "ba06c9fa03bee13fe809a79f139e7d3f8c34f3bbe697d43fb809ac7c631bbebf"
+                "1a4b7697fa4ae7bf7aa566cfd8d9cabfe028cba384f48fbfd260f79b0ad3a03f"),
+    "near_identity": (0.49840085315130966, 0.4984008531513084, 0.0,
+                      "f204edcc9b62b4bf59d76ed6c7c1b53f5827148b30edd63fa9f975454a80d8bf"
+                      "54eb8b2eb9a0dcbf2d6c52e00c8dd9bf184d3f447582e13fac4bbd8aaf60cd3f"),
+    "saturating": (0.5, 0.49999999999999983, 1.6653345369377348e-16,
+                   "604ada2b1b5eeb3f7c9015d92d7ab1bf1c163d83547dac3fe07da62099eb96bf"
+                   "de67b56db899dbbf3c8b2e6671c1b3bf2d78f57329a5d03faacb434c05ad9b3f"),
+    "facet": (0.5, 0.49999999999999967, 1.6653345369377348e-16,
+              "4adf8622d2a0cd3fda5e2fc34574e9bf893d61870e83c63f67dfd87eb3f6c7bf"
+              "2eea135522e8dbbfe55cadc36521c3bf5890cb23fcfe8ebf6af0a66625f3c73f"),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(RECORDED_REACH))
+def test_reach_target_matches_recorded_states(gate):
+    target, value, violation, achiever = RECORDED_REACH[gate]
+    r = reach_target(VERIFY_ANCHORS[gate], 0.5, target)
+    assert (r.extremal_concurrence, r.constraint_violation, r.bound) == (value, violation, target)
+    assert r.converged
+    assert r.achiever.tobytes().hex() == achiever
+
+
+def test_hull_tables_are_built_once_and_read_only():
+    assert oracle._fan(64) is oracle._fan(64)
+    for table in (*oracle._HULL_4, *oracle._fan(64)):
+        assert not table.flags.writeable
+
+
 def test_nearest_weights_survive_a_subnormal_triangle_area():
     # Two points 2e-305 rad apart: a barycentric weight times the triangle's
     # area underflowed to -0.0, so the triangle passed as inside and
     # dividing by its area overflowed.
     tiny = 2.1400817583260724e-305
     p = np.exp(1j * np.array([[tiny, tiny, 0.0, 3.0]])) - 0.2591679257250581
-    mu = oracle._nearest_weights(p, oracle._SEGMENTS_4, oracle._TRIANGLES_4)
+    mu = oracle._nearest_weights(p, oracle._HULL_4)
     np.testing.assert_allclose(mu, [[0.62958396, 0.0, 0.0, 0.37041604]], atol=1e-8)
 
 
@@ -759,7 +822,7 @@ def test_two_point_primal_matches_the_general_hull_solver(drawn):
     active = r >= r.max(axis=1, keepdims=True) - oracle._ACTIVE_ATOL
     assert np.all(active.sum(axis=1) == 2)
     units = w / r
-    mu = oracle._nearest_weights(units - c0, oracle._SEGMENTS_4, oracle._TRIANGLES_4, active)
+    mu = oracle._nearest_weights(units - c0, oracle._HULL_4, active)
     for k, (*_, weights) in enumerate(TWO_POINT_EDGES):
         np.testing.assert_array_equal(mu[k, :2], weights)
     # u = mu conj(unit) with unit vectors: equal u means equal weights.
