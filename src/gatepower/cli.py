@@ -190,12 +190,13 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _emit(doc: dict, json_flag: bool, human_lines: list[str]) -> None:
+def _emit(doc: dict, json_flag: bool, human_lines: list[str], file=None) -> None:
+    """Print ``doc`` as JSON or the human lines to ``file`` (stdout if None)."""
     if json_flag:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True), file=file)
     else:
         for line in human_lines:
-            print(line)
+            print(line, file=file)
 
 
 def _cmd_decompose(args) -> int:
@@ -278,14 +279,15 @@ def _cmd_curve(args) -> int:
     else:
         table = [[c0, *power_interval(alpha, c0)] for c0 in grid]
     lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
-    if args.out not in (None, "-"):
+    doc = {"gate": name, "columns": columns, "rows": table, "passed": not failed}
+    if args.out in (None, "-"):
+        _emit(doc, args.json, lines)
+    else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
+                _emit(doc, args.json, lines, fh)
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
-    else:
-        _emit({"gate": name, "columns": columns, "rows": table, "passed": not failed}, args.json, lines)
     if failed:
         worst = max(max(r.deviation_min, r.deviation_max) for r in report.rows)
         print(f"verification failed: max deviation {worst:.3e} > {report.tol:.0e}", file=sys.stderr)

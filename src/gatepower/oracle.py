@@ -15,8 +15,6 @@ Gaps between directions are split into equal pieces until the two sides meet.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import enum
 import functools
 import itertools
@@ -53,10 +51,6 @@ _TWO_PI = 2.0 * math.pi
 # cap row at c0 = 0, theta = 0 (see _opening).
 _OPENING_THETA = np.append(np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False), 0.0)
 _OPENING_THETA.flags.writeable = False
-# Inside verify_profile and reach_target: () or the latest opening as
-# (key, support data, primal states of its start rows or None), so MIN and
-# MAX at one (gate, c0) share it.
-_HELD_OPENING = contextvars.ContextVar("_HELD_OPENING", default=None)
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
 # point w_j, or the optimum on the bisector of one of these pairs.
 _PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
@@ -202,34 +196,21 @@ def _support(lam, c0, theta):
     return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, w, dist[rows, best]
 
 
-def _opening(lam, c0: float, direction: Direction):
-    """Support data (h, z, w, r) of the opening sweep: the start directions
-    at c0, then MAX's cap row at c0 = 0, theta = 0; and the primal states of
-    the start rows, always built for MIN, held for a later MAX, else None."""
-    held = _HELD_OPENING.get()
-    key = (lam.tobytes(), c0.hex())
-    if held and held[0] == key:
-        _, opening, states = held
-    else:
-        col = np.full((_OPENING_THETA.size, 1), c0)
-        col[-1] = 0.0
-        opening, states = _support(lam, col, _OPENING_THETA), None
-    if direction is Direction.MIN and states is None:
-        _, z, w, r = opening
-        states = _primal(w[:-1], z[:-1], r[:-1], c0)
-    if held is not None:
-        _HELD_OPENING.set((key, opening, states))
+@functools.lru_cache(maxsize=1)
+def _opening(lam_bytes: bytes, c0_hex: str):
+    """Read-only support data (h, z, w, r) of the opening sweep, the start
+    directions at c0 then MAX's cap row at c0 = 0, theta = 0, and MIN's
+    primal states of the start rows.  Keyed by exact bytes, so MIN and MAX
+    at one (gate, c0) share the latest sweep."""
+    lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
+    col = np.full((_OPENING_THETA.size, 1), c0)
+    col[-1] = 0.0
+    opening = _support(lam, col, _OPENING_THETA)
+    _, z, w, r = opening
+    states = _primal(w[:-1], z[:-1], r[:-1], c0)
+    for array in (*opening, states):
+        array.flags.writeable = False
     return opening, states
-
-
-@contextlib.contextmanager
-def _sharing_openings():
-    """Let the searches inside share their latest opening sweep, and only them."""
-    token = _HELD_OPENING.set(())
-    try:
-        yield
-    finally:
-        _HELD_OPENING.reset(token)
 
 
 def _rolled(x) -> np.ndarray:
@@ -307,7 +288,7 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         mu = _nearest_weights(omega[None], _HULL_4)[0]
         return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
     theta = _OPENING_THETA[:-1]
-    (h, z, w, r), states = _opening(lam, c0, direction)
+    (h, z, w, r), states = _opening(lam.tobytes(), c0.hex())
     # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
     # The one per-row array the search reads: MIN every support point u, MAX the dual minimisers z.
@@ -339,7 +320,7 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
         theta, h, kept = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (kept, kept_new)))
     if direction is Direction.MAX:
         k = h.argmax()
-        if not rnd and states is not None:  # this row's state, as MIN built it from the same sweep
+        if not rnd:  # the opening already holds this row's state
             return states[k], bound
         # Rebuild the final row's dual data as _support does.
         z, w = kept[[k]], np.exp(1j * (2.0 * lam - theta[k]))[None]
@@ -369,7 +350,12 @@ def extremal_concurrence(
     an explicitly constructed feasible state, so it can undershoot a true
     maximum but never exceed it (and vice versa for minima); ``bound``
     bounds the extremum from the other side.  ``cfg`` is ignored.
+
+    Raises:
+        TypeError: if ``direction`` is not a :class:`Direction` member.
     """
+    if not isinstance(direction, Direction):
+        raise TypeError(f"direction must be a Direction member, got {direction!r}")
     c0 = _concurrence(c0)
     u, bound = _bracket(eigen_phases(alpha), c0, direction)
     return _result(alpha, c0, u, bound)
@@ -382,14 +368,14 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
     where |F| crosses ``target``, exercising the claim that every value
     between the extremal concurrences is attainable.  The two searches
     share one opening sweep and MIN's states of its start directions; MAX
-    takes its state from those when it needs no further direction.
+    takes its state from those when it needs no further direction.  The
+    latest (gate, c0) opening stays in memory, read-only, for the next search.
     """
     c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
     omega = np.exp(2j * lam)
-    with _sharing_openings():
-        lo_u = _bracket(lam, c0, Direction.MIN)[0]
-        hi_u = _bracket(lam, c0, Direction.MAX)[0]
+    lo_u = _bracket(lam, c0, Direction.MIN)[0]
+    hi_u = _bracket(lam, c0, Direction.MAX)[0]
     # |F(s)| = |a + s d| is convex; its crossing is the larger root of
     # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
     a, d = lo_u @ omega, (hi_u - lo_u) @ omega
@@ -412,7 +398,8 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     the report, never raised.  An empty grid raises ``ValueError``.  The
     MIN and MAX searches at one c0 share one opening sweep and MIN's states
     of its start directions; MAX takes its state from those when it needs
-    no further direction.
+    no further direction.  The latest (gate, c0) opening stays in memory,
+    read-only, for the next search.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -420,9 +407,8 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     rows = []
     for c0 in c0_grid:
         closed = power_interval(alpha, c0)
-        with _sharing_openings():
-            lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
-            hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
+        lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
+        hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
         dev_min = abs(closed.c_min - lo.extremal_concurrence)
         dev_max = abs(closed.c_max - hi.extremal_concurrence)
         converged = lo.converged and hi.converged

@@ -214,6 +214,16 @@ def test_curve_writes_file(tmp_path, capsys):
     assert lines[2] == "0.25,0.25,0.25"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_curve_file_holds_what_stdout_would_print(tmp_path, capsys, flags):
+    argv = ["curve", "--gate", "cnot", "--steps", "3", *flags]
+    _, printed, _ = run(capsys, argv)
+    out_path = tmp_path / "curve.out"
+    code, out, _ = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == 0 and out == ""
+    assert out_path.read_bytes() == printed.encode()
+
+
 def test_curve_verify_adds_oracle_columns(capsys):
     code, out, _ = run(
         capsys,

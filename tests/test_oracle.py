@@ -56,6 +56,12 @@ def test_config_changes_nothing_in_the_benchmark_call_shapes():
     )
 
 
+@pytest.mark.parametrize("direction", ["max", "min", 1, None])
+def test_rejects_a_direction_that_is_not_a_member(direction):
+    with pytest.raises(TypeError, match="Direction"):
+        extremal_concurrence([0.45, 0.25, 0.10], 0.5, direction)
+
+
 def test_rejects_bad_c0():
     with pytest.raises(ValueError):
         extremal_concurrence([0, 0, 0], 1.2, Direction.MAX)
@@ -555,7 +561,9 @@ def test_reach_target_lands_on_the_target():
 
 
 def _counting_support(monkeypatch):
-    """Wrap ``oracle._support``; returns the list of row counts per call."""
+    """Clear the opening memo and wrap ``oracle._support``; returns the list
+    of row counts per call."""
+    oracle._opening.cache_clear()
     rows, support = [], oracle._support
 
     def counted(lam, c0, theta):
@@ -604,7 +612,9 @@ def test_direction_cap_counts_every_piece(monkeypatch, direction):
 
 
 def _counting_primal(monkeypatch):
-    """Wrap ``oracle._primal``; returns the list of row counts per call."""
+    """Clear the opening memo and wrap ``oracle._primal``; returns the list
+    of row counts per call."""
+    oracle._opening.cache_clear()
     rows, primal = [], oracle._primal
 
     def counted(w, z, r, c0):
@@ -619,11 +629,13 @@ def _counting_primal(monkeypatch):
 @pytest.mark.parametrize("gate", ["generic", "near_identity"])
 def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
-    # MAX reads the state of its final direction only.
+    # MAX reads the state of its final direction only: from the opening's
+    # states if it made no refinement round, else rebuilt as one row.
     assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
-    assert primal_rows == [1]
+    assert primal_rows == [oracle._START_DIRECTIONS] + ([1] if len(support_rows) > 1 else [])
     # MIN reads every support point, in the gap bounds and in the final
     # hull, but not the opening's cap row.
+    oracle._opening.cache_clear()
     support_rows.clear()
     primal_rows.clear()
     assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MIN).converged
@@ -660,39 +672,47 @@ def test_shared_opening_leaves_profile_rows_bit_identical(gate):
 
 
 def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
-    rows, held = _counting_support(monkeypatch), []
-    support = oracle._support
-
-    def watched(lam, c0, theta):
-        held.append(oracle._HELD_OPENING.get())
-        return support(lam, c0, theta)
-
-    monkeypatch.setattr(oracle, "_support", watched)
+    rows = _counting_support(monkeypatch)
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
     assert rows.count(OPENING_ROWS) == len(grid)
-    # In scope: nothing yet, or one (key, support data, MIN's opening states) triple.
-    assert all(h == () or (len(h) == 3 and len(h[1]) == 4 and h[2].shape == (oracle._START_DIRECTIONS, 4))
-               for h in held)
-    assert oracle._HELD_OPENING.get() is None
+    assert oracle._opening.cache_info().currsize == 1
+    # The memo holds the last row's opening, so a search there evaluates none.
+    rows.clear()
+    extremal_concurrence(VERIFY_ANCHORS["generic"], grid[-1], Direction.MIN)
+    assert OPENING_ROWS not in rows
     rows.clear()
     verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
     assert rows.count(OPENING_ROWS) == 1
 
 
-def test_standalone_searches_evaluate_their_own_openings(monkeypatch):
+def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
     rows = _counting_support(monkeypatch)
     alpha = VERIFY_ANCHORS["generic"]
     extremal_concurrence(alpha, 0.5, Direction.MIN)
     extremal_concurrence(alpha, 0.5, Direction.MAX)
+    assert rows.count(OPENING_ROWS) == 1
+    # Keyed by exact bytes: -0.0 and 0.0 are two openings.
+    rows.clear()
+    extremal_concurrence(alpha, 0.0, Direction.MIN)
+    extremal_concurrence(alpha, -0.0, Direction.MAX)
     assert rows.count(OPENING_ROWS) == 2
 
 
-def test_profile_that_raises_resets_the_shared_opening(monkeypatch):
+def test_memoised_opening_is_read_only():
+    lam = oracle.eigen_phases(VERIFY_ANCHORS["generic"])
+    opening, states = oracle._opening(lam.tobytes(), (0.5).hex())
+    for array in (*opening, states):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_profile_that_raises_leaves_later_searches_correct(monkeypatch):
     alpha = VERIFY_ANCHORS["generic"]
+    oracle._opening.cache_clear()
+    fresh = extremal_concurrence(alpha, 0.4, Direction.MAX)
     with pytest.raises(ValueError):
         verify_profile(alpha, [0.2, 1.5])
-    assert oracle._HELD_OPENING.get() is None
     search = oracle.extremal_concurrence
 
     def max_fails(alpha, c0, direction, cfg=None):
@@ -700,22 +720,26 @@ def test_profile_that_raises_resets_the_shared_opening(monkeypatch):
             raise RuntimeError("search failed")
         return search(alpha, c0, direction, cfg)
 
-    # Raised between the two searches of one row, inside the shared scope.
+    # Raised between the two searches of one row: MIN's opening stays memoised.
     monkeypatch.setattr(oracle, "extremal_concurrence", max_fails)
     with pytest.raises(RuntimeError):
         verify_profile(alpha, [0.4])
-    assert oracle._HELD_OPENING.get() is None
     monkeypatch.undo()
-    rows = _counting_support(monkeypatch)
-    extremal_concurrence(alpha, 0.4, Direction.MAX)
-    assert rows[0] == OPENING_ROWS
+    hits = oracle._opening.cache_info().hits
+    later = extremal_concurrence(alpha, 0.4, Direction.MAX)
+    assert oracle._opening.cache_info().hits == hits + 1
+    assert later.achiever.tobytes() == fresh.achiever.tobytes()
+    assert (later.extremal_concurrence, later.bound) == (fresh.extremal_concurrence, fresh.bound)
 
 
 def test_reach_target_makes_one_opening(monkeypatch):
     rows = _counting_support(monkeypatch)
-    assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).converged
+    first = reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7)
+    assert first.converged
     assert rows.count(OPENING_ROWS) == 1
-    assert oracle._HELD_OPENING.get() is None
+    # A second call at the same (gate, c0) reuses it and gives the same state.
+    assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).achiever.tobytes() == first.achiever.tobytes()
+    assert rows.count(OPENING_ROWS) == 1
 
 
 @pytest.mark.parametrize("gate", ["saturating", "facet"])
@@ -725,9 +749,11 @@ def test_profile_row_builds_the_opening_states_once(monkeypatch, gate):
     # Neither search refines, so MAX takes its state from MIN's opening states.
     assert support_rows == [OPENING_ROWS]
     assert primal_rows == [oracle._START_DIRECTIONS]
+    # A later search at the same (gate, c0) builds nothing new.
+    support_rows.clear()
     primal_rows.clear()
     extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MAX)
-    assert primal_rows == [1]
+    assert support_rows == primal_rows == []
 
 
 @pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
