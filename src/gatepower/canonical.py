@@ -84,9 +84,18 @@ class CanonicalDecomposition:
     global_phase: float
 
 
+def _real(alpha) -> np.ndarray:
+    """alpha as floats; ValueError if complex, whose imaginary parts a float
+    conversion would drop with only a warning."""
+    a = np.asarray(alpha)
+    if a.dtype.kind == "c":
+        raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
+    return a.astype(float, copy=False)
+
+
 def in_weyl_chamber(alpha, tol: float = 1e-9) -> bool:
-    """True if pi/4 >= a1 >= a2 >= |a3| >= 0 holds within ``tol``."""
-    a1, a2, a3 = np.asarray(alpha, dtype=float)
+    """True if pi/4 >= a1 >= a2 >= |a3| >= 0 holds within ``tol``; ValueError if alpha is complex."""
+    a1, a2, a3 = _real(alpha)
     return (
         a1 <= _QUARTER_PI + tol
         and a1 >= a2 - tol
@@ -98,10 +107,10 @@ def _coordinates(alpha) -> list[float]:
     """alpha as three Python floats.
 
     Raises:
-        ValueError: if alpha is not three finite numbers with |a_j| <= 1e3;
+        ValueError: if alpha is not three finite real numbers with |a_j| <= 1e3;
             beyond that, reduction mod pi/2 loses over 1e-13 to rounding.
     """
-    a = np.asarray(alpha, dtype=float)
+    a = _real(alpha)
     values = a.tolist()
     if a.shape != (3,) or not all(abs(x) <= 1e3 for x in values):  # also rejects NaN and inf
         raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {values}")
@@ -121,7 +130,7 @@ def eigen_phases(alpha) -> np.ndarray:
     which sum to zero identically.
 
     Raises:
-        ValueError: if a coordinate is not finite or exceeds 1e3 in magnitude.
+        ValueError: if a coordinate is complex, not finite or exceeds 1e3 in magnitude.
     """
     a1, a2, a3 = _coordinates(alpha)
     return np.array([-a1 + a2 + a3, a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3])
@@ -190,7 +199,7 @@ def reduce_alpha(alpha) -> np.ndarray:
     pi/2 - a1 would lie outside the closed chamber.
 
     Raises:
-        ValueError: if a coordinate is not finite or exceeds 1e3 in magnitude.
+        ValueError: if a coordinate is complex, not finite or exceeds 1e3 in magnitude.
     """
     a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
     for j, k in ((0, 1), (1, 2), (0, 1)):

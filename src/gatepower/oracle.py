@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import canonical_gate, eigen_phases
+from .canonical import _real, canonical_gate, eigen_phases
 from .power import power_interval
-from .states import _concurrence, concurrence, from_magic_coefficients, rescale_to_concurrence
+from .states import _concurrence, concurrence, from_magic_coefficients
 
 __all__ = [
     "Direction",
@@ -79,8 +79,10 @@ class OracleResult:
     """Outcome of one bracket.
 
     ``extremal_concurrence`` is the final concurrence of the explicit state
-    ``achiever``; ``bound`` is the certified value on the other side (the
-    target for :func:`reach_target`).  ``starts_agreeing`` is 1 if converged.
+    ``achiever``, reported as the bracket built it; ``constraint_violation``
+    is that state's distance from the initial concurrence, ||sum b^2| - c0|.
+    ``bound`` is the certified value on the other side (the target for
+    :func:`reach_target`).  ``starts_agreeing`` is 1 if converged.
     """
 
     extremal_concurrence: float
@@ -185,15 +187,33 @@ def _support(lam, c0, theta):
     diff = 0.5 * (psi[:, _PAIRS[0]] - psi[:, _PAIRS[1]])
     # On the bisector z = t exp(i half), |z - w_j|^2 = (t - a)^2 + b^2.
     a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
-    t = a - s * b / np.sqrt(1.0 - s * s)
+    root = np.sqrt(1.0 - s * s)
+    # Only rows with c0 within 1e-8 of 1 reach |t| > 1e4 (|t| <= 1 + c0 / sqrt(1 - c0^2)).
+    # There 1 - s * s cancels, so they take 1 -/+ s from half-angle squares.
+    near = c0 > 1.0 - 1e-8
+    stable = np.any(near)
+    if stable:
+        ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
+        root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
+    t = a - s * b / root
     cand = np.concatenate([np.zeros((theta.size, 1)), w, t * np.exp(1j * half)], axis=1)
     dist = np.abs(w[:, None, :] - cand[:, :, None])
     g = c0 * cand.real + dist.max(axis=2)
+    # Any z bounds h from above; a margin covers rounding in evaluating g
+    # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g on near rows).
+    far = 1.0
+    if stable:
+        # g = lead + max_j (|w_j - z| - |z|), lead = c0 Re z + |z| = |t| (1 -/+ s) on bisectors.
+        size = np.abs(cand)
+        lead = c0 * cand.real + size
+        lead[:, 5:] = np.abs(t) * np.where(t < 0, *ends)
+        excess = (1.0 - 2.0 * (w.conj()[:, None, :] * cand[:, :, None]).real) / (dist + size[:, :, None])
+        g = np.where(near, lead + excess.max(axis=2) + 8.0 * _EPS * (2.0 + lead), g)
+        far = np.where(near, 0.0, 1.0).ravel()
     best = g.argmin(axis=1)
     rows = np.arange(theta.size)
     z = cand[rows, best]
-    # Any z bounds h from above; the margin covers rounding in evaluating g.
-    return g[rows, best] + 8.0 * _EPS * (1.0 + np.abs(z)), z, w, dist[rows, best]
+    return g[rows, best] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[rows, best]
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,8 +242,10 @@ def _primal(w, z, r, c0):
     """Feasible u (sum |u| = 1, sum u = c0) attaining the support values of
     the dual data (w, z, r) from :func:`_support`; c0 may be a column."""
     # Optimality of z puts c0 in the hull of the unit vectors from z to the
-    # active points; the hull weights mu give u_j = mu_j conj(unit_j).
-    active = r >= r.max(axis=1, keepdims=True) - _ACTIVE_ATOL
+    # active points; the hull weights mu give u_j = mu_j conj(unit_j).  The
+    # excesses r_j - |z| compare them without cancelling |z| ~ 1 / sqrt(1 - c0^2).
+    excess = ((w - 2.0 * z[:, None]) * w.conj()).real / (r + np.abs(z)[:, None])
+    active = excess >= excess.max(axis=1, keepdims=True) - _ACTIVE_ATOL
     units = np.divide(w - z[:, None], r, out=np.ones_like(w), where=r > _ACTIVE_ATOL)
     # When every point sits at z, any unit vectors are subgradients.
     units[r.max(axis=1) <= _ACTIVE_ATOL] = [1.0, -1.0, 1.0, -1.0]
@@ -331,10 +353,9 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
 
 
 def _result(alpha, c0: float, u, bound: float) -> OracleResult:
-    """Snap b = sqrt(u) onto the constraint and measure its final concurrence."""
-    b = np.sqrt(u)
-    snapped = rescale_to_concurrence(b, c0)
-    state = from_magic_coefficients(b if snapped is None else snapped)
+    """Measure the state with magic coefficients b = sqrt(u) as built: its
+    final concurrence and its distance from the constraint |sum b^2| = c0."""
+    state = from_magic_coefficients(np.sqrt(u))
     value = concurrence(canonical_gate(alpha) @ state)
     violation = abs(concurrence(state) - c0)
     converged = abs(value - bound) <= _TOL and violation <= _TOL
@@ -347,12 +368,15 @@ def extremal_concurrence(
     """Bracket the extremal final concurrence over states of concurrence c0.
 
     Independent of the closed forms: the value is the final concurrence of
-    an explicitly constructed feasible state, so it can undershoot a true
+    an explicitly constructed state, measured as built (it misses c0 by its
+    ``constraint_violation``, rounding only), so it can undershoot a true
     maximum but never exceed it (and vice versa for minima); ``bound``
     bounds the extremum from the other side.  ``cfg`` is ignored.
 
     Raises:
         TypeError: if ``direction`` is not a :class:`Direction` member.
+        ValueError: if ``alpha`` is not three finite real coordinates with
+            |a_j| <= 1e3, or ``c0`` lies outside [0, 1] by more than 1e-12.
     """
     if not isinstance(direction, Direction):
         raise TypeError(f"direction must be a Direction member, got {direction!r}")
@@ -403,7 +427,7 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _real(alpha)
     rows = []
     for c0 in c0_grid:
         closed = power_interval(alpha, c0)

@@ -10,7 +10,6 @@ __all__ = [
     "to_magic_coefficients",
     "from_magic_coefficients",
     "concurrence",
-    "rescale_to_concurrence",
 ]
 
 
@@ -48,38 +47,3 @@ def concurrence(state: np.ndarray) -> float:
     """
     b = to_magic_coefficients(state)
     return float(min(abs(np.sum(b * b)), 1.0))
-
-
-def rescale_to_concurrence(b: np.ndarray, c0: float) -> np.ndarray | None:
-    """Move magic coefficients along the constraint manifold to |sum b^2| = c0.
-
-    Rotates b by a global phase so sum(b^2) is real non-negative, then
-    rescales the real and imaginary parts separately so the result is unit
-    norm with concurrence exactly ``c0``.  Returns None when b is zero or
-    not finite, or when the rescaling is singular (a purely real b cannot
-    be moved below concurrence one).
-
-    Raises:
-        ValueError: if ``c0`` is outside [0, 1] by more than 1e-12.
-    """
-    c0 = _concurrence(c0, "target")
-    b = np.asarray(b, dtype=complex)
-    norm = np.linalg.norm(b)
-    if not 0.0 < norm < np.inf:  # zero, or NaN / inf entries
-        return None
-    b = b / norm
-    s = np.sum(b * b)
-    b = b * np.exp(-0.5j * np.angle(s))
-    x = b.real.copy()
-    y = b.imag.copy()
-    p = float(np.sum(x * x))
-    q = float(np.sum(y * y))
-    # p + q = 1 and p - q = |sum b^2| >= 0 by construction, so p >= 1/2.
-    if 1.0 - c0 < 1e-15:
-        scaled = x / np.sqrt(p)
-        return scaled.astype(complex)
-    if q <= 1e-30:
-        return None
-    out = np.sqrt((1.0 + c0) / (2.0 * p)) * x + 1j * np.sqrt((1.0 - c0) / (2.0 * q)) * y
-    return out / np.linalg.norm(out)
-

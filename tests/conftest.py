@@ -15,9 +15,9 @@ from gatepower import (
     oracle,
     power_interval,
     random_unitary,
-    rescale_to_concurrence,
     tensor_product,
 )
+from gatepower.states import _concurrence
 
 pytest_plugins = ["pytester"]
 
@@ -51,11 +51,19 @@ def sample_state_with_concurrence(c0: float, seed: int) -> np.ndarray:
     fixed-concurrence manifold, so repeated seeds cover the manifold
     generically (all four coefficients nonzero almost surely).
     """
+    c0 = _concurrence(c0)
     rng = np.random.default_rng(seed)
-    b = rescale_to_concurrence(rng.standard_normal(4) + 1j * rng.standard_normal(4), c0)
-    if b is None:  # a draw real up to a global phase: probability zero
-        raise RuntimeError("state sampling drew a singular state")
-    return from_magic_coefficients(b)
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    b = b / np.linalg.norm(b)
+    # Turn sum b^2 real and non-negative: then p + q = 1 and p - q = |sum b^2|,
+    # so scaling the real and imaginary parts apart sets both sums.
+    b = b * np.exp(-0.5j * np.angle(np.sum(b * b)))
+    x, y = b.real.copy(), b.imag.copy()
+    p, q = float(np.sum(x * x)), float(np.sum(y * y))
+    if 1.0 - c0 < 1e-15:
+        return from_magic_coefficients((x / np.sqrt(p)).astype(complex))
+    out = np.sqrt((1.0 + c0) / (2.0 * p)) * x + 1j * np.sqrt((1.0 - c0) / (2.0 * q)) * y
+    return from_magic_coefficients(out / np.linalg.norm(out))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from gatepower import (
     reach_target,
     reconstruct,
     reduce_alpha,
-    rescale_to_concurrence,
     verify_profile,
 )
 from gatepower.cli import main
@@ -111,6 +110,31 @@ def test_coordinates_up_to_1e3_are_accepted():
     assert verify_profile(w, [0.0, 0.3, 0.7, 1.0]).passed
 
 
+COMPLEX_COORDINATES = [0.3 + 0.2j, 0.1, 0]
+
+
+@pytest.mark.parametrize("alpha", [np.array(COMPLEX_COORDINATES), COMPLEX_COORDINATES], ids=["array", "list"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: power_interval(a, 0.5),
+        eigen_phases,
+        reduce_alpha,
+        canonical_gate,
+        in_weyl_chamber,
+        lambda a: extremal_concurrence(a, 0.5, Direction.MAX),
+        lambda a: verify_profile(a, [0.5]),
+    ],
+    ids=["power_interval", "eigen_phases", "reduce_alpha", "canonical_gate", "in_weyl_chamber",
+         "extremal", "verify_profile"],
+)
+def test_complex_coordinates_are_rejected(call, alpha):
+    # A float conversion dropped the imaginary parts with only a warning
+    # (power_interval then gave c_max = 0.9696...); a list raised TypeError.
+    with pytest.raises(ValueError, match="must be real numbers"):
+        call(alpha)
+
+
 def _cli_power(c0):
     """CLI ``power`` at ``c0``; an input error comes back as ValueError."""
     err = io.StringIO()
@@ -131,11 +155,10 @@ W = [0.3, 0.2, 0.1]
         lambda c: extremal_concurrence(W, c, Direction.MIN),
         lambda c: reach_target(W, c, 0.5),
         lambda c: reach_target(W, 0.5, c),
-        lambda c: rescale_to_concurrence(np.array([0.5, 0.5j, 0.5, 0.5j]), c),
         lambda c: sample_state_with_concurrence(c, 3),
         _cli_power,
     ],
-    ids=["power_interval", "extremal", "reach_c0", "reach_target", "rescale", "sampler", "cli"],
+    ids=["power_interval", "extremal", "reach_c0", "reach_target", "sampler", "cli"],
 )
 def test_concurrence_drift_is_clamped_and_larger_excess_rejected(call):
     for c in (1.0 + 5e-13, -5e-13):

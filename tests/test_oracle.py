@@ -408,9 +408,9 @@ def test_verify_profile_matches_recorded_report():
             c0=0.0,
             closed_min=0.0,
             closed_max=0.9854497299884601,
-            oracle_min=1.8619006149354548e-16,
+            oracle_min=1.3877787807814457e-16,
             oracle_max=0.9854497299884594,
-            deviation_min=1.8619006149354548e-16,
+            deviation_min=1.3877787807814457e-16,
             deviation_max=7.771561172376096e-16,
             converged=True,
             passed=True,
@@ -419,10 +419,10 @@ def test_verify_profile_matches_recorded_report():
             c0=0.3,
             closed_min=0.0,
             closed_max=1.0,
-            oracle_min=2.3551386880256624e-16,
-            oracle_max=0.9999999999999991,
-            deviation_min=2.3551386880256624e-16,
-            deviation_max=8.881784197001252e-16,
+            oracle_min=1.5700924586837752e-16,
+            oracle_max=0.9999999999999994,
+            deviation_min=1.5700924586837752e-16,
+            deviation_max=5.551115123125783e-16,
             converged=True,
             passed=True,
         ),
@@ -584,8 +584,7 @@ def test_near_identity_search_refines_in_few_rounds(monkeypatch, c0, direction):
 
 
 def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
-    # Known limit: the dual minimiser runs to |z| ~ 1e7, so a bracket may
-    # stay open, but it must still hold the closed form.
+    # The dual minimiser runs to |z| ~ 1e7; the bracket still closes.
     rows = _counting_support(monkeypatch)
     rng = np.random.default_rng(29)
     c0 = 1.0 - 1e-14
@@ -599,8 +598,18 @@ def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
                 assert r.extremal_concurrence - 1e-12 <= closed.c_max <= r.bound + 1e-12
             else:
                 assert r.bound - 1e-12 <= closed.c_min <= r.extremal_concurrence + 1e-12
+            assert r.converged
             # The opening sweep evaluates one more row, at c0 = 0, for MAX's cap.
             assert sum(rows) - 1 <= oracle._MAX_DIRECTIONS
+
+
+@pytest.mark.parametrize("c0", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))])
+@pytest.mark.parametrize("gates", [facet_and_edge_points, _named_gates], ids=["facets_and_edges", "named"])
+def test_brackets_close_near_c0_one_on_coincident_eigenphases(gates, c0):
+    # |z| reaches 1 / sqrt(1 - c0^2) and coincident eigenphases give
+    # two-point optima, which raw distances can read as one point.
+    for w in gates():
+        _assert_closed_form_inside(w, c0)
 
 
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
@@ -777,11 +786,11 @@ def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
 # reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
 RECORDED_REACH = {
     "generic": (0.5, 0.49999999999999983, 1.1102230246251565e-16,
-                "ba06c9fa03bee13fe809a79f139e7d3f8c34f3bbe697d43fb809ac7c631bbebf"
-                "1a4b7697fa4ae7bf7aa566cfd8d9cabfe028cba384f48fbfd260f79b0ad3a03f"),
-    "near_identity": (0.49840085315130966, 0.4984008531513084, 0.0,
-                      "f204edcc9b62b4bf59d76ed6c7c1b53f5827148b30edd63fa9f975454a80d8bf"
-                      "54eb8b2eb9a0dcbf2d6c52e00c8dd9bf184d3f447582e13fac4bbd8aaf60cd3f"),
+                "ba06c9fa03bee13fce09a79f139e7d3f8c34f3bbe697d43fba09ac7c631bbebf"
+                "1a4b7697fa4ae7bf79a566cfd8d9cabfe028cba384f48fbfd260f79b0ad3a03f"),
+    "near_identity": (0.49840085315130966, 0.4984008531513094, 8.881784197001252e-16,
+                      "d204edcc9b62b4bf4bd76ed6c7c1b53f5b27148b30edd63facf975454a80d8bf"
+                      "55eb8b2eb9a0dcbf2e6c52e00c8dd9bf154d3f447582e13fa24bbd8aaf60cd3f"),
     "saturating": (0.5, 0.49999999999999983, 1.6653345369377348e-16,
                    "604ada2b1b5eeb3f7c9015d92d7ab1bf1c163d83547dac3fe07da62099eb96bf"
                    "de67b56db899dbbf3c8b2e6671c1b3bf2d78f57329a5d03faacb434c05ad9b3f"),
