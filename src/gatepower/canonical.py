@@ -88,6 +88,8 @@ def _real(alpha) -> np.ndarray:
     """alpha as floats; ValueError if complex, whose imaginary parts a float
     conversion would drop with only a warning."""
     a = np.asarray(alpha)
+    if a.dtype.kind == "O":  # let the elements' own types decide, as for a list
+        a = np.asarray(a.tolist())
     if a.dtype.kind == "c":
         raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
     return a.astype(float, copy=False)

@@ -289,8 +289,14 @@ def _cmd_curve(args) -> int:
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
     if failed:
+        causes = []
+        unconverged = sum(not r.converged for r in report.rows)
+        if unconverged:
+            causes.append(f"{unconverged} of {len(report.rows)} rows not converged")
         worst = max(max(r.deviation_min, r.deviation_max) for r in report.rows)
-        print(f"verification failed: max deviation {worst:.3e} > {report.tol:.0e}", file=sys.stderr)
+        if not worst <= report.tol:
+            causes.append(f"max deviation {worst:.3e} > {report.tol:.0e}")
+        print("verification failed: " + "; ".join(causes), file=sys.stderr)
         return 1
     return 0
 

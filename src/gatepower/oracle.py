@@ -48,7 +48,7 @@ _ACTIVE_ATOL = 1e-11
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
 # Every search opens on these directions; the opening sweep appends MAX's
-# cap row at c0 = 0, theta = 0 (see _opening).
+# cap row at c0 = 0, theta = 0 (see _brackets).
 _OPENING_THETA = np.append(np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False), 0.0)
 _OPENING_THETA.flags.writeable = False
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
@@ -216,23 +216,6 @@ def _support(lam, c0, theta):
     return g[rows, best] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[rows, best]
 
 
-@functools.lru_cache(maxsize=1)
-def _opening(lam_bytes: bytes, c0_hex: str):
-    """Read-only support data (h, z, w, r) of the opening sweep, the start
-    directions at c0 then MAX's cap row at c0 = 0, theta = 0, and MIN's
-    primal states of the start rows.  Keyed by exact bytes, so MIN and MAX
-    at one (gate, c0) share the latest sweep."""
-    lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
-    col = np.full((_OPENING_THETA.size, 1), c0)
-    col[-1] = 0.0
-    opening = _support(lam, col, _OPENING_THETA)
-    _, z, w, r = opening
-    states = _primal(w[:-1], z[:-1], r[:-1], c0)
-    for array in (*opening, states):
-        array.flags.writeable = False
-    return opening, states
-
-
 def _rolled(x) -> np.ndarray:
     """np.roll(x, -1) without its Python-level wrapper."""
     return np.concatenate((x[1:], x[:1]))
@@ -301,35 +284,42 @@ def _pad(u, omega) -> np.ndarray:
     return u + t * v
 
 
-def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
-    """An explicit feasible u at the extremum and the certified bound."""
+@functools.lru_cache(maxsize=1)
+def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
+    """MIN's and MAX's explicit feasible u (read-only) and certified bounds,
+    ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
+
+    Each round splits the gaps that either side finds wide, and every
+    support point gets its primal state.  Keyed by exact bytes, so the two
+    searches at one (gate, c0) share the latest result.
+    """
+    lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
     if c0 >= 1.0:  # D(1) is the hull of the w_j
-        if direction is Direction.MAX:
-            return np.eye(4, dtype=complex)[0], 1.0
         mu = _nearest_weights(omega[None], _HULL_4)[0]
-        return mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
-    theta = _OPENING_THETA[:-1]
-    (h, z, w, r), states = _opening(lam.tobytes(), c0.hex())
+        lo = mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
+        hi = np.eye(4, dtype=complex)[0], 1.0
+        lo[0].flags.writeable = hi[0].flags.writeable = False
+        return lo, hi
+    col = np.full((_OPENING_THETA.size, 1), c0)
+    col[-1] = 0.0
+    h, z, w, r = _support(lam, col, _OPENING_THETA)
     # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
-    # The one per-row array the search reads: MIN every support point u, MAX the dual minimisers z.
-    h, kept = h[:-1], (z[:-1] if direction is Direction.MAX else states)
+    theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:-1], z[:-1], r[:-1], c0)
+    lo = None  # MIN's state and bound, fixed once its support points' hull holds 0
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.append(theta[1:], theta[0] + _TWO_PI) - theta
-        mu = None  # MIN's weights of the point nearest 0 of the support points' hull (in D)
-        if direction is Direction.MAX:
-            gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
-            bound = float(gap_bound.max())
-            wide = gap_bound > h.max() + 0.1 * _TOL
-        else:
-            bound = max(float((-h).max()), 0.0)
-            f = kept @ omega
-            if not bound:  # no direction separates 0 from D: [0, |F|] closes once the hull holds 0
-                mu = _nearest_weights(f[None], _fan(theta.size))[0]
-                if abs(mu @ f) <= 0.1 * _TOL:
-                    break
-            wide = _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
+        gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
+        wide = gap_bound > h.max() + 0.1 * _TOL
+        if lo is None:
+            bound, f = max(float((-h).max()), 0.0), u @ omega
+            # No direction separates 0 from D: [0, |F|] closes once the hull holds 0.
+            mu = None if bound else _nearest_weights(f[None], _fan(theta.size))[0]
+            if mu is not None and abs(mu @ f) <= 0.1 * _TOL:
+                lo = _pad(mu @ u, omega), bound
+            else:
+                wide |= _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
         # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
         n_wide = int(wide.sum())
         pieces = min(16, max(2, 256 // max(n_wide, 1)))
@@ -337,19 +327,14 @@ def _bracket(lam, c0: float, direction: Direction) -> tuple[np.ndarray, float]:
             break
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, z, w, r = _support(lam, c0, new)
-        kept_new = z if direction is Direction.MAX else _primal(w, z, r, c0)
         order = np.argsort(np.concatenate([theta, new]), kind="stable")
-        theta, h, kept = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (kept, kept_new)))
-    if direction is Direction.MAX:
-        k = h.argmax()
-        if not rnd:  # the opening already holds this row's state
-            return states[k], bound
-        # Rebuild the final row's dual data as _support does.
-        z, w = kept[[k]], np.exp(1j * (2.0 * lam - theta[k]))[None]
-        return _primal(w, z, np.abs(w - z[:, None]), c0)[0], bound
-    if mu is None:
-        mu = _nearest_weights(f[None], _fan(theta.size))[0]
-    return _pad(mu @ kept, omega), bound
+        u_new = _primal(w, z, r, c0)
+        theta, h, u = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (u, u_new)))
+    if lo is None:
+        lo = _pad(_nearest_weights(f[None], _fan(theta.size))[0] @ u, omega), bound
+    hi = u[h.argmax()].copy(), float(gap_bound.max())
+    lo[0].flags.writeable = hi[0].flags.writeable = False
+    return lo, hi
 
 
 def _result(alpha, c0: float, u, bound: float) -> OracleResult:
@@ -381,8 +366,8 @@ def extremal_concurrence(
     if not isinstance(direction, Direction):
         raise TypeError(f"direction must be a Direction member, got {direction!r}")
     c0 = _concurrence(c0)
-    u, bound = _bracket(eigen_phases(alpha), c0, direction)
-    return _result(alpha, c0, u, bound)
+    lo, hi = _brackets(eigen_phases(alpha).tobytes(), c0.hex())
+    return _result(alpha, c0, *(hi if direction is Direction.MAX else lo))
 
 
 def reach_target(alpha, c0: float, target: float) -> OracleResult:
@@ -390,16 +375,14 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
 
     Moves along the segment between the minimising and maximising u to
     where |F| crosses ``target``, exercising the claim that every value
-    between the extremal concurrences is attainable.  The two searches
-    share one opening sweep and MIN's states of its start directions; MAX
-    takes its state from those when it needs no further direction.  The
-    latest (gate, c0) opening stays in memory, read-only, for the next search.
+    between the extremal concurrences is attainable.  Both states come
+    from one bracket pair, the MIN and MAX results of one set of
+    directions; the latest (gate, c0) pair stays in memory, read-only.
     """
     c0, target = _concurrence(c0), _concurrence(target, "target")
     lam = eigen_phases(alpha)
     omega = np.exp(2j * lam)
-    lo_u = _bracket(lam, c0, Direction.MIN)[0]
-    hi_u = _bracket(lam, c0, Direction.MAX)[0]
+    (lo_u, _), (hi_u, _) = _brackets(lam.tobytes(), c0.hex())
     # |F(s)| = |a + s d| is convex; its crossing is the larger root of
     # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
     a, d = lo_u @ omega, (hi_u - lo_u) @ omega
@@ -420,10 +403,9 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     A row passes when both oracle extrema agree with the closed forms
     within ``tol`` and both brackets converged; failures are recorded in
     the report, never raised.  An empty grid raises ``ValueError``.  The
-    MIN and MAX searches at one c0 share one opening sweep and MIN's states
-    of its start directions; MAX takes its state from those when it needs
-    no further direction.  The latest (gate, c0) opening stays in memory,
-    read-only, for the next search.
+    MIN and MAX searches at one c0 read one bracket pair, built from one
+    set of directions: the first search builds it and the second reads the
+    memo, which holds the latest (gate, c0) pair, read-only.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -91,6 +91,14 @@ def envelope_scan(alpha, c0_grid) -> list[EnvelopeRow]:
     return rows
 
 
+@pytest.fixture(autouse=True)
+def empty_bracket_memo():
+    """Start every test with an empty bracket memo, so a test that patches
+    ``oracle._MAX_ROUNDS`` or ``oracle._MAX_DIRECTIONS`` cannot read a
+    bracket memoised under other settings."""
+    oracle._brackets.cache_clear()
+
+
 @pytest.fixture
 def shifted_closed_form(monkeypatch):
     """Shift the interval that verify_profile checks by 1e-2.

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from gatepower import canonical, cli, decompose, verify_profile
+from gatepower import canonical, cli, decompose, oracle, verify_profile
 from gatepower.cli import main, named_gate, resolve_gate
 
 QUARTER_PI = math.pi / 4
@@ -295,6 +295,15 @@ def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
     assert "verification failed" in err
     # The threshold printed is the tolerance the report was checked against.
     assert err.endswith("> 1e-03\n")
+
+
+def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
+    # Without refinement rounds the brackets stay open while the values
+    # still match the closed form: the failure is convergence, not deviation.
+    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
+    code, _, err = run(capsys, ["curve", "--gate", "cphase:0.05", "--steps", "3", "--verify"])
+    assert code == 1
+    assert err == "verification failed: 1 of 3 rows not converged\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

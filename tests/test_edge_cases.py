@@ -113,7 +113,11 @@ def test_coordinates_up_to_1e3_are_accepted():
 COMPLEX_COORDINATES = [0.3 + 0.2j, 0.1, 0]
 
 
-@pytest.mark.parametrize("alpha", [np.array(COMPLEX_COORDINATES), COMPLEX_COORDINATES], ids=["array", "list"])
+@pytest.mark.parametrize(
+    "alpha",
+    [np.array(COMPLEX_COORDINATES), COMPLEX_COORDINATES, np.array(COMPLEX_COORDINATES, dtype=object)],
+    ids=["array", "list", "object_array"],
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -130,7 +134,8 @@ COMPLEX_COORDINATES = [0.3 + 0.2j, 0.1, 0]
 )
 def test_complex_coordinates_are_rejected(call, alpha):
     # A float conversion dropped the imaginary parts with only a warning
-    # (power_interval then gave c_max = 0.9696...); a list raised TypeError.
+    # (power_interval then gave c_max = 0.9696...); a list or an object
+    # array raised TypeError.
     with pytest.raises(ValueError, match="must be real numbers"):
         call(alpha)
 

@@ -561,9 +561,7 @@ def test_reach_target_lands_on_the_target():
 
 
 def _counting_support(monkeypatch):
-    """Clear the opening memo and wrap ``oracle._support``; returns the list
-    of row counts per call."""
-    oracle._opening.cache_clear()
+    """Wrap ``oracle._support``; returns the list of row counts per call."""
     rows, support = [], oracle._support
 
     def counted(lam, c0, theta):
@@ -621,9 +619,7 @@ def test_direction_cap_counts_every_piece(monkeypatch, direction):
 
 
 def _counting_primal(monkeypatch):
-    """Clear the opening memo and wrap ``oracle._primal``; returns the list
-    of row counts per call."""
-    oracle._opening.cache_clear()
+    """Wrap ``oracle._primal``; returns the list of row counts per call."""
     rows, primal = [], oracle._primal
 
     def counted(w, z, r, c0):
@@ -637,18 +633,16 @@ def _counting_primal(monkeypatch):
 @pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("gate", ["generic", "near_identity"])
 def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
+    # MIN reads every support point and MAX the one at its final direction,
+    # from one set of directions: each support row gets one primal state,
+    # except the opening's cap row at c0 = 0.
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
-    # MAX reads the state of its final direction only: from the opening's
-    # states if it made no refinement round, else rebuilt as one row.
-    assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
-    assert primal_rows == [oracle._START_DIRECTIONS] + ([1] if len(support_rows) > 1 else [])
-    # MIN reads every support point, in the gap bounds and in the final
-    # hull, but not the opening's cap row.
-    oracle._opening.cache_clear()
-    support_rows.clear()
-    primal_rows.clear()
-    assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MIN).converged
-    assert primal_rows == [support_rows[0] - 1, *support_rows[1:]]
+    for direction in (Direction.MIN, Direction.MAX):
+        oracle._brackets.cache_clear()
+        support_rows.clear()
+        primal_rows.clear()
+        assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction).converged
+        assert primal_rows == [support_rows[0] - 1, *support_rows[1:]]
 
 
 OPENING_ROWS = oracle._START_DIRECTIONS + 1
@@ -685,11 +679,11 @@ def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
     assert rows.count(OPENING_ROWS) == len(grid)
-    assert oracle._opening.cache_info().currsize == 1
-    # The memo holds the last row's opening, so a search there evaluates none.
+    assert oracle._brackets.cache_info().currsize == 1
+    # The memo holds the last row's brackets, so a search there evaluates nothing.
     rows.clear()
     extremal_concurrence(VERIFY_ANCHORS["generic"], grid[-1], Direction.MIN)
-    assert OPENING_ROWS not in rows
+    assert rows == []
     rows.clear()
     verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
     assert rows.count(OPENING_ROWS) == 1
@@ -699,9 +693,10 @@ def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
     rows = _counting_support(monkeypatch)
     alpha = VERIFY_ANCHORS["generic"]
     extremal_concurrence(alpha, 0.5, Direction.MIN)
+    searched = len(rows)
     extremal_concurrence(alpha, 0.5, Direction.MAX)
-    assert rows.count(OPENING_ROWS) == 1
-    # Keyed by exact bytes: -0.0 and 0.0 are two openings.
+    assert rows.count(OPENING_ROWS) == 1 and len(rows) == searched
+    # Keyed by exact bytes: -0.0 and 0.0 are two entries.
     rows.clear()
     extremal_concurrence(alpha, 0.0, Direction.MIN)
     extremal_concurrence(alpha, -0.0, Direction.MAX)
@@ -710,15 +705,14 @@ def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
 
 def test_memoised_opening_is_read_only():
     lam = oracle.eigen_phases(VERIFY_ANCHORS["generic"])
-    opening, states = oracle._opening(lam.tobytes(), (0.5).hex())
-    for array in (*opening, states):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for c0 in (0.5, 1.0):
+        for u, _ in oracle._brackets(lam.tobytes(), c0.hex()):
+            with pytest.raises(ValueError):
+                u[0] = 0
 
 
 def test_profile_that_raises_leaves_later_searches_correct(monkeypatch):
     alpha = VERIFY_ANCHORS["generic"]
-    oracle._opening.cache_clear()
     fresh = extremal_concurrence(alpha, 0.4, Direction.MAX)
     with pytest.raises(ValueError):
         verify_profile(alpha, [0.2, 1.5])
@@ -729,14 +723,14 @@ def test_profile_that_raises_leaves_later_searches_correct(monkeypatch):
             raise RuntimeError("search failed")
         return search(alpha, c0, direction, cfg)
 
-    # Raised between the two searches of one row: MIN's opening stays memoised.
+    # Raised between the two searches of one row: the row's brackets stay memoised.
     monkeypatch.setattr(oracle, "extremal_concurrence", max_fails)
     with pytest.raises(RuntimeError):
         verify_profile(alpha, [0.4])
     monkeypatch.undo()
-    hits = oracle._opening.cache_info().hits
+    hits = oracle._brackets.cache_info().hits
     later = extremal_concurrence(alpha, 0.4, Direction.MAX)
-    assert oracle._opening.cache_info().hits == hits + 1
+    assert oracle._brackets.cache_info().hits == hits + 1
     assert later.achiever.tobytes() == fresh.achiever.tobytes()
     assert (later.extremal_concurrence, later.bound) == (fresh.extremal_concurrence, fresh.bound)
 
@@ -747,15 +741,16 @@ def test_reach_target_makes_one_opening(monkeypatch):
     assert first.converged
     assert rows.count(OPENING_ROWS) == 1
     # A second call at the same (gate, c0) reuses it and gives the same state.
+    searched = len(rows)
     assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).achiever.tobytes() == first.achiever.tobytes()
-    assert rows.count(OPENING_ROWS) == 1
+    assert len(rows) == searched
 
 
 @pytest.mark.parametrize("gate", ["saturating", "facet"])
 def test_profile_row_builds_the_opening_states_once(monkeypatch, gate):
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
     verify_profile(VERIFY_ANCHORS[gate], [0.5])
-    # Neither search refines, so MAX takes its state from MIN's opening states.
+    # Neither side refines, so both read the opening's states.
     assert support_rows == [OPENING_ROWS]
     assert primal_rows == [oracle._START_DIRECTIONS]
     # A later search at the same (gate, c0) builds nothing new.
