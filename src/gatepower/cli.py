@@ -199,6 +199,14 @@ def _emit(doc: dict, json_flag: bool, human_lines: list[str], file=None) -> None
             print(line, file=file)
 
 
+def _verdict(failures: list[str]) -> int:
+    """Exit code of a verification: 1 with its failure causes on stderr, 0 if none."""
+    if failures:
+        print("verification failed: " + "; ".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_decompose(args) -> int:
     name, matrix = resolve_gate(args.gate)
     d = decompose(matrix)
@@ -270,16 +278,16 @@ def _cmd_curve(args) -> int:
     name, alpha = _weyl(args.gate)
     grid = _grid(args.steps, "--steps")
     columns = ["c0", "c_min", "c_max"]
-    failed = False
+    failures = []
     if args.verify:
         columns += ["oracle_min", "oracle_max"]
         report = verify_profile(alpha, grid)
         table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
-        failed = not report.passed
+        failures = report.failures
     else:
         table = [[c0, *power_interval(alpha, c0)] for c0 in grid]
     lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
-    doc = {"gate": name, "columns": columns, "rows": table, "passed": not failed}
+    doc = {"gate": name, "columns": columns, "rows": table, "passed": not failures}
     if args.out in (None, "-"):
         _emit(doc, args.json, lines)
     else:
@@ -288,17 +296,7 @@ def _cmd_curve(args) -> int:
                 _emit(doc, args.json, lines, fh)
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
-    if failed:
-        causes = []
-        unconverged = sum(not r.converged for r in report.rows)
-        if unconverged:
-            causes.append(f"{unconverged} of {len(report.rows)} rows not converged")
-        worst = max(max(r.deviation_min, r.deviation_max) for r in report.rows)
-        if not worst <= report.tol:
-            causes.append(f"max deviation {worst:.3e} > {report.tol:.0e}")
-        print("verification failed: " + "; ".join(causes), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(failures)
 
 
 def _cmd_compare(args) -> int:
@@ -346,7 +344,7 @@ def _cmd_verify(args) -> int:
         )
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     _emit(doc, args.json, lines)
-    return 0 if report.passed else 1
+    return _verdict(report.failures)
 
 
 # One build per process: parse_args leaves the parser unchanged, and argparse

@@ -19,7 +19,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,26 +95,61 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class ProfileRow:
+    """Closed forms against the oracle at one c0.  ``oracle_*`` are the
+    values of explicit states and ``bound_*`` the certified bounds on the
+    other side, so MIN's bracket is [bound_min, oracle_min] and MAX's
+    [oracle_max, bound_max]."""
+
     c0: float
     closed_min: float
     closed_max: float
     oracle_min: float
     oracle_max: float
+    bound_min: float
+    bound_max: float
     deviation_min: float
     deviation_max: float
     converged: bool
     passed: bool
 
 
+def _failed_checks(row: ProfileRow, tol: float) -> tuple[bool, bool, bool]:
+    """Whether ``row`` fails each check of :func:`verify_profile`: convergence,
+    the certified brackets and the deviation ``tol``."""
+    m = 1e-12  # rounding margin of the closed forms and the bounds
+    inside = (row.bound_min - m <= row.closed_min <= row.oracle_min + m
+              and row.oracle_max - m <= row.closed_max <= row.bound_max + m)
+    return not row.converged, not inside, not (row.deviation_min <= tol and row.deviation_max <= tol)
+
+
 @dataclass(frozen=True)
 class ProfileReport:
+    """Rows of :func:`verify_profile` and their verdict.
+
+    ``failures`` names each failed check once, counted over the rows, in
+    this order: "N of M rows not converged", "N of M rows outside the
+    certified bracket", "max deviation X > tol".  ``passed`` is true when
+    there are none.
+    """
+
     alpha: np.ndarray
     tol: float
     rows: list[ProfileRow] = field(default_factory=list)
 
     @property
+    def failures(self) -> list[str]:
+        failed = [_failed_checks(r, self.tol) for r in self.rows]
+        unconverged, outside, deviating = (sum(f[k] for f in failed) for k in range(3))
+        causes = [f"{k} of {len(failed)} rows {what}" for k, what in
+                  ((unconverged, "not converged"), (outside, "outside the certified bracket")) if k]
+        if deviating:
+            worst = max(max(r.deviation_min, r.deviation_max) for r in self.rows)
+            causes.append(f"max deviation {worst:.3e} > {self.tol:.0e}")
+        return causes
+
+    @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return not self.failures
 
 
 def _segment_t(a, e) -> np.ndarray:
@@ -400,9 +435,12 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
 def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: float = 1e-3) -> ProfileReport:
     """Compare closed-form intervals against the oracle over a c0 grid.
 
-    A row passes when both oracle extrema agree with the closed forms
-    within ``tol`` and both brackets converged; failures are recorded in
-    the report, never raised.  An empty grid raises ``ValueError``.  The
+    A row passes when both brackets converged, both closed forms lie inside
+    their certified brackets, ``bound_min - 1e-12 <= closed_min <=
+    oracle_min + 1e-12`` and ``oracle_max - 1e-12 <= closed_max <= bound_max
+    + 1e-12``, and both deviations |closed - oracle| are at most ``tol``.
+    Failures are recorded in the report and named by its ``failures``,
+    never raised.  An empty grid raises ``ValueError``.  The
     MIN and MAX searches at one c0 read one bracket pair, built from one
     set of directions: the first search builds it and the second reads the
     memo, which holds the latest (gate, c0) pair, read-only.
@@ -415,23 +453,20 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
         closed = power_interval(alpha, c0)
         lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
         hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
-        dev_min = abs(closed.c_min - lo.extremal_concurrence)
-        dev_max = abs(closed.c_max - hi.extremal_concurrence)
-        converged = lo.converged and hi.converged
-        passed = converged and dev_min <= tol and dev_max <= tol
-        rows.append(
-            ProfileRow(
-                c0=float(c0),
-                closed_min=closed.c_min,
-                closed_max=closed.c_max,
-                oracle_min=lo.extremal_concurrence,
-                oracle_max=hi.extremal_concurrence,
-                deviation_min=dev_min,
-                deviation_max=dev_max,
-                converged=converged,
-                passed=passed,
-            )
+        row = ProfileRow(
+            c0=float(c0),
+            closed_min=closed.c_min,
+            closed_max=closed.c_max,
+            oracle_min=lo.extremal_concurrence,
+            oracle_max=hi.extremal_concurrence,
+            bound_min=lo.bound,
+            bound_max=hi.bound,
+            deviation_min=abs(closed.c_min - lo.extremal_concurrence),
+            deviation_max=abs(closed.c_max - hi.extremal_concurrence),
+            converged=lo.converged and hi.converged,
+            passed=False,
         )
+        rows.append(replace(row, passed=not any(_failed_checks(row, tol))))
     if not rows:
         raise ValueError("c0 grid must not be empty")
     return ProfileReport(alpha=alpha, tol=tol, rows=rows)

@@ -44,6 +44,14 @@ def concurrence(state: np.ndarray) -> float:
     Equals |sum_k b_k^2| for magic coefficients b; zero exactly for
     product states and one for maximally entangled states.  The result
     is clamped to [0, 1].
+
+    Raises:
+        ValueError: if the squared norm of ``state`` differs from 1 by more
+            than 1e-10 or is not a number; the formula holds only for
+            normalized states.
     """
     b = to_magic_coefficients(state)
+    norm2 = float(np.vdot(b, b).real)
+    if not abs(norm2 - 1.0) <= 1e-10:
+        raise ValueError(f"state must have unit norm (to 1e-10), got squared norm {norm2}")
     return float(min(abs(np.sum(b * b)), 1.0))

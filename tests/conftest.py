@@ -99,6 +99,15 @@ def empty_bracket_memo():
     oracle._brackets.cache_clear()
 
 
+def shift_closed_form(monkeypatch, delta: float) -> None:
+    """Shift both ends of the interval that verify_profile checks by ``delta``."""
+
+    def shifted(alpha, c0):
+        return PowerInterval(*(x + delta for x in power_interval(alpha, c0)))
+
+    monkeypatch.setattr(oracle, "power_interval", shifted)
+
+
 @pytest.fixture
 def shifted_closed_form(monkeypatch):
     """Shift the interval that verify_profile checks by 1e-2.
@@ -107,8 +116,4 @@ def shifted_closed_form(monkeypatch):
     forced this way rather than left to rounding.  The shift exceeds the
     default 1e-3 tolerance that ``curve --verify`` uses, so every check fails.
     """
-
-    def shifted(alpha, c0):
-        return PowerInterval(*(x + 1e-2 for x in power_interval(alpha, c0)))
-
-    monkeypatch.setattr(oracle, "power_interval", shifted)
+    shift_closed_form(monkeypatch, 1e-2)

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import shift_closed_form
 from gatepower import canonical, cli, decompose, oracle, verify_profile
 from gatepower.cli import main, named_gate, resolve_gate
 
@@ -304,6 +305,20 @@ def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
     code, _, err = run(capsys, ["curve", "--gate", "cphase:0.05", "--steps", "3", "--verify"])
     assert code == 1
     assert err == "verification failed: 1 of 3 rows not converged\n"
+
+
+@pytest.mark.parametrize("cause", ["1 of 3 rows not converged", "3 of 3 rows outside the certified bracket"])
+def test_verify_and_curve_verify_print_one_cause_line(capsys, monkeypatch, cause):
+    if "converged" in cause:
+        monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
+    else:
+        # Below the default tol: only the certified bracket sees the shift.
+        shift_closed_form(monkeypatch, 1e-6)
+    for argv in (["curve", "--gate", "cphase:0.05", "--steps", "3", "--verify"],
+                 ["verify", "--gate", "cphase:0.05", "--grid", "3"]):
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err == f"verification failed: {cause}\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import envelope_scan, random_chamber_point
+from conftest import envelope_scan, random_chamber_point, shift_closed_form
 from test_edge_cases import facet_and_edge_points
 from gatepower import (
     Direction,
@@ -201,6 +201,27 @@ def test_verify_profile_failures_are_data(shifted_closed_form):
     report = verify_profile([QUARTER_PI] * 3, [0.5], tol=1e-18)
     assert not report.passed
     assert report.rows[0].passed is False
+
+
+def test_verify_profile_fails_a_closed_form_outside_its_bracket(monkeypatch):
+    # 1e-6 lies far below the default tol = 1e-3 but far outside brackets
+    # that close to 1e-8: only the certified check sees the fault.
+    shift_closed_form(monkeypatch, 1e-6)
+    report = verify_profile(VERIFY_ANCHORS["generic"], GRID_11)
+    assert not report.passed
+    assert not any(r.passed for r in report.rows)
+    assert report.failures == ["11 of 11 rows outside the certified bracket"]
+
+
+def test_profile_failures_name_each_cause_once_in_order(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
+    shift_closed_form(monkeypatch, 1e-2)
+    report = verify_profile(VERIFY_ANCHORS["near_identity"], [0.0, 0.5, 1.0])
+    assert report.failures == [
+        "1 of 3 rows not converged",
+        "3 of 3 rows outside the certified bracket",
+        "max deviation 1.001e-02 > 1e-03",
+    ]
 
 
 def test_verify_profile_rejects_bad_tol():
@@ -410,6 +431,8 @@ def test_verify_profile_matches_recorded_report():
             closed_max=0.9854497299884601,
             oracle_min=1.3877787807814457e-16,
             oracle_max=0.9854497299884594,
+            bound_min=0.0,
+            bound_max=0.9854497299884639,
             deviation_min=1.3877787807814457e-16,
             deviation_max=7.771561172376096e-16,
             converged=True,
@@ -421,6 +444,8 @@ def test_verify_profile_matches_recorded_report():
             closed_max=1.0,
             oracle_min=1.5700924586837752e-16,
             oracle_max=0.9999999999999994,
+            bound_min=0.0,
+            bound_max=1.0,
             deviation_min=1.5700924586837752e-16,
             deviation_max=5.551115123125783e-16,
             converged=True,
@@ -432,6 +457,8 @@ def test_verify_profile_matches_recorded_report():
             closed_max=1.0,
             oracle_min=0.16996714290024073,
             oracle_max=0.9999999999999994,
+            bound_min=0.16996714290023926,
+            bound_max=1.0,
             deviation_min=3.0531133177191805e-16,
             deviation_max=5.551115123125783e-16,
             converged=True,
@@ -660,7 +687,7 @@ def _standalone_rows(alpha, grid):
         converged = lo.converged and hi.converged
         rows.append(ProfileRow(
             c0, closed.c_min, closed.c_max, lo.extremal_concurrence, hi.extremal_concurrence,
-            dev_min, dev_max, converged, converged and dev_min <= 1e-3 and dev_max <= 1e-3,
+            lo.bound, hi.bound, dev_min, dev_max, converged, converged and dev_min <= 1e-3 and dev_max <= 1e-3,
         ))
     return rows
 

@@ -1,5 +1,7 @@
 """Tests for pure states, magic coefficients and concurrence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def test_concurrence_schmidt_family():
     for theta in np.linspace(0, np.pi / 2, 17):
         state = np.array([np.cos(theta), 0, 0, np.sin(theta)])
         assert abs(concurrence(state) - abs(np.sin(2 * theta))) <= 1e-14
+
+
+PSI = np.array([math.cos(0.3), 0, 0, math.sin(0.3)])  # concurrence sin(0.6) = 0.5646
+
+
+@pytest.mark.parametrize(
+    "state", [1.5 * PSI, 0.5 * PSI, PSI + [0, math.nan, 0, 0], 0.0 * PSI],
+    ids=["scaled_up", "scaled_down", "nan_entry", "zero"],
+)
+def test_concurrence_rejects_a_state_that_is_not_normalized(state):
+    assert abs(concurrence(PSI) - math.sin(0.6)) <= 1e-15
+    with pytest.raises(ValueError, match="unit norm"):
+        concurrence(state)
 
 
 def test_concurrence_matches_determinant_oracle():
