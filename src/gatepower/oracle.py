@@ -155,14 +155,14 @@ class ProfileReport:
 def _segment_t(a, e) -> np.ndarray:
     """Clipped parameter t in [0, 1] of the point a + t e nearest to the origin."""
     ee = (e.conj() * e).real
-    return np.clip(np.divide(-(a.conj() * e).real, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+    return np.divide(-(a.conj() * e).real, ee, out=np.zeros(ee.shape), where=ee > 0).clip(0.0, 1.0)
 
 
 def _hull(segments, triangles) -> tuple:
     """Read-only index tables of :func:`_nearest_weights` for a hull searched
     over the given segments (2, s) and triangles (3, t) of point indices."""
-    tables = (segments[0], segments[1], triangles[[1, 2, 0]].T, triangles[[2, 0, 1]].T,
-              np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1).T)
+    tables = (segments[0], segments[1], triangles[[1, 2, 0]], triangles[[2, 0, 1]],
+              np.concatenate([np.stack([*segments, segments[1]]), triangles], axis=1))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -191,25 +191,26 @@ def _nearest_weights(p, hull, valid=None) -> np.ndarray:
     ``valid`` is False.  Returns (n, m) weights.
     """
     first, second, by_one, by_two, index = hull
-    s = first.size
-    weights = np.zeros((len(p), len(index), 3))
-    t = _segment_t(p[:, first], p[:, second] - p[:, first])
-    weights[:, :s, 0], weights[:, :s, 1] = 1.0 - t, t
+    # Pieces keep the row axis last, (3, pieces, n): reductions over their points add planes.
+    s, q = first.size, p.T
+    weights = np.zeros((3, index.shape[1], len(p)))
+    t = _segment_t(q[first], q[second] - q[first])
+    weights[0, :s], weights[1, :s] = 1.0 - t, t
     # Barycentric weights, up to the area: Im(conj(p_k) p_l) opposite each vertex.
-    bary = (p[:, by_one].conj() * p[:, by_two]).imag
-    area = bary.sum(axis=2)
+    bary = (q[by_one].conj() * q[by_two]).imag
+    area = bary.sum(axis=0)
     # Signs, not products: bary * area can underflow to -0.0 and pass as inside.
-    inside = (area != 0) & np.all(bary * np.sign(area)[:, :, None] >= 0, axis=2)
-    np.divide(bary, area[:, :, None], out=weights[:, s:], where=inside[:, :, None])
-    dist = np.abs((weights * p[:, index]).sum(axis=2))
+    inside = (area != 0) & (bary * np.sign(area) >= 0).all(axis=0)
+    np.divide(bary, area, out=weights[:, s:], where=inside)
+    dist = np.abs((weights * q[index]).sum(axis=0))
     ok = np.ones(dist.shape, dtype=bool)
-    ok[:, s:] = inside
+    ok[s:] = inside
     if valid is not None:
-        ok &= valid[:, index].all(axis=2)
-    best = np.where(ok, dist, np.inf).argmin(axis=1)
+        ok &= valid.T[index].all(axis=0)
+    best = np.where(ok, dist, np.inf).argmin(axis=0)
     rows = np.arange(len(p))
     out = np.zeros(p.shape)
-    np.add.at(out, (rows[:, None], index[best]), weights[rows, best])
+    np.add.at(out, (rows[:, None], index[:, best].T), weights[:, best, rows].T)
     return out
 
 
@@ -218,22 +219,23 @@ def _support(lam, c0, theta):
     minimisers z, the points w_j and the distances |w_j - z|; c0 may be a column."""
     psi = 2.0 * lam[None, :] - theta[:, None]
     w = np.exp(1j * psi)
-    half = 0.5 * (psi[:, _PAIRS[0]] + psi[:, _PAIRS[1]])
-    diff = 0.5 * (psi[:, _PAIRS[0]] - psi[:, _PAIRS[1]])
+    first, second = psi[:, _PAIRS[0]], psi[:, _PAIRS[1]]
+    half, diff = 0.5 * (first + second), 0.5 * (first - second)
     # On the bisector z = t exp(i half), |z - w_j|^2 = (t - a)^2 + b^2.
     a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
     root = np.sqrt(1.0 - s * s)
     # Only rows with c0 within 1e-8 of 1 reach |t| > 1e4 (|t| <= 1 + c0 / sqrt(1 - c0^2)).
     # There 1 - s * s cancels, so they take 1 -/+ s from half-angle squares.
-    near = c0 > 1.0 - 1e-8
-    stable = np.any(near)
+    near = np.greater(c0, 1.0 - 1e-8)  # not >: a float c0 gives a numpy bool, which has .any()
+    stable = near.any()
     if stable:
         ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
         root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
     t = a - s * b / root
     cand = np.concatenate([np.zeros((theta.size, 1)), w, t * np.exp(1j * half)], axis=1)
-    dist = np.abs(w[:, None, :] - cand[:, :, None])
-    g = c0 * cand.real + dist.max(axis=2)
+    # Distances (4, rows, 11), the point axis first: its max reduces contiguous planes.
+    dist = np.abs(w.T[:, :, None] - cand[None])
+    g = c0 * cand.real + dist.max(axis=0)
     # Any z bounds h from above; a margin covers rounding in evaluating g
     # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g on near rows).
     far = 1.0
@@ -242,13 +244,13 @@ def _support(lam, c0, theta):
         size = np.abs(cand)
         lead = c0 * cand.real + size
         lead[:, 5:] = np.abs(t) * np.where(t < 0, *ends)
-        excess = (1.0 - 2.0 * (w.conj()[:, None, :] * cand[:, :, None]).real) / (dist + size[:, :, None])
-        g = np.where(near, lead + excess.max(axis=2) + 8.0 * _EPS * (2.0 + lead), g)
+        excess = (1.0 - 2.0 * (w.T.conj()[:, :, None] * cand[None]).real) / (dist + size)
+        g = np.where(near, lead + excess.max(axis=0) + 8.0 * _EPS * (2.0 + lead), g)
         far = np.where(near, 0.0, 1.0).ravel()
     best = g.argmin(axis=1)
     rows = np.arange(theta.size)
     z = cand[rows, best]
-    return g[rows, best] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[rows, best]
+    return g[rows, best] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[:, rows, best].T
 
 
 def _rolled(x) -> np.ndarray:
@@ -264,7 +266,7 @@ def _primal(w, z, r, c0):
     # excesses r_j - |z| compare them without cancelling |z| ~ 1 / sqrt(1 - c0^2).
     excess = ((w - 2.0 * z[:, None]) * w.conj()).real / (r + np.abs(z)[:, None])
     active = excess >= excess.max(axis=1, keepdims=True) - _ACTIVE_ATOL
-    units = np.divide(w - z[:, None], r, out=np.ones_like(w), where=r > _ACTIVE_ATOL)
+    units = np.divide(w - z[:, None], r, out=np.ones(w.shape, complex), where=r > _ACTIVE_ATOL)
     # When every point sits at z, any unit vectors are subgradients.
     units[r.max(axis=1) <= _ACTIVE_ATOL] = [1.0, -1.0, 1.0, -1.0]
     p, mu = units - c0, np.zeros(r.shape)
@@ -272,7 +274,7 @@ def _primal(w, z, r, c0):
     if pair.any():
         # Two active points: the point of their segment nearest to 0, as
         # _nearest_weights finds it (adding to zeros keeps signed zeros).
-        rows, cols = np.nonzero(active & pair[:, None])
+        rows, cols = (active & pair[:, None]).nonzero()
         i, j = (rows[::2], cols[::2]), (rows[1::2], cols[1::2])
         t = _segment_t(p[i], p[j] - p[i])
         # A clipped t takes the nearer end, the first on a tie, as _nearest_weights does.
@@ -292,8 +294,9 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
     at an end, at the segment's normal, or opposite one of the points.
     """
     p, q = f, _rolled(f)
-    cand = np.stack([theta, theta + gaps, np.angle(1j * (q - p)), np.angle(1j * (p - q)),
-                     np.angle(-p), np.angle(-q)])
+    # np.angle without its wrapper; 1j (p - q) is not -(1j (q - p)), whose signed zeros differ.
+    toward = [1j * (q - p), 1j * (p - q), -p, -q]
+    cand = np.array([theta, theta + gaps, *(np.arctan2(x.imag, x.real) for x in toward)])
     rot = np.exp(-1j * cand)
     value = -np.maximum((rot * p).real, (rot * q).real)
     inside = (cand - theta) % _TWO_PI <= gaps
@@ -302,12 +305,13 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
 
 def _pad(u, omega) -> np.ndarray:
     """Move u along the kernel of u -> (sum u, sum u w) until sum |u| = 1."""
-    if np.abs(u).sum() >= 1.0 - 1e-12:  # a rounding deficit; at c0 = 1 u must stay real
+    size = np.abs(u).sum()
+    if size >= 1.0 - 1e-12:  # a rounding deficit; at c0 = 1 u must stay real
         return u
-    v = np.linalg.svd(np.stack([np.ones(4), omega]))[2][-1].conj()
+    v = np.linalg.svd(np.array([np.ones(4), omega]))[2][-1].conj()
     # f(t) = sum |u + t v| is convex with f(0) < 1 <= f(t); Newton steps
     # from the right fall monotonically onto its smallest root.
-    t = (1.0 + np.abs(u).sum()) / np.abs(v).sum()
+    t = (1.0 + size) / np.abs(v).sum()
     for _ in range(60):
         x = u + t * v
         r = np.abs(x)
@@ -344,7 +348,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:-1], z[:-1], r[:-1], c0)
     lo = None  # MIN's state and bound, fixed once its support points' hull holds 0
     for rnd in range(_MAX_ROUNDS + 1):
-        gaps = np.append(theta[1:], theta[0] + _TWO_PI) - theta
+        gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
         gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
         wide = gap_bound > h.max() + 0.1 * _TOL
         if lo is None:
@@ -362,7 +366,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
             break
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, z, w, r = _support(lam, c0, new)
-        order = np.argsort(np.concatenate([theta, new]), kind="stable")
+        order = np.concatenate([theta, new]).argsort(kind="stable")
         u_new = _primal(w, z, r, c0)
         theta, h, u = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (u, u_new)))
     if lo is None:

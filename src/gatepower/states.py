@@ -54,4 +54,4 @@ def concurrence(state: np.ndarray) -> float:
     norm2 = float(np.vdot(b, b).real)
     if not abs(norm2 - 1.0) <= 1e-10:
         raise ValueError(f"state must have unit norm (to 1e-10), got squared norm {norm2}")
-    return float(min(abs(np.sum(b * b)), 1.0))
+    return float(min(abs((b * b).sum()), 1.0))

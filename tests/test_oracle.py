@@ -574,6 +574,97 @@ def test_newton_pad_matches_bisection():
         assert abs(t_newton - t_bisected) <= 1e-12 * t_bisected
 
 
+def point_last_support(lam, c0, theta):
+    """Reference for ``oracle._support``: the same arithmetic with the point
+    axis last in the distances (rows, 11, 4)."""
+    psi = 2.0 * lam[None, :] - theta[:, None]
+    w = np.exp(1j * psi)
+    half = 0.5 * (psi[:, oracle._PAIRS[0]] + psi[:, oracle._PAIRS[1]])
+    diff = 0.5 * (psi[:, oracle._PAIRS[0]] - psi[:, oracle._PAIRS[1]])
+    a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
+    root = np.sqrt(1.0 - s * s)
+    near = c0 > 1.0 - 1e-8
+    stable = np.any(near)
+    if stable:
+        ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
+        root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
+    t = a - s * b / root
+    cand = np.concatenate([np.zeros((theta.size, 1)), w, t * np.exp(1j * half)], axis=1)
+    dist = np.abs(w[:, None, :] - cand[:, :, None])
+    g = c0 * cand.real + dist.max(axis=2)
+    far = 1.0
+    if stable:
+        size = np.abs(cand)
+        lead = c0 * cand.real + size
+        lead[:, 5:] = np.abs(t) * np.where(t < 0, *ends)
+        excess = (1.0 - 2.0 * (w.conj()[:, None, :] * cand[:, :, None]).real) / (dist + size[:, :, None])
+        g = np.where(near, lead + excess.max(axis=2) + 8.0 * oracle._EPS * (2.0 + lead), g)
+        far = np.where(near, 0.0, 1.0).ravel()
+    best = g.argmin(axis=1)
+    rows = np.arange(theta.size)
+    z = cand[rows, best]
+    return g[rows, best] + 8.0 * oracle._EPS * far * (1.0 + np.abs(z)), z, w, dist[rows, best]
+
+
+def row_first_nearest_weights(p, hull, valid=None):
+    """Reference for ``oracle._nearest_weights``: the same arithmetic with the
+    row axis first in the pieces (n, pieces, 3)."""
+    first, second, by_one, by_two, index = (*hull[:2], *(table.T for table in hull[2:]))
+    s = first.size
+    weights = np.zeros((len(p), len(index), 3))
+    t = oracle._segment_t(p[:, first], p[:, second] - p[:, first])
+    weights[:, :s, 0], weights[:, :s, 1] = 1.0 - t, t
+    bary = (p[:, by_one].conj() * p[:, by_two]).imag
+    area = bary.sum(axis=2)
+    inside = (area != 0) & np.all(bary * np.sign(area)[:, :, None] >= 0, axis=2)
+    np.divide(bary, area[:, :, None], out=weights[:, s:], where=inside[:, :, None])
+    dist = np.abs((weights * p[:, index]).sum(axis=2))
+    ok = np.ones(dist.shape, dtype=bool)
+    ok[:, s:] = inside
+    if valid is not None:
+        ok &= valid[:, index].all(axis=2)
+    best = np.where(ok, dist, np.inf).argmin(axis=1)
+    rows = np.arange(len(p))
+    out = np.zeros(p.shape)
+    np.add.at(out, (rows[:, None], index[best]), weights[rows, best])
+    return out
+
+
+def test_row_last_nearest_weights_match_the_row_first_reference():
+    rng = np.random.default_rng(37)
+    p = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (300, 4))) - rng.uniform(0.0, 1.0, (300, 1))
+    p[:30, 1] = p[:30, 0]  # coincident points
+    valid = rng.random((300, 4)) < 0.7
+    valid[:, 0] = True
+    # Support points in angular order around an origin that is inside or outside their hull.
+    fan = np.exp(1j * np.sort(rng.uniform(0.0, 2 * math.pi, (8, 64)))) * rng.uniform(0.5, 1.0, (8, 64))
+    fan -= rng.uniform(-1.5, 1.5, (8, 1))
+    for args in [(p, oracle._HULL_4), (p, oracle._HULL_4, valid), (fan, oracle._fan(64))]:
+        got, ref = oracle._nearest_weights(*args), row_first_nearest_weights(*args)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _support_cases():
+    rng = np.random.default_rng(31)
+    lams = [oracle.eigen_phases(g) for g in [rng.uniform(-1.0, 1.0, 3) for _ in range(3)] + _named_gates()]
+    opening = np.full((oracle._OPENING_THETA.size, 1), 0.45)
+    opening[-1] = 0.0  # MAX's cap row
+    for lam in lams:
+        yield lam, float(rng.uniform(0.0, 0.99)), rng.uniform(0.0, 2 * math.pi, 200)
+        for c0 in (1.0 - 1e-9, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0))):
+            yield lam, c0, rng.uniform(0.0, 2 * math.pi, 40)
+        yield lam, opening, oracle._OPENING_THETA
+
+
+def test_point_first_support_matches_the_point_last_reference():
+    for lam, c0, theta in _support_cases():
+        for got, ref in zip(oracle._support(lam, c0, theta), point_last_support(lam, c0, theta)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+
 def test_reach_target_lands_on_the_target():
     rng = np.random.default_rng(23)
     for _ in range(200):
