@@ -144,7 +144,8 @@ class ProfileReport:
                   ((unconverged, "not converged"), (outside, "outside the certified bracket")) if k]
         if deviating:
             worst = max(max(r.deviation_min, r.deviation_max) for r in self.rows)
-            causes.append(f"max deviation {worst:.3e} > {self.tol:.0e}")
+            # The shortest digits that read back as tol itself.
+            causes.append(f"max deviation {worst:.3e} > {np.format_float_scientific(self.tol, trim='-')}")
         return causes
 
     @property
@@ -186,40 +187,41 @@ def _fan(n: int) -> tuple:
 def _nearest_weights(p, hull, valid=None) -> np.ndarray:
     """Convex weights of the point of each row's hull nearest to the origin.
 
-    ``p`` is (n, m); the hull of a row is searched over the pieces of the
-    tables ``hull`` from :func:`_hull`, leaving out the points where
-    ``valid`` is False.  Returns (n, m) weights.
+    ``p`` is (m, n), the point axis first; the hull of a row is searched
+    over the pieces of the tables ``hull`` from :func:`_hull`, leaving out
+    the points where ``valid`` is False.  Returns (m, n) weights.
     """
     first, second, by_one, by_two, index = hull
     # Pieces keep the row axis last, (3, pieces, n): reductions over their points add planes.
-    s, q = first.size, p.T
-    weights = np.zeros((3, index.shape[1], len(p)))
-    t = _segment_t(q[first], q[second] - q[first])
+    s, n = first.size, p.shape[1]
+    weights = np.zeros((3, index.shape[1], n))
+    t = _segment_t(p[first], p[second] - p[first])
     weights[0, :s], weights[1, :s] = 1.0 - t, t
     # Barycentric weights, up to the area: Im(conj(p_k) p_l) opposite each vertex.
-    bary = (q[by_one].conj() * q[by_two]).imag
+    bary = (p[by_one].conj() * p[by_two]).imag
     area = bary.sum(axis=0)
     # Signs, not products: bary * area can underflow to -0.0 and pass as inside.
     inside = (area != 0) & (bary * np.sign(area) >= 0).all(axis=0)
     np.divide(bary, area, out=weights[:, s:], where=inside)
-    dist = np.abs((weights * q[index]).sum(axis=0))
+    dist = np.abs((weights * p[index]).sum(axis=0))
     ok = np.ones(dist.shape, dtype=bool)
     ok[s:] = inside
     if valid is not None:
-        ok &= valid.T[index].all(axis=0)
+        ok &= valid[index].all(axis=0)
     best = np.where(ok, dist, np.inf).argmin(axis=0)
-    rows = np.arange(len(p))
+    rows = np.arange(n)
     out = np.zeros(p.shape)
-    np.add.at(out, (rows[:, None], index[:, best].T), weights[:, best, rows].T)
+    np.add.at(out, (index[:, best], rows), weights[:, best, rows])
     return out
 
 
 def _support(lam, c0, theta):
     """Certified support values h(theta) of D(c0) and their dual data: the
-    minimisers z, the points w_j and the distances |w_j - z|; c0 may be a column."""
-    psi = 2.0 * lam[None, :] - theta[:, None]
+    minimisers z, the points w_j and the distances |w_j - z|, (4, rows)
+    with the point axis first; c0 may be a row of one value per direction."""
+    psi = 2.0 * lam[:, None] - theta
     w = np.exp(1j * psi)
-    first, second = psi[:, _PAIRS[0]], psi[:, _PAIRS[1]]
+    first, second = psi[_PAIRS[0]], psi[_PAIRS[1]]
     half, diff = 0.5 * (first + second), 0.5 * (first - second)
     # On the bisector z = t exp(i half), |z - w_j|^2 = (t - a)^2 + b^2.
     a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
@@ -232,9 +234,9 @@ def _support(lam, c0, theta):
         ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
         root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
     t = a - s * b / root
-    cand = np.concatenate([np.zeros((theta.size, 1)), w, t * np.exp(1j * half)], axis=1)
-    # Distances (4, rows, 11), the point axis first: its max reduces contiguous planes.
-    dist = np.abs(w.T[:, :, None] - cand[None])
+    cand = np.concatenate([np.zeros((1, theta.size)), w, t * np.exp(1j * half)])
+    # Distances (4, 11, rows): the max over the points reduces contiguous planes.
+    dist = np.abs(w[:, None] - cand)
     g = c0 * cand.real + dist.max(axis=0)
     # Any z bounds h from above; a margin covers rounding in evaluating g
     # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g on near rows).
@@ -243,14 +245,14 @@ def _support(lam, c0, theta):
         # g = lead + max_j (|w_j - z| - |z|), lead = c0 Re z + |z| = |t| (1 -/+ s) on bisectors.
         size = np.abs(cand)
         lead = c0 * cand.real + size
-        lead[:, 5:] = np.abs(t) * np.where(t < 0, *ends)
-        excess = (1.0 - 2.0 * (w.T.conj()[:, :, None] * cand[None]).real) / (dist + size)
+        lead[5:] = np.abs(t) * np.where(t < 0, *ends)
+        excess = (1.0 - 2.0 * (w.conj()[:, None] * cand).real) / (dist + size)
         g = np.where(near, lead + excess.max(axis=0) + 8.0 * _EPS * (2.0 + lead), g)
-        far = np.where(near, 0.0, 1.0).ravel()
-    best = g.argmin(axis=1)
+        far = np.where(near, 0.0, 1.0)
+    best = g.argmin(axis=0)
     rows = np.arange(theta.size)
-    z = cand[rows, best]
-    return g[rows, best] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[:, rows, best].T
+    z = cand[best, rows]
+    return g[best, rows] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[:, best, rows]
 
 
 def _rolled(x) -> np.ndarray:
@@ -259,31 +261,17 @@ def _rolled(x) -> np.ndarray:
 
 
 def _primal(w, z, r, c0):
-    """Feasible u (sum |u| = 1, sum u = c0) attaining the support values of
-    the dual data (w, z, r) from :func:`_support`; c0 may be a column."""
+    """Feasible u (sum |u| = 1, sum u = c0), (4, rows), attaining the
+    support values of the dual data (w, z, r) from :func:`_support`."""
     # Optimality of z puts c0 in the hull of the unit vectors from z to the
     # active points; the hull weights mu give u_j = mu_j conj(unit_j).  The
     # excesses r_j - |z| compare them without cancelling |z| ~ 1 / sqrt(1 - c0^2).
-    excess = ((w - 2.0 * z[:, None]) * w.conj()).real / (r + np.abs(z)[:, None])
-    active = excess >= excess.max(axis=1, keepdims=True) - _ACTIVE_ATOL
-    units = np.divide(w - z[:, None], r, out=np.ones(w.shape, complex), where=r > _ACTIVE_ATOL)
+    excess = ((w - 2.0 * z) * w.conj()).real / (r + np.abs(z))
+    active = excess >= excess.max(axis=0) - _ACTIVE_ATOL
+    units = np.divide(w - z, r, out=np.ones(w.shape, complex), where=r > _ACTIVE_ATOL)
     # When every point sits at z, any unit vectors are subgradients.
-    units[r.max(axis=1) <= _ACTIVE_ATOL] = [1.0, -1.0, 1.0, -1.0]
-    p, mu = units - c0, np.zeros(r.shape)
-    pair = active.sum(axis=1) == 2
-    if pair.any():
-        # Two active points: the point of their segment nearest to 0, as
-        # _nearest_weights finds it (adding to zeros keeps signed zeros).
-        rows, cols = (active & pair[:, None]).nonzero()
-        i, j = (rows[::2], cols[::2]), (rows[1::2], cols[1::2])
-        t = _segment_t(p[i], p[j] - p[i])
-        # A clipped t takes the nearer end, the first on a tie, as _nearest_weights does.
-        t = np.where((0.0 < t) & (t < 1.0), t, np.abs(p[i]) > np.abs(p[j]))
-        mu[i] += 1.0 - t
-        mu[j] += t
-    if not pair.all():
-        mu[~pair] = _nearest_weights(p[~pair], _HULL_4, active[~pair])
-    return mu * units.conj()
+    units[:, r.max(axis=0) <= _ACTIVE_ATOL] = [[1.0], [-1.0], [1.0], [-1.0]]
+    return _nearest_weights(units - c0, _HULL_4, active) * units.conj()
 
 
 def _gap_min_bound(theta, gaps, f) -> np.ndarray:
@@ -335,17 +323,18 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
     if c0 >= 1.0:  # D(1) is the hull of the w_j
-        mu = _nearest_weights(omega[None], _HULL_4)[0]
+        mu = _nearest_weights(omega[:, None], _HULL_4)[:, 0]
         lo = mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
         hi = np.eye(4, dtype=complex)[0], 1.0
         lo[0].flags.writeable = hi[0].flags.writeable = False
         return lo, hi
-    col = np.full((_OPENING_THETA.size, 1), c0)
-    col[-1] = 0.0
-    h, z, w, r = _support(lam, col, _OPENING_THETA)
+    c0s = np.full(_OPENING_THETA.size, c0)
+    c0s[-1] = 0.0
+    h, z, w, r = _support(lam, c0s, _OPENING_THETA)
     # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
     cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
-    theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:-1], z[:-1], r[:-1], c0)
+    # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
+    theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:, :-1], z[:-1], r[:, :-1], c0).T.copy()
     lo = None  # MIN's state and bound, fixed once its support points' hull holds 0
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
@@ -354,7 +343,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         if lo is None:
             bound, f = max(float((-h).max()), 0.0), u @ omega
             # No direction separates 0 from D: [0, |F|] closes once the hull holds 0.
-            mu = None if bound else _nearest_weights(f[None], _fan(theta.size))[0]
+            mu = None if bound else _nearest_weights(f[:, None], _fan(theta.size))[:, 0]
             if mu is not None and abs(mu @ f) <= 0.1 * _TOL:
                 lo = _pad(mu @ u, omega), bound
             else:
@@ -367,10 +356,10 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
         h_new, z, w, r = _support(lam, c0, new)
         order = np.concatenate([theta, new]).argsort(kind="stable")
-        u_new = _primal(w, z, r, c0)
+        u_new = _primal(w, z, r, c0).T
         theta, h, u = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (u, u_new)))
     if lo is None:
-        lo = _pad(_nearest_weights(f[None], _fan(theta.size))[0] @ u, omega), bound
+        lo = _pad(_nearest_weights(f[:, None], _fan(theta.size))[:, 0] @ u, omega), bound
     hi = u[h.argmax()].copy(), float(gap_bound.max())
     lo[0].flags.writeable = hi[0].flags.writeable = False
     return lo, hi
@@ -443,6 +432,10 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     their certified brackets, ``bound_min - 1e-12 <= closed_min <=
     oracle_min + 1e-12`` and ``oracle_max - 1e-12 <= closed_max <= bound_max
     + 1e-12``, and both deviations |closed - oracle| are at most ``tol``.
+    A converged bracket is at most 1e-8 wide, so a converged row whose
+    closed forms lie inside their brackets deviates by at most 1e-8 + 1e-12
+    (up to rounding): a ``tol`` at or above that bound never fails a row on
+    its own, and a smaller ``tol`` can fail a correct closed form.
     Failures are recorded in the report and named by its ``failures``,
     never raised.  An empty grid raises ``ValueError``.  The
     MIN and MAX searches at one c0 read one bracket pair, built from one

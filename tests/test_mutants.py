@@ -1,13 +1,15 @@
 """A gallery of single faults in the closed forms that verification must catch.
 
-Each mutant rewrites one expression in one function of ``gatepower.power``
-and is applied with monkeypatch; ``verify_profile`` then runs on every
+Each mutant rewrites one expression in one function that
+``gatepower.power`` calls by name (its own, or ``reduce_alpha``) and is
+applied with monkeypatch; ``verify_profile`` then runs on every
 (gate, c0) of a gate set fixed up front.  A mutant must fail the certified
 bracket check on at least one gate.  A mutant that no gate can expose is
 listed as equivalent, with the reason, and must fail on none.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -35,21 +37,33 @@ MUTANTS = [
      "",
      "for theta in [0, pi/2] the angle-addition forms lie within rounding (~1e-16) of [0, 1] and "
      "of their side of c0, far inside the 1e-12 margin of the certified check"),
+    # Only coordinates outside the chamber reach the flip: (-0.3, 0.2, 0.1) has theta = 1.0, the mutant 0.
+    ("first_sign_flip_skipped", "reduce_alpha", "a[0] < 0", "False", None),
+    ("quarter_pi_mirror_dropped", "reduce_alpha",
+     "    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:\n        a[0], a[2] = _QUARTER_PI, -a[2]\n", "",
+     "the mirror flips a3, which power reads as |a3|, and undoes the snap of a1 to pi/4 (at most 1e-10), "
+     "which enters theta = 2 (a1 + a2) only when a2 < 1e-10: theta then lies within 2e-10 of pi/2, where "
+     "sin(theta) rounds to 1, so power_interval returns the same floats"),
 ]
+# Coordinates given outside the chamber, which only reduce_alpha's moves bring into it.
+OUTSIDE_CHAMBER = [(-0.3, 0.2, 0.1), (0.1, 0.05, -0.6), (-0.7, -0.1, 0.3)]
 
 
 def _gates():
     haar = [weyl_coordinates(random_unitary(4, seed)) for seed in range(4)]
-    return [np.array(a) for a in VERIFY_ANCHORS.values()] + _named_gates() + facet_and_edge_points() + haar
+    fixed = [np.array(a) for a in [*VERIFY_ANCHORS.values(), *OUTSIDE_CHAMBER]]
+    return fixed + _named_gates() + facet_and_edge_points() + haar
 
 
 def _mutated(function, expression, mutant):
-    """A copy of ``power.<function>`` with ``expression`` rewritten; it reads
-    the module's globals, so it sees the other functions as patched."""
-    source = inspect.getsource(getattr(power, function))
+    """A copy of the function that ``power.<function>`` names, with
+    ``expression`` rewritten; it reads the globals of the module that
+    defines it, so it sees the other functions as patched."""
+    original = getattr(power, function)
+    source = inspect.getsource(original)
     assert source.count(expression) == 1
     scope = {}
-    exec(source.replace(expression, mutant), vars(power), scope)
+    exec(source.replace(expression, mutant), vars(sys.modules[original.__module__]), scope)
     return scope[function]
 
 
