@@ -35,6 +35,7 @@ from .linalg import (
 
 __all__ = [
     "DecompositionError",
+    "DecompositionDiagnostics",
     "CanonicalDecomposition",
     "in_weyl_chamber",
     "reduce_alpha",
@@ -67,6 +68,25 @@ class DecompositionError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class DecompositionDiagnostics:
+    """The values :func:`decompose` checks on its way; all but the mix are Frobenius norms.
+
+    Attributes:
+        eigenbasis_residual: off-diagonal part of basis^T m basis (at most 1e-8).
+        eigenbasis_mix: weight c of the real mix Re(m) + c Im(m) whose
+            eigenbasis was used.
+        imaginary_leak: imaginary part of the left magic-frame factor (at most 1e-6).
+        reconstruction_residual: distance between the gate and its
+            reconstruction with the stored phase (at most 1e-8).
+    """
+
+    eigenbasis_residual: float
+    eigenbasis_mix: float
+    imaginary_leak: float
+    reconstruction_residual: float
+
+
+@dataclass(frozen=True)
 class CanonicalDecomposition:
     """Result of :func:`decompose`.
 
@@ -76,12 +96,14 @@ class CanonicalDecomposition:
             the canonical gate.
         post_local: single-qubit factors (U_A, U_B) in SU(2) applied after it.
         global_phase: phase (radians) making the reconstruction exact.
+        diagnostics: the residuals behind the result; None if built by hand.
     """
 
     weyl: np.ndarray
     pre_local: tuple[np.ndarray, np.ndarray]
     post_local: tuple[np.ndarray, np.ndarray]
     global_phase: float
+    diagnostics: DecompositionDiagnostics | None = None
 
 
 def _real(alpha) -> np.ndarray:
@@ -114,7 +136,8 @@ def _coordinates(alpha) -> list[float]:
     """
     a = _real(alpha)
     values = a.tolist()
-    if a.shape != (3,) or not all(abs(x) <= 1e3 for x in values):  # also rejects NaN and inf
+    a1, a2, a3 = values if a.shape == (3,) else [math.nan] * 3
+    if not (abs(a1) <= 1e3 and abs(a2) <= 1e3 and abs(a3) <= 1e3):  # NaN and inf fail too
         raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {values}")
     return values
 
@@ -149,19 +172,20 @@ def canonical_gate(alpha) -> np.ndarray:
 
 
 def _su2_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) factors (A, B) with A (x) B = MAGIC o MAGIC^dag for o in SO(4).
+    """SU(2) factors A[s] (x) B[s] = MAGIC o[s] MAGIC^dag of a stack o (n, 4, 4) in SO(4).
 
-    Block (i, k) of the magic-frame image is A[i, k] B.  The block of
+    Block (i, k) of a magic-frame image is A[i, k] B.  The block of
     largest norm has |A[i, k]|^2 >= 1/2, so dividing it by the square root
     of its determinant gives B, and A[i, k] = tr(B^dag block(i, k)) / 2.
     """
-    blocks = (MAGIC @ o @ MAGIC_H).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    i, k = divmod(int(np.argmax(np.sum(np.abs(blocks) ** 2, axis=(2, 3)))), 2)
-    b = blocks[i, k] / np.sqrt(np.linalg.det(blocks[i, k]))
-    return np.sum(b.conj() * blocks, axis=(2, 3)) / 2.0, b
+    blocks = (MAGIC @ o @ MAGIC_H).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    i, k = np.divmod((abs(blocks) ** 2).sum(axis=(3, 4)).reshape(-1, 4).argmax(axis=1), 2)
+    b = blocks[np.arange(len(o)), i, k]
+    b /= np.sqrt(np.linalg.det(b))[:, None, None]
+    return (b.conj()[:, None, None] * blocks).sum(axis=(3, 4)) / 2.0, b
 
 
-def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Real orthogonal eigenbasis of a complex symmetric unitary matrix.
 
     Re(m) and Im(m) are commuting real symmetric matrices, so the real
@@ -172,21 +196,20 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     the positive ``_MIXES``, so one of the four is free of collisions.
     Returns the first basis whose off-diagonal residual is at most 1e-10,
     else the best one, together with the eigenvalues of m it yields (the
-    diagonal of basis^T m basis) and that residual.
+    diagonal of basis^T m basis), that residual and its mix c.
     """
-    re = np.real(m)
-    im = np.imag(m)
-    best, best_off = None, np.inf
+    best = None, None, math.inf, None
     for c in _MIXES:
-        _, basis = np.linalg.eigh(re + c * im)
+        _, basis = np.linalg.eigh(m.real + c * m.imag)
         diag = basis.T @ m @ basis
-        eigvals = np.diagonal(diag)
-        off = float(np.linalg.norm(diag - np.diag(eigvals)))
-        if off < best_off:
-            best, best_off = (basis, eigvals), off
+        eigvals = diag.diagonal().copy()
+        diag.flat[::5] = 0.0
+        off = math.sqrt(np.vdot(diag, diag).real)
+        if off < best[2]:
+            best = basis, eigvals, off, c
         if off <= 1e-10:
             break
-    return *best, best_off
+    return best
 
 
 def reduce_alpha(alpha) -> np.ndarray:
@@ -197,8 +220,9 @@ def reduce_alpha(alpha) -> np.ndarray:
     magnitude and pairs of signs are flipped; every move changes the gate
     only by local factors and a global phase.  On the face a1 = pi/4
     (within 1e-10) the chamber identifies +-a3 and the non-negative sign
-    is chosen; a1 is then set to pi/4, since the exact mirror
-    pi/2 - a1 would lie outside the closed chamber.
+    is chosen.  a1 is kept: the exact mirror pi/2 - a1 would lie outside
+    the closed chamber, and setting a1 to pi/4 would move theta, which
+    reads a1, a2 and |a3| only.
 
     Raises:
         ValueError: if a coordinate is complex, not finite or exceeds 1e3 in magnitude.
@@ -212,27 +236,28 @@ def reduce_alpha(alpha) -> np.ndarray:
     if a[1] < 0:
         a[1], a[2] = -a[1], -a[2]
     if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:
-        a[0], a[2] = _QUARTER_PI, -a[2]
+        a[2] = -a[2]
     return np.array(a)
 
 
-def _match_columns(eigvals: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pair each target[k] with a distinct eigvals[order[k]], nearest pairs first.
+def _match_columns(eigvals: np.ndarray, target: np.ndarray):
+    """For s = eigvals, -eigvals: pair each target[k] with a distinct s[order[k]], nearest pairs first.
 
     A stable sort visits pairs in repeated-argmin order, ties included.
-    Returns the order and the largest distance of a chosen pair (the last).
+    Yields per s the order and the largest distance of a chosen pair (the last).
     """
-    dist = np.abs(eigvals[None, :] - target[:, None]).ravel()
-    order, taken, worst = [-1] * 4, [False] * 4, 0.0
-    for flat in np.argsort(dist, kind="stable").tolist():
-        k, j = divmod(flat, 4)
-        if order[k] < 0 and not taken[j]:
-            order[k], taken[j], worst = j, True, float(dist[flat])
-    return np.array(order), worst
+    dist = np.abs(np.array([eigvals, -eigvals])[:, None, :] - target[:, None]).reshape(2, 16)
+    for row, flats in zip(dist.tolist(), np.argsort(dist, axis=1, kind="stable").tolist()):
+        order, taken = [-1] * 4, [False] * 4
+        for flat in flats:
+            k, j = divmod(flat, 4)
+            if order[k] < 0 and not taken[j]:
+                order[k], taken[j], worst = j, True, row[flat]
+        yield order, worst
 
 
-def _chamber_match(u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Validated gate, magic-frame image, matched eigenbasis, alpha, lam, miss.
+def _chamber_match(u):
+    """Validated gate, magic-frame image, matched eigenbasis, alpha, lam, miss, eigenbasis residual, mix.
 
     alpha is ``reduce_alpha`` of the half-phases of m.  Every reduction
     move is local up to a factor i, so exp(2i lam) is the spectrum of m or
@@ -246,22 +271,20 @@ def _chamber_match(u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, n
     m = u_magic.T @ u_magic
     m = 0.5 * (m + m.T)
 
-    basis, eigvals, residual = _orthogonal_eigenbasis(m)
+    basis, eigvals, residual, mix = _orthogonal_eigenbasis(m)
     if residual > 1e-8:
         raise DecompositionError("could not diagonalize the magic Gram matrix", residual)
 
     # Principal half-phases: only mu[0..2] enter alpha, and a branch shift
     # of one by pi moves two coordinates by pi/2, a local move that
     # reduce_alpha undoes.
-    mu = np.angle(eigvals) / 2.0
+    mu = np.arctan2(eigvals.imag, eigvals.real) / 2.0  # np.angle without its Python-level wrapper
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
     lam = eigen_phases(alpha)
-    target = np.exp(2j * lam)
-    order, miss = _match_columns(eigvals, target)
-    order_neg, miss_neg = _match_columns(-eigvals, target)
+    (order, miss), (order_neg, miss_neg) = _match_columns(eigvals, np.exp(2j * lam))
     if miss_neg < miss:
         order, miss, u_magic = order_neg, miss_neg, 1j * u_magic
-    return u, u_magic, basis[:, order], alpha, lam, miss
+    return u, u_magic, basis[:, order], alpha, lam, miss, residual, mix
 
 
 def weyl_coordinates(u: np.ndarray) -> np.ndarray:
@@ -275,7 +298,7 @@ def weyl_coordinates(u: np.ndarray) -> np.ndarray:
         UnitarityError: if ``u`` is not a 4x4 unitary to 1e-10.
         DecompositionError: if the eigenbasis or the spectrum match fails.
     """
-    *_, alpha, _, miss = _chamber_match(u)
+    _, _, _, alpha, _, miss, _, _ = _chamber_match(u)
     if miss > RECONSTRUCTION_ATOL:
         raise DecompositionError("chamber spectrum does not match the gate", miss)
     return alpha
@@ -296,25 +319,26 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
         DecompositionError: if the eigenbasis extraction or the final
             reconstruction check fails.
     """
-    u, u_magic, basis, alpha, lam, _ = _chamber_match(u)
+    u, u_magic, basis, alpha, lam, _, residual, mix = _chamber_match(u)
     if np.linalg.det(basis) < 0:
         basis[:, 3] = -basis[:, 3]
 
     # Magic-frame factors: u~ = o1 diag(exp(i lam)) basis^T with o1 in SO(4).
-    o1 = u_magic @ basis @ np.diag(np.exp(-1j * lam))
-    imag_leak = float(np.linalg.norm(o1.imag))
+    o1 = u_magic @ basis * np.exp(-1j * lam)
+    imag_leak = math.sqrt(np.vdot(o1.imag, o1.imag))
     if imag_leak > 1e-6:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
-    post_a, post_b = _su2_factors(o1.real)
-    pre_a, pre_b = _su2_factors(basis.T)
-
-    bare = tensor_product(post_a, post_b) @ canonical_gate(alpha) @ tensor_product(pre_a, pre_b)
-    phase = float(np.angle(np.trace(bare.conj().T @ u)))
-    check = float(np.linalg.norm(u - np.exp(1j * phase) * bare))
+    a, b = _su2_factors(np.array([o1.real, basis.T]))
+    # The middle factor is canonical_gate(alpha), built from the lam in hand.
+    bare = tensor_product(a[0], b[0]) @ ((MAGIC * np.exp(1j * lam)) @ MAGIC_H) @ tensor_product(a[1], b[1])
+    phase = float(np.angle(np.vdot(bare, u)))
+    gap = u - np.exp(1j * phase) * bare
+    check = math.sqrt(np.vdot(gap, gap).real)
     if check > RECONSTRUCTION_ATOL:
         raise DecompositionError("reconstruction check failed", check)
     return CanonicalDecomposition(
-        weyl=alpha, pre_local=(pre_a, pre_b), post_local=(post_a, post_b), global_phase=phase
+        weyl=alpha, pre_local=(a[1], b[1]), post_local=(a[0], b[0]), global_phase=phase,
+        diagnostics=DecompositionDiagnostics(residual, mix, imag_leak, check),
     )
 
 

@@ -39,10 +39,8 @@ from .canonical import (
     canonical_gate,
     decompose,
     eigen_phases,
-    reconstruct,
     weyl_coordinates,
 )
-from .linalg import distance_up_to_phase
 from .oracle import verify_profile
 from .power import (
     c0_max,
@@ -211,7 +209,7 @@ def _cmd_decompose(args) -> int:
     name, matrix = resolve_gate(args.gate)
     d = decompose(matrix)
     lam = eigen_phases(d.weyl)
-    residual = distance_up_to_phase(reconstruct(d), matrix)
+    residual = d.diagnostics.reconstruction_residual
     doc = {
         "gate": name,
         "alpha": [float(a) for a in d.weyl],
@@ -219,7 +217,7 @@ def _cmd_decompose(args) -> int:
         "global_phase": d.global_phase,
         "pre_local": [_matrix_json(m) for m in d.pre_local],
         "post_local": [_matrix_json(m) for m in d.post_local],
-        "reconstruction_residual": residual,
+        **dataclasses.asdict(d.diagnostics),
     }
     deg = args.degrees
     lines = [

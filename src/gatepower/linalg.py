@@ -59,8 +59,8 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UnitarityError(f"{name} must be square, got shape {m.shape}")
-    ok = (np.abs(m.real) <= 1.0 + atol) & (np.abs(m.imag) <= 1.0 + atol)
-    if not ok.all():
+    if not (abs(m.ravel().view(float)) <= 1.0 + atol).all():  # ravel copies any layout but C order
+        ok = (np.abs(m.real) <= 1.0 + atol) & (np.abs(m.imag) <= 1.0 + atol)
         finite = np.isfinite(m)
         what, bad = ("non-finite entries", ~finite) if not finite.all() else ("entries above 1", ~ok)
         raise UnitarityError(f"{name} is not unitary: {what} at {np.argwhere(bad).tolist()}")

@@ -90,14 +90,17 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     Evaluates cos(arccos(c0) -+ theta) through the angle-addition identity
     c0*cos(theta) +- sin(theta)*sqrt(1 - c0^2), which keeps the clamped
     endpoints (0 and 1) and the theta = 0 case exact in floating point.
+    Whether an endpoint clamps is decided on the angles: sin(theta) rounds
+    to 1 within ~1e-8 of pi/2, where c_min at c0 = 1 is still cos(theta).
     """
     c0 = _concurrence(c0)
     theta = effective_angle(alpha)
+    phi = math.acos(c0)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     root = math.sqrt(max(1.0 - c0 * c0, 0.0))
-    c_max = 1.0 if c0 >= cos_t else c0 * cos_t + sin_t * root
-    c_min = 0.0 if c0 <= sin_t else c0 * cos_t - sin_t * root
+    c_max = 1.0 if phi <= theta else c0 * cos_t + sin_t * root
+    c_min = 0.0 if phi + theta >= math.pi / 2.0 else c0 * cos_t - sin_t * root
     c_max = min(max(c_max, c0), 1.0)
     c_min = max(min(c_min, c0), 0.0)
     return PowerInterval(c_min=c_min, c_max=c_max)

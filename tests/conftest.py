@@ -33,6 +33,20 @@ def random_chamber_point(rng: np.random.Generator) -> np.ndarray:
     return np.array([a1, a2, a3])
 
 
+def memory_layouts(m: np.ndarray) -> dict[str, np.ndarray]:
+    """The matrix m, equal entry for entry, in four other memory layouts."""
+    big = np.zeros((2 * m.shape[0], 3 * m.shape[1]), dtype=m.dtype)
+    big[1::2, 2::3] = m
+    frozen = m.copy()
+    frozen.flags.writeable = False
+    return {
+        "fortran": np.asfortranarray(m),
+        "transposed": np.ascontiguousarray(m.T).T,
+        "strided_view": big[1::2, 2::3],
+        "read_only": frozen,
+    }
+
+
 def random_local_pair(rng: np.random.Generator) -> np.ndarray:
     """Random A (x) B with A, B Haar in U(2)."""
     seeds = rng.integers(0, 2**31, size=2)

@@ -1,5 +1,6 @@
 """Tests for the canonical decomposition and Weyl chamber reduction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import SIGMA_X, SIGMA_Z, random_chamber_point, random_local_pair
+from conftest import SIGMA_X, SIGMA_Z, memory_layouts, random_chamber_point, random_local_pair
 from test_edge_cases import facet_and_edge_points
 from gatepower import (
     DecompositionError,
@@ -26,6 +27,7 @@ from gatepower import (
 )
 from gatepower import canonical
 from gatepower.canonical import CanonicalDecomposition
+from gatepower.linalg import MAGIC, MAGIC_H
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -226,6 +228,7 @@ def test_decompose_falls_back_to_the_next_mix(monkeypatch):
     d = decompose(u)
     assert distance_up_to_phase(reconstruct(d), u) <= 1e-12
     assert np.max(np.abs(d.weyl - reduce_alpha(w))) <= 1e-12
+    assert d.diagnostics.eigenbasis_mix == canonical._MIXES[1] and d.diagnostics.eigenbasis_residual <= 1e-10
     monkeypatch.setattr(canonical, "_MIXES", canonical._MIXES[:1])
     with pytest.raises(DecompositionError):
         decompose(u)
@@ -247,11 +250,12 @@ def test_eigen_phases_and_canonical_gate_reject_non_finite(bad):
 @pytest.mark.parametrize("offset", [1e-10, 5e-11, 1e-13, 0.0])
 def test_reduce_alpha_stays_inside_the_closed_chamber_at_the_facet(offset):
     # Within 1e-10 of a1 = pi/4 the a3 < 0 representative is folded to
-    # a3 >= 0; that fold must not move a1 past pi/4.
+    # a3 >= 0; that fold keeps a1, so it neither moves a1 past pi/4 nor
+    # moves theta, which reads a1.
     w = [QUARTER_PI - offset, 0.3, -0.2]
     r = reduce_alpha(w)
     assert in_weyl_chamber(r, tol=0)
-    assert r[0] == QUARTER_PI and r[2] == 0.2
+    assert r[0] == w[0] and r[2] == 0.2
     assert in_weyl_chamber(decompose(canonical_gate(w)).weyl, tol=0)
 
 
@@ -344,8 +348,8 @@ def test_weyl_coordinates_certify_the_spectrum_match(monkeypatch, shift, raises)
     extract = canonical._orthogonal_eigenbasis
 
     def turned(m):
-        basis, eigvals, residual = extract(m)
-        return basis, eigvals * np.exp([0, 0, 0, 1j * shift]), residual
+        basis, eigvals, *rest = extract(m)
+        return basis, eigvals * np.exp([0, 0, 0, 1j * shift]), *rest
 
     monkeypatch.setattr(canonical, "_orthogonal_eigenbasis", turned)
     u = random_unitary(4, 7)
@@ -390,8 +394,52 @@ _REPEATED = np.array([1, 1, -1, -1], dtype=complex)
 @example(np.array([1, 1j, -1, -1j]), np.array([-1j, -1, 1j, 1]))
 def test_match_columns_equals_the_argmin_reference(eigvals, target):
     target = eigvals if target is None else target
-    for sign in (1, -1):
-        order, worst = canonical._match_columns(sign * eigvals, target)
+    for sign, (order, worst) in zip((1, -1), canonical._match_columns(eigvals, target)):
         ref_order, ref_worst = _argmin_match_columns(sign * eigvals, target)
         assert np.array_equal(order, ref_order)
         assert worst == ref_worst
+
+
+def _fields(d):
+    """Every value of a decomposition, as bytes."""
+    return [np.asarray(x).tobytes() for x in (d.weyl, *d.pre_local, *d.post_local, d.global_phase)] + [d.diagnostics]
+
+
+def test_decompose_and_weyl_coordinates_ignore_the_memory_layout():
+    rng = np.random.default_rng(43)
+    gates = [random_unitary(4, seed) for seed in range(20)] + [
+        random_local_pair(rng) @ canonical_gate(w) @ random_local_pair(rng) for w in facet_and_edge_points()[::5]
+    ]
+    for u in gates:
+        expected, alpha = _fields(decompose(u)), weyl_coordinates(u)
+        for layout, v in memory_layouts(u).items():
+            assert _fields(decompose(v)) == expected, layout
+            assert weyl_coordinates(v).tobytes() == alpha.tobytes(), layout
+
+
+def test_stacked_su2_factors_equal_each_split_alone():
+    rng = np.random.default_rng(47)
+    rotations = [np.eye(4), np.diag([1.0, -1.0, -1.0, 1.0]), np.eye(4)[[1, 0, 3, 2]]]
+    for _ in range(8):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        rotations.append(q * np.sign(np.linalg.det(q)) ** np.array([0, 0, 0, 1]))  # det +1
+    stack = np.array(rotations)
+    a, b = canonical._su2_factors(stack)
+    for s, o in enumerate(rotations):
+        alone = canonical._su2_factors(stack[s : s + 1])
+        assert a[s].tobytes() == alone[0][0].tobytes() and b[s].tobytes() == alone[1][0].tobytes()
+        assert np.linalg.norm(tensor_product(a[s], b[s]) - MAGIC @ o @ MAGIC_H) <= 1e-12
+
+
+def test_decompose_reports_its_diagnostics():
+    for seed in range(50):
+        u = random_unitary(4, seed)
+        d = decompose(u)
+        diag = d.diagnostics
+        assert diag.eigenbasis_residual <= 1e-10
+        assert diag.eigenbasis_mix in canonical._MIXES
+        assert diag.imaginary_leak <= 1e-12
+        assert diag.reconstruction_residual <= 1e-12
+        assert abs(diag.reconstruction_residual - distance_up_to_phase(reconstruct(d), u)) <= 1e-14
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        diag.imaginary_leak = 0.0

@@ -140,6 +140,15 @@ def test_decompose_cnot_json(capsys):
     assert distance_up_to_phase(rebuilt, named_gate("cnot")) <= 1e-8
 
 
+def test_decompose_json_prints_the_diagnostics(capsys):
+    code, out, _ = run(capsys, ["decompose", "--gate", "iswap", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["eigenbasis_residual"] <= 1e-10 and doc["eigenbasis_mix"] in canonical._MIXES
+    assert doc["imaginary_leak"] <= 1e-12 and doc["reconstruction_residual"] <= 1e-12
+    assert doc["reconstruction_residual"] == decompose(named_gate("iswap")).diagnostics.reconstruction_residual
+
+
 def test_decompose_identity(capsys):
     code, out, _ = run(capsys, ["decompose", "--gate", "identity", "--json"])
     assert code == 0

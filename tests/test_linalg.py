@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, memory_layouts
 from gatepower import (
     MAGIC,
     MAGIC_H,
@@ -17,6 +17,7 @@ from gatepower import (
     random_unitary,
     require_unitary,
     tensor_product,
+    weyl_coordinates,
 )
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -144,6 +145,33 @@ def test_huge_entries_are_not_unitary_without_overflow(big):
         require_unitary(m)
     with pytest.raises(UnitarityError):
         decompose(m)
+
+
+def _bad(entry):
+    m = random_unitary(4, 5)
+    m[1, 2] = entry
+    return m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1.01 * random_unitary(4, 9), _bad(np.nan), _bad(complex(0.0, np.inf)), _bad(1e200j), np.eye(4)[:, :3]],
+    ids=["non_unitary", "nan", "inf", "huge", "non_square"],
+)
+def test_every_memory_layout_is_rejected_alike(m):
+    for check in (require_unitary, decompose, weyl_coordinates):
+        with pytest.raises(UnitarityError) as expected:
+            check(m)
+        for layout, v in memory_layouts(m).items():
+            with pytest.raises(UnitarityError) as got:
+                check(v)
+            assert str(got.value) == str(expected.value), (check.__name__, layout)
+
+
+def test_every_memory_layout_is_accepted_alike():
+    u = random_unitary(4, 11)
+    for layout, v in memory_layouts(u).items():
+        assert require_unitary(v).tobytes() == u.tobytes(), layout
 
 
 def test_non_square_matrices_are_not_unitary():

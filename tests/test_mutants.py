@@ -9,6 +9,7 @@ listed as equivalent, with the reason, and must fail on none.
 """
 
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from test_oracle import GRID_11, VERIFY_ANCHORS, _named_gates
 from gatepower import oracle, power, random_unitary, verify_profile, weyl_coordinates
 
 OUTSIDE = "outside the certified bracket"
+QUARTER_PI = math.pi / 4
 # Every second point of GRID_11, to keep the module near 2 s.
 GRID = GRID_11[::2]
 
@@ -31,8 +33,14 @@ MUTANTS = [
     ("abs_a3_read_as_a3", "_abs_a3", "abs(a3)", "a3", None),
     ("half_pi_clamp_dropped", "effective_angle", "math.pi / 2.0 - a2 - a3), math.pi / 2.0)",
      "math.pi / 2.0 - a2 - a3))",
-     "theta > pi/2 gives cos(theta) < 0 <= c0 and sin(theta) < 1: power_interval then returns "
-     "c_max = 1, and its c0 clamp lifts a negative c_min to 0, as at theta = pi/2"),
+     "theta > pi/2 gives arccos(c0) <= theta and arccos(c0) + theta >= pi/2 for every c0, so "
+     "power_interval returns [0, 1], as at theta = pi/2"),
+    # Within ~1e-8 below theta = pi/2, sin(theta) rounds to 1, so deciding the c_min clamp
+    # on it rounds c_min at c0 = 1 to 0; snapping a1 onto pi/4 (by up to 1e-10) in the face
+    # fold moves theta = 2 (a1 + a2).  The NEAR_HALF_PI gates expose both.
+    ("sine_decides_the_c_min_clamp", "power_interval", "phi + theta >= math.pi / 2.0", "c0 <= sin_t", None),
+    ("a1_snapped_to_quarter_pi", "reduce_alpha", "        a[2] = -a[2]\n", "        a[0], a[2] = _QUARTER_PI, -a[2]\n",
+     None),
     ("c0_clamps_dropped", "power_interval", "    c_max = min(max(c_max, c0), 1.0)\n    c_min = max(min(c_min, c0), 0.0)\n",
      "",
      "for theta in [0, pi/2] the angle-addition forms lie within rounding (~1e-16) of [0, 1] and "
@@ -40,18 +48,20 @@ MUTANTS = [
     # Only coordinates outside the chamber reach the flip: (-0.3, 0.2, 0.1) has theta = 1.0, the mutant 0.
     ("first_sign_flip_skipped", "reduce_alpha", "a[0] < 0", "False", None),
     ("quarter_pi_mirror_dropped", "reduce_alpha",
-     "    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:\n        a[0], a[2] = _QUARTER_PI, -a[2]\n", "",
-     "the mirror flips a3, which power reads as |a3|, and undoes the snap of a1 to pi/4 (at most 1e-10), "
-     "which enters theta = 2 (a1 + a2) only when a2 < 1e-10: theta then lies within 2e-10 of pi/2, where "
-     "sin(theta) rounds to 1, so power_interval returns the same floats"),
+     "    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:\n        a[2] = -a[2]\n", "",
+     "the mirror keeps a1 and flips only a3, which power reads as |a3|, so power_interval returns the "
+     "same floats"),
 ]
 # Coordinates given outside the chamber, which only reduce_alpha's moves bring into it.
 OUTSIDE_CHAMBER = [(-0.3, 0.2, 0.1), (0.1, 0.05, -0.6), (-0.7, -0.1, 0.3)]
+# theta within ~1e-8 below pi/2, where sin(theta) rounds to 1 but c_min at c0 = 1 is cos(theta);
+# the last lies within 1e-10 of the a1 = pi/4 face with a3 < 0, so reduce_alpha folds it.
+NEAR_HALF_PI = [(QUARTER_PI - 1e-9, 0.0, 0.0), (QUARTER_PI - 1e-9, 1e-10, -1e-10), (QUARTER_PI - 1e-10, 1e-12, -1e-12)]
 
 
 def _gates():
     haar = [weyl_coordinates(random_unitary(4, seed)) for seed in range(4)]
-    fixed = [np.array(a) for a in [*VERIFY_ANCHORS.values(), *OUTSIDE_CHAMBER]]
+    fixed = [np.array(a) for a in [*VERIFY_ANCHORS.values(), *OUTSIDE_CHAMBER, *NEAR_HALF_PI]]
     return fixed + _named_gates() + facet_and_edge_points() + haar
 
 

@@ -21,6 +21,7 @@ from gatepower import (
     power_interval,
     reduce_alpha,
     saturation_condition,
+    verify_profile,
 )
 
 QUARTER_PI = math.pi / 4
@@ -159,6 +160,7 @@ def test_c0_max_examples():
 
 def test_c1_min_examples():
     assert c1_min(CNOT_W) == 0.0
+    assert c1_min([QUARTER_PI, 0.3, 0.1]) == 0.0 and power_interval(CNOT_W, 1.0) == (0.0, 1.0)  # theta = pi/2
     assert c1_min([0, 0, 0]) == 1.0
     assert abs(c1_min(HALF_CNOT_W) - math.cos(QUARTER_PI)) <= 1e-12
 
@@ -291,3 +293,16 @@ def test_power_interval_depends_on_the_class_only(w, c0):
     a = power_interval(w, c0)
     b = power_interval(reduce_alpha(w), c0)
     assert abs(a.c_min - b.c_min) <= 1e-12 and abs(a.c_max - b.c_max) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "w", [[QUARTER_PI - 1e-9, 0, 0], [QUARTER_PI - 1e-9, 1e-10, -1e-10], [QUARTER_PI - 1e-10, 1e-12, -1e-12]]
+)
+def test_c_min_at_c0_one_just_below_half_pi_is_cos_theta(w):
+    # sin(theta) rounds to 1 within ~1e-8 below pi/2; c_min at c0 = 1 is still
+    # cos(theta), which the fold on the a1 = pi/4 face must not move either.
+    theta = effective_angle(w)
+    assert theta == 2 * (w[0] + w[1]) < math.pi / 2 and math.sin(theta) == 1.0
+    assert c1_min(w) == power_interval(w, 1.0).c_min == math.cos(theta) > 0
+    report = verify_profile(w, [1.0])
+    assert report.passed, report.failures
