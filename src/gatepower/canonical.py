@@ -48,6 +48,7 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
+_COORDINATE_RULE = "chamber coordinates must be three finite numbers, |a_j| <= 1e3"
 
 # Acceptance thresholds for the decomposition pipeline.
 INPUT_UNITARY_ATOL = 1e-10
@@ -108,23 +109,34 @@ class CanonicalDecomposition:
 
 def _real(alpha) -> np.ndarray:
     """alpha as floats; ValueError if complex, whose imaginary parts a float
-    conversion would drop with only a warning."""
+    conversion would drop with only a warning, or too large for a float."""
     a = np.asarray(alpha)
     if a.dtype.kind == "O":  # let the elements' own types decide, as for a list
         a = np.asarray(a.tolist())
     if a.dtype.kind == "c":
         raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
-    return a.astype(float, copy=False)
+    try:
+        return a.astype(float, copy=False)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{_COORDINATE_RULE}: {exc}") from exc
+
+
+def _three_floats(alpha) -> list[float]:
+    """alpha as three Python floats of any size: as given in a list, tuple or array, else by ``_real``."""
+    v = alpha.tolist() if type(alpha) is np.ndarray else list(alpha) if type(alpha) is tuple else alpha
+    if type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
+        return v
+    a = _real(alpha)
+    if a.shape != (3,):
+        raise ValueError(f"{_COORDINATE_RULE}, got {a.tolist()}")
+    return a.tolist()
 
 
 def in_weyl_chamber(alpha, tol: float = 1e-9) -> bool:
-    """True if pi/4 >= a1 >= a2 >= |a3| >= 0 holds within ``tol``; ValueError if alpha is complex."""
-    a1, a2, a3 = _real(alpha)
-    return (
-        a1 <= _QUARTER_PI + tol
-        and a1 >= a2 - tol
-        and a2 >= abs(a3) - tol
-    )
+    """True if pi/4 >= a1 >= a2 >= |a3| >= 0 holds within ``tol`` (False for NaN);
+    ValueError unless alpha is three real numbers."""
+    a1, a2, a3 = _three_floats(alpha)
+    return a1 <= _QUARTER_PI + tol and a1 >= a2 - tol and a2 >= abs(a3) - tol
 
 
 def _coordinates(alpha) -> list[float]:
@@ -134,11 +146,10 @@ def _coordinates(alpha) -> list[float]:
         ValueError: if alpha is not three finite real numbers with |a_j| <= 1e3;
             beyond that, reduction mod pi/2 loses over 1e-13 to rounding.
     """
-    a = _real(alpha)
-    values = a.tolist()
-    a1, a2, a3 = values if a.shape == (3,) else [math.nan] * 3
+    values = _three_floats(alpha)
+    a1, a2, a3 = values
     if not (abs(a1) <= 1e3 and abs(a2) <= 1e3 and abs(a3) <= 1e3):  # NaN and inf fail too
-        raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {values}")
+        raise ValueError(f"{_COORDINATE_RULE}, got {values}")
     return values
 
 
@@ -212,6 +223,13 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     return best
 
 
+def _by_magnitude(alpha) -> list[float]:
+    """The ``_coordinates``, each shifted by a multiple of pi/2 into (-pi/4, pi/4],
+    by decreasing magnitude; equal magnitudes keep their order."""
+    shifted = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
+    return sorted(shifted, key=abs, reverse=True)
+
+
 def reduce_alpha(alpha) -> np.ndarray:
     """Weyl chamber representative of the gate class with coordinates alpha.
 
@@ -227,10 +245,7 @@ def reduce_alpha(alpha) -> np.ndarray:
     Raises:
         ValueError: if a coordinate is complex, not finite or exceeds 1e3 in magnitude.
     """
-    a = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
-    for j, k in ((0, 1), (1, 2), (0, 1)):
-        if abs(a[j]) < abs(a[k]):
-            a[j], a[k] = a[k], a[j]
+    a = _by_magnitude(alpha)
     if a[0] < 0:
         a[0], a[2] = -a[0], -a[2]
     if a[1] < 0:
@@ -278,7 +293,7 @@ def _chamber_match(u):
     # Principal half-phases: only mu[0..2] enter alpha, and a branch shift
     # of one by pi moves two coordinates by pi/2, a local move that
     # reduce_alpha undoes.
-    mu = np.arctan2(eigvals.imag, eigvals.real) / 2.0  # np.angle without its Python-level wrapper
+    mu = (np.arctan2(eigvals.imag, eigvals.real) / 2.0).tolist()  # np.angle without its Python-level wrapper
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
     lam = eigen_phases(alpha)
     (order, miss), (order_neg, miss_neg) = _match_columns(eigvals, np.exp(2j * lam))

@@ -124,6 +124,8 @@ def _load_gate_file(path: str) -> tuple[str, np.ndarray]:
         raise GateInputError(
             f"gate file {path!r} must contain \"matrix\": 4x4 nested [re, im] pairs"
         ) from exc
+    except OverflowError as exc:  # an integer entry beyond the float range
+        raise GateInputError(f"gate file {path!r}: {exc}") from exc
     if matrix.shape != (4, 4):
         raise GateInputError(f"gate file {path!r}: matrix has shape {matrix.shape}, expected 4x4")
     return str(doc.get("name", path)), matrix

@@ -54,9 +54,13 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
     """Validate unitarity and return the matrix as a complex ndarray.
 
     An entry with a real or imaginary part above 1 (NaN and inf included) is
-    rejected before M^dag M is formed, where it could overflow.
+    rejected before M^dag M is formed, where it could overflow; so is an
+    integer entry beyond the float range.
     """
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except OverflowError as exc:
+        raise UnitarityError(f"{name} is not unitary: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UnitarityError(f"{name} must be square, got shape {m.shape}")
     if not (abs(m.ravel().view(float)) <= 1.0 + atol).all():  # ravel copies any layout but C order

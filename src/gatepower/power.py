@@ -23,7 +23,7 @@ import math
 
 from typing import NamedTuple
 
-from .canonical import reduce_alpha
+from .canonical import _HALF_PI, _by_magnitude
 from .states import _concurrence
 
 __all__ = [
@@ -58,10 +58,14 @@ class GateOrdering(enum.Enum):
     GREATER = ">"
 
 
-def _abs_a3(alpha) -> tuple[float, float, float]:
-    """(a1, a2, |a3|) of the chamber representative of alpha."""
-    a1, a2, a3 = reduce_alpha(alpha).tolist()
-    return a1, a2, abs(a3)
+def _magnitudes(alpha) -> tuple[float, float, float]:
+    """(a1, a2, |a3|) of the chamber representative of alpha, which is all theta reads.
+
+    ``reduce_alpha`` only flips signs of the floats ``_by_magnitude`` gives, so
+    these are their magnitudes (+0.0 where it leaves a zero as -0.0).
+    """
+    a1, a2, a3 = _by_magnitude(alpha)
+    return abs(a1), abs(a2), abs(a3)
 
 
 def saturation_condition(alpha) -> bool:
@@ -70,7 +74,7 @@ def saturation_condition(alpha) -> bool:
     Holds iff a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 (non-strict, with a
     1e-12 slack so boundary gates such as the CNOT class qualify).
     """
-    a1, a2, a3 = _abs_a3(alpha)
+    a1, a2, a3 = _magnitudes(alpha)
     return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
 
 
@@ -80,8 +84,8 @@ def effective_angle(alpha) -> float:
     The paper's three cases (2 (a1 + a2), pi/2 when saturating, and
     2 (pi/2 - a2 - |a3|)) are one clamped minimum.
     """
-    a1, a2, a3 = _abs_a3(alpha)
-    return max(min(2.0 * (a1 + a2), 2.0 * (math.pi / 2.0 - a2 - a3), math.pi / 2.0), 0.0)
+    a1, a2, a3 = _magnitudes(alpha)
+    return max(min(2.0 * (a1 + a2), 2.0 * (_HALF_PI - a2 - a3), _HALF_PI), 0.0)
 
 
 def power_interval(alpha, c0: float) -> PowerInterval:
@@ -99,10 +103,8 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     root = math.sqrt(max(1.0 - c0 * c0, 0.0))
-    c_max = 1.0 if phi <= theta else c0 * cos_t + sin_t * root
-    c_min = 0.0 if phi + theta >= math.pi / 2.0 else c0 * cos_t - sin_t * root
-    c_max = min(max(c_max, c0), 1.0)
-    c_min = max(min(c_min, c0), 0.0)
+    c_max = 1.0 if phi <= theta else min(max(c0 * cos_t + sin_t * root, c0), 1.0)
+    c_min = 0.0 if phi + theta >= _HALF_PI else max(min(c0 * cos_t - sin_t * root, c0), 0.0)
     return PowerInterval(c_min=c_min, c_max=c_max)
 
 

@@ -240,11 +240,25 @@ def test_reduce_alpha_rejects_non_finite(bad):
         reduce_alpha(bad)
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf], 0.5, np.float64(0.5)])
+@pytest.mark.parametrize(
+    "bad", [[math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf], 0.5, np.float64(0.5), [10**400, 0, 0]]
+)
 def test_eigen_phases_and_canonical_gate_reject_non_finite(bad):
     for call in (reduce_alpha, eigen_phases, canonical_gate):
         with pytest.raises(ValueError, match="three finite numbers"):
             call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 1)), [0.1, 0.2], [0.3, 0.2, 0.1, 0.0], 0.5, [10**400, 0, 0]])
+def test_in_weyl_chamber_rejects_anything_but_three_real_numbers(bad):
+    with pytest.raises(ValueError, match="three finite numbers"):
+        in_weyl_chamber(bad)
+
+
+def test_in_weyl_chamber_answers_a_python_bool():
+    for w, inside in [(np.array([0.3, 0.2, -0.1]), True), ((0.3, 0.4, 0.1), False), ([1, 0, 0], False)]:
+        assert in_weyl_chamber(w) is inside
+    assert in_weyl_chamber([math.nan, 0.0, 0.0]) is False
 
 
 @pytest.mark.parametrize("offset", [1e-10, 5e-11, 1e-13, 0.0])

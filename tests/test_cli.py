@@ -474,6 +474,15 @@ def test_huge_finite_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
     assert err.startswith("error: gate is not unitary") and err.count("\n") == 1
 
 
+def test_integer_overflow_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
+    # JSON reads a 401-digit integer as an int, which no float holds.
+    path = _identity_file_with(tmp_path / "int.json", "1" + "0" * 400)
+    code, out, err = run(capsys, ["power", "--gate", path, "--c0", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: gate file {path!r}: int too large to convert to float\n"
+
+
 def test_malformed_gate_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -147,6 +147,15 @@ def test_huge_entries_are_not_unitary_without_overflow(big):
         decompose(m)
 
 
+def test_integer_entries_beyond_the_float_range_are_not_unitary():
+    m = np.eye(4).tolist()
+    m[0][0] = 10**400
+    with pytest.raises(UnitarityError, match=r"^gate is not unitary: int too large to convert to float$"):
+        require_unitary(m, name="gate")
+    with pytest.raises(UnitarityError):
+        decompose(m)
+
+
 def _bad(entry):
     m = random_unitary(4, 5)
     m[1, 2] = entry

@@ -266,11 +266,12 @@ def test_reach_target_rejects_bad_target(target):
         reach_target([0.52, 0.33, 0.11], 0.45, target)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 def test_oracle_rejects_non_finite_coordinates(bad):
     w = [bad, 0.0, 0.0]
     for call in (
         lambda: extremal_concurrence(w, 0.5, Direction.MAX),
+        lambda: verify_profile(w, [0.5]),
         lambda: reach_target(w, 0.5, 0.5),
         lambda: envelope_scan(w, [0.5]),
     ):

@@ -103,7 +103,7 @@ def test_effective_angle_is_the_branch_form(w):
     assert gap <= 2e-12 if in_band else gap == 0.0
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [math.inf, 0, 0], [0, 0, -math.inf], 0.5])
+@pytest.mark.parametrize("bad", [[math.nan, 0, 0], [math.inf, 0, 0], [0, 0, -math.inf], 0.5, [10**400, 0, 0]])
 def test_non_finite_coordinates_raise(bad):
     for call in (
         effective_angle,
