@@ -12,7 +12,9 @@ parametrized tokens (cphase:<radians>, canonical:<a1>,<a2>,<a3>) or paths
 to JSON files of the form {"matrix": [[[re, im], ...], ...]}.
 
 Only ``decompose`` builds local factors; ``power``, ``curve``, ``compare``
-and ``verify`` read the chamber coordinates alone (``weyl_coordinates``).
+and ``verify`` read the chamber coordinates alone (``weyl_coordinates``) and
+take the effective angle theta once per gate.  ``decompose`` formats only
+what it prints: the JSON document under ``--json``, else the human lines.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 
@@ -24,7 +26,6 @@ parser on the first call and reuses it afterwards; output goes to the
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -42,15 +43,8 @@ from .canonical import (
     weyl_coordinates,
 )
 from .oracle import verify_profile
-from .power import (
-    c0_max,
-    c1_min,
-    can_reach_max,
-    can_reach_zero,
-    compare_gates,
-    effective_angle,
-    power_interval,
-)
+from .power import _interval, _order, _reaches_max, _reaches_zero, effective_angle, power_profile
+from .states import _concurrence
 
 __all__ = ["main", "resolve_gate", "named_gate"]
 
@@ -115,6 +109,8 @@ def _load_gate_file(path: str) -> tuple[str, np.ndarray]:
         raise GateInputError(f"cannot read gate file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GateInputError(f"gate file {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer of more than 4300 digits, or bytes that are not UTF-8
+        raise GateInputError(f"gate file {path!r}: {exc}") from exc
     try:
         rows = doc["matrix"]
         matrix = np.array(
@@ -182,21 +178,9 @@ def _fmt(x: float, degrees: bool = False) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _emit(doc: dict, json_flag: bool, human_lines: list[str], file=None) -> None:
+def _emit(doc: dict | None, json_flag: bool, human_lines: list[str], file=None) -> None:
     """Print ``doc`` as JSON or the human lines to ``file`` (stdout if None)."""
-    if json_flag:
-        print(json.dumps(doc, indent=2, sort_keys=True), file=file)
-    else:
-        for line in human_lines:
-            print(line, file=file)
+    print(json.dumps(doc, indent=2, sort_keys=True) if json_flag else "\n".join(human_lines), file=file)
 
 
 def _verdict(failures: list[str]) -> int:
@@ -210,47 +194,43 @@ def _verdict(failures: list[str]) -> int:
 def _cmd_decompose(args) -> int:
     name, matrix = resolve_gate(args.gate)
     d = decompose(matrix)
-    lam = eigen_phases(d.weyl)
-    residual = d.diagnostics.reconstruction_residual
-    doc = {
-        "gate": name,
-        "alpha": [float(a) for a in d.weyl],
-        "lambda": [float(x) for x in lam],
-        "global_phase": d.global_phase,
-        "pre_local": [_matrix_json(m) for m in d.pre_local],
-        "post_local": [_matrix_json(m) for m in d.post_local],
-        **dataclasses.asdict(d.diagnostics),
-    }
+    alpha, lam = d.weyl.tolist(), eigen_phases(d.weyl).tolist()
+    if args.json:
+        doc = {"gate": name, "alpha": alpha, "lambda": lam, "global_phase": d.global_phase, **vars(d.diagnostics)}
+        for label, pair in (("pre_local", d.pre_local), ("post_local", d.post_local)):
+            doc[label] = [[[[z.real, z.imag] for z in row] for row in m.tolist()] for m in pair]
+        _emit(doc, True, [])
+        return 0
     deg = args.degrees
     lines = [
         f"gate: {name}",
-        "alpha: " + " ".join(_fmt(a, deg) for a in d.weyl),
+        "alpha: " + " ".join(_fmt(a, deg) for a in alpha),
         "lambda: " + " ".join(_fmt(x, deg) for x in lam),
         f"global_phase: {_fmt(d.global_phase, deg)}",
     ]
     for label, pair in (("pre", d.pre_local), ("post", d.post_local)):
         for qubit, m in zip("ab", pair):
             lines.append(f"{label}_local_{qubit}:")
-            for row in m:
-                lines.append("  " + "  ".join(_fmt_complex(z) for z in row))
-    lines.append(f"reconstruction_residual: {residual:.3e}")
-    _emit(doc, args.json, lines)
+            lines += ["  " + "  ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in row) for row in m.tolist()]
+    lines.append(f"reconstruction_residual: {d.diagnostics.reconstruction_residual:.3e}")
+    _emit(None, False, lines)
     return 0
 
 
 def _cmd_power(args) -> int:
     name, alpha = _weyl(args.gate)
-    interval = power_interval(alpha, args.c0)
+    c0, theta = _concurrence(args.c0), effective_angle(alpha)
+    interval = _interval(c0, theta)
     doc = {
         "gate": name,
-        "alpha": [float(a) for a in alpha],
+        "alpha": alpha.tolist(),
         "c0": args.c0,
         "c_min": interval.c_min,
         "c_max": interval.c_max,
-        "c0_max": c0_max(alpha),
-        "c1_min": c1_min(alpha),
-        "can_reach_max": can_reach_max(alpha, args.c0),
-        "can_reach_zero": can_reach_zero(alpha, args.c0),
+        "c0_max": _interval(0.0, theta).c_max,
+        "c1_min": _interval(1.0, theta).c_min,
+        "can_reach_max": _reaches_max(c0, theta),
+        "can_reach_zero": _reaches_zero(c0, theta),
     }
     lines = [
         f"gate: {name}",
@@ -285,7 +265,7 @@ def _cmd_curve(args) -> int:
         table = [[r.c0, r.closed_min, r.closed_max, r.oracle_min, r.oracle_max] for r in report.rows]
         failures = report.failures
     else:
-        table = [[c0, *power_interval(alpha, c0)] for c0 in grid]
+        table = [[c0, *interval] for c0, interval in zip(grid, power_profile(alpha, grid))]
     lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
     doc = {"gate": name, "columns": columns, "rows": table, "passed": not failures}
     if args.out in (None, "-"):
@@ -302,9 +282,8 @@ def _cmd_curve(args) -> int:
 def _cmd_compare(args) -> int:
     name_a, alpha_a = _weyl(args.gate_a)
     name_b, alpha_b = _weyl(args.gate_b)
-    relation = compare_gates(alpha_a, alpha_b)
-    theta_a = effective_angle(alpha_a)
-    theta_b = effective_angle(alpha_b)
+    theta_a, theta_b = effective_angle(alpha_a), effective_angle(alpha_b)
+    relation = _order(theta_a, theta_b)
     doc = {
         "a": name_a,
         "b": name_b,
@@ -329,7 +308,7 @@ def _cmd_verify(args) -> int:
         "alpha": [float(a) for a in alpha],
         "tol": args.tol,
         "passed": report.passed,
-        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "rows": [vars(r) for r in report.rows],
     }
     lines = [
         f"gate: {name}",

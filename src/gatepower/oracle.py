@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .canonical import _real, canonical_gate, eigen_phases
-from .power import power_interval
+from .power import power_profile
 from .states import _concurrence, concurrence, from_magic_coefficients
 
 __all__ = [
@@ -437,7 +437,8 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     (up to rounding): a ``tol`` at or above that bound never fails a row on
     its own, and a smaller ``tol`` can fail a correct closed form.
     Failures are recorded in the report and named by its ``failures``,
-    never raised.  An empty grid raises ``ValueError``.  The
+    never raised.  An empty grid raises ``ValueError``.  The closed forms
+    come from ``power_profile``, which takes theta once per gate.  The
     MIN and MAX searches at one c0 read one bracket pair, built from one
     set of directions: the first search builds it and the second reads the
     memo, which holds the latest (gate, c0) pair, read-only.
@@ -445,9 +446,9 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     alpha = _real(alpha)
+    c0_grid = list(c0_grid)
     rows = []
-    for c0 in c0_grid:
-        closed = power_interval(alpha, c0)
+    for c0, closed in zip(c0_grid, power_profile(alpha, c0_grid)):
         lo = extremal_concurrence(alpha, c0, Direction.MIN, cfg)
         hi = extremal_concurrence(alpha, c0, Direction.MAX, cfg)
         row = ProfileRow(

@@ -32,6 +32,7 @@ __all__ = [
     "saturation_condition",
     "effective_angle",
     "power_interval",
+    "power_profile",
     "c0_max",
     "c1_min",
     "can_reach_max",
@@ -88,6 +89,32 @@ def effective_angle(alpha) -> float:
     return max(min(2.0 * (a1 + a2), 2.0 * (_HALF_PI - a2 - a3), _HALF_PI), 0.0)
 
 
+def _interval(c0: float, theta: float) -> PowerInterval:
+    """``power_interval`` at a checked c0 and the gate's theta; c0 comes first, as it is checked first."""
+    phi = math.acos(c0)
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    root = math.sqrt(max(1.0 - c0 * c0, 0.0))
+    c_max = 1.0 if phi <= theta else min(max(c0 * cos_t + sin_t * root, c0), 1.0)
+    c_min = 0.0 if phi + theta >= _HALF_PI else max(min(c0 * cos_t - sin_t * root, c0), 0.0)
+    return PowerInterval(c_min, c_max)
+
+
+# The reach rules and the order rule at a theta in hand, for a checked c0.
+def _reaches_max(c0: float, theta: float) -> bool:
+    return c0 >= _interval(1.0, theta).c_min - _BOUNDARY_SLACK
+
+
+def _reaches_zero(c0: float, theta: float) -> bool:
+    return c0 <= _interval(0.0, theta).c_max + _BOUNDARY_SLACK
+
+
+def _order(theta_a: float, theta_b: float) -> GateOrdering:
+    if abs(theta_a - theta_b) <= 1e-10:
+        return GateOrdering.EQUAL
+    return GateOrdering.LESS if theta_a < theta_b else GateOrdering.GREATER
+
+
 def power_interval(alpha, c0: float) -> PowerInterval:
     """Reachable interval of final concurrence for input concurrence c0.
 
@@ -97,35 +124,40 @@ def power_interval(alpha, c0: float) -> PowerInterval:
     Whether an endpoint clamps is decided on the angles: sin(theta) rounds
     to 1 within ~1e-8 of pi/2, where c_min at c0 = 1 is still cos(theta).
     """
-    c0 = _concurrence(c0)
-    theta = effective_angle(alpha)
-    phi = math.acos(c0)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    root = math.sqrt(max(1.0 - c0 * c0, 0.0))
-    c_max = 1.0 if phi <= theta else min(max(c0 * cos_t + sin_t * root, c0), 1.0)
-    c_min = 0.0 if phi + theta >= _HALF_PI else max(min(c0 * cos_t - sin_t * root, c0), 0.0)
-    return PowerInterval(c_min=c_min, c_max=c_max)
+    return _interval(_concurrence(c0), effective_angle(alpha))
+
+
+def power_profile(alpha, c0s) -> list[PowerInterval]:
+    """``[power_interval(alpha, c0) for c0 in c0s]`` bit for bit, errors included, with theta taken once.
+
+    The first c0 is checked before alpha; an empty grid gives [] and leaves alpha unread.
+    """
+    intervals, theta = [], None
+    for c0 in c0s:
+        c0 = _concurrence(c0)
+        theta = effective_angle(alpha) if theta is None else theta
+        intervals.append(_interval(c0, theta))
+    return intervals
 
 
 def c0_max(alpha) -> float:
     """Largest final concurrence reachable from a product state: sin(theta)."""
-    return power_interval(alpha, 0.0).c_max
+    return _interval(0.0, effective_angle(alpha)).c_max
 
 
 def c1_min(alpha) -> float:
     """Smallest final concurrence reachable from a maximally entangled state: cos(theta)."""
-    return power_interval(alpha, 1.0).c_min
+    return _interval(1.0, effective_angle(alpha)).c_min
 
 
 def can_reach_max(alpha, c0: float) -> bool:
     """True if the final state can be maximally entangled."""
-    return _concurrence(c0) >= c1_min(alpha) - _BOUNDARY_SLACK
+    return _reaches_max(_concurrence(c0), effective_angle(alpha))
 
 
 def can_reach_zero(alpha, c0: float) -> bool:
     """True if the final state can be a product state."""
-    return _concurrence(c0) <= c0_max(alpha) + _BOUNDARY_SLACK
+    return _reaches_zero(_concurrence(c0), effective_angle(alpha))
 
 
 def compare_gates(alpha_a, alpha_b) -> GateOrdering:
@@ -134,8 +166,4 @@ def compare_gates(alpha_a, alpha_b) -> GateOrdering:
     Equivalent to comparing effective angles; EQUAL implies the intervals
     agree at every input concurrence.
     """
-    ta = effective_angle(alpha_a)
-    tb = effective_angle(alpha_b)
-    if abs(ta - tb) <= 1e-10:
-        return GateOrdering.EQUAL
-    return GateOrdering.LESS if ta < tb else GateOrdering.GREATER
+    return _order(effective_angle(alpha_a), effective_angle(alpha_b))

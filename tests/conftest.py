@@ -13,7 +13,7 @@ from gatepower import (
     extremal_concurrence,
     from_magic_coefficients,
     oracle,
-    power_interval,
+    power_profile,
     random_unitary,
     tensor_product,
 )
@@ -116,10 +116,10 @@ def empty_bracket_memo():
 def shift_closed_form(monkeypatch, delta: float) -> None:
     """Shift both ends of the interval that verify_profile checks by ``delta``."""
 
-    def shifted(alpha, c0):
-        return PowerInterval(*(x + delta for x in power_interval(alpha, c0)))
+    def shifted(alpha, c0s):
+        return [PowerInterval(*(x + delta for x in interval)) for interval in power_profile(alpha, c0s)]
 
-    monkeypatch.setattr(oracle, "power_interval", shifted)
+    monkeypatch.setattr(oracle, "power_profile", shifted)
 
 
 @pytest.fixture

@@ -13,7 +13,23 @@ import numpy as np
 import pytest
 
 from conftest import shift_closed_form
-from gatepower import canonical, cli, decompose, oracle, verify_profile
+from gatepower import (
+    c0_max,
+    c1_min,
+    can_reach_max,
+    can_reach_zero,
+    canonical,
+    cli,
+    compare_gates,
+    decompose,
+    effective_angle,
+    eigen_phases,
+    oracle,
+    power_interval,
+    random_unitary,
+    verify_profile,
+    weyl_coordinates,
+)
 from gatepower.cli import main, named_gate, resolve_gate
 
 QUARTER_PI = math.pi / 4
@@ -483,6 +499,29 @@ def test_integer_overflow_gate_file_exits_two_with_one_error_line(tmp_path, caps
     assert err == f"error: gate file {path!r}: int too large to convert to float\n"
 
 
+def test_integer_beyond_the_digit_limit_gate_file_names_the_file(tmp_path, capsys):
+    # json.load refuses an integer of more than 4300 digits with a plain ValueError.
+    digits = "1" + "0" * 5000
+    path = _identity_file_with(tmp_path / "digits.json", digits)
+    code, out, err = run(capsys, ["power", "--gate", path, "--c0", "0.5"])
+    with pytest.raises(ValueError) as info:
+        json.loads(digits)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: gate file {path!r}: {info.value}\n"
+
+
+def test_gate_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    raw = b'\xff{"matrix": []}'
+    path = tmp_path / "latin.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, ["power", "--gate", str(path), "--c0", "0.5"])
+    with pytest.raises(UnicodeDecodeError) as info:
+        raw.decode("utf-8")
+    assert (code, out) == (2, "")
+    assert err == f"error: gate file {str(path)!r}: {info.value}\n"
+
+
 def test_malformed_gate_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -587,3 +626,58 @@ def test_help_prints_identical_bytes_twice(argv):
     assert out1.startswith("usage: gatepower")
     assert out1 == out2
     assert err1 == err2 == ""
+
+
+# Named gates, canonical tokens inside and outside the chamber, cphase tokens,
+# and "haar", which stands for a gate file of a Haar random unitary.
+LIBRARY_SPECS = [
+    *cli._NAMED_GATES, "canonical:0.3,0.2,0.1", "canonical:pi/4,0.3,-0.2", "canonical:-pi/3,pi/5,2pi/7",
+    "canonical:1.2,-0.4,3", "cphase:pi/3", "cphase:-2.5", "haar",
+]
+
+
+def _bits(x):
+    """Floats as their exact value and sign, all the way down a nested list."""
+    if isinstance(x, float):
+        return x.hex(), math.copysign(1.0, x)
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("spec", LIBRARY_SPECS)
+def test_json_reports_the_library_values_bit_for_bit(tmp_path, capsys, spec):
+    if spec == "haar":
+        spec = str(tmp_path / "haar.json")
+        u = random_unitary(4, 2024)
+        (tmp_path / "haar.json").write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in r] for r in u.tolist()]}))
+    matrix = resolve_gate(spec)[1]
+    alpha = weyl_coordinates(matrix)
+
+    def doc(*argv):
+        code, out, err = run(capsys, [*argv, "--json"])
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    for c0 in (0.0, 0.37, 1.0, -5e-13, 0.999999999999):
+        got = doc("power", "--gate", spec, f"--c0={c0!r}")
+        assert _bits([got[k] for k in ("alpha", "c_min", "c_max", "c0_max", "c1_min")]) == _bits(
+            [alpha.tolist(), *power_interval(alpha, c0), c0_max(alpha), c1_min(alpha)]
+        )
+        assert (got["can_reach_max"], got["can_reach_zero"]) == (can_reach_max(alpha, c0), can_reach_zero(alpha, c0))
+    rows = doc("curve", "--gate", spec)["rows"]
+    assert _bits(rows) == _bits([[c0, *power_interval(alpha, c0)] for c0 in (k / 10 for k in range(11))])
+    for other in ("cnot", "sqrtswap", spec):
+        beta = weyl_coordinates(resolve_gate(other)[1])
+        got = doc("compare", "--gate-a", spec, "--gate-b", other)
+        assert got["relation"] == compare_gates(alpha, beta).value
+        assert _bits([got["theta_a"], got["theta_b"]]) == _bits([effective_angle(alpha), effective_angle(beta)])
+    d = decompose(matrix)
+    got = doc("decompose", "--gate", spec)
+    assert _bits([got["alpha"], got["lambda"], got["global_phase"]]) == _bits(
+        [d.weyl.tolist(), eigen_phases(d.weyl).tolist(), d.global_phase]
+    )
+    for key, pair in (("pre_local", d.pre_local), ("post_local", d.post_local)):
+        assert _bits(got[key]) == _bits([[[[z.real, z.imag] for z in r] for r in m.tolist()] for m in pair])
+    for field in dataclasses.fields(d.diagnostics):
+        assert _bits(got[field.name]) == _bits(getattr(d.diagnostics, field.name))

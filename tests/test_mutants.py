@@ -37,7 +37,7 @@ GRID = GRID_11[::2]
 MUTANTS = [
     ("theta_plus_1e-8", "effective_angle", "_HALF_PI), 0.0)", "_HALF_PI), 0.0) + 1e-8", None),
     ("factor_2_dropped", "effective_angle", "2.0 * (a1 + a2)", "(a1 + a2)", None),
-    ("sin_sign_flipped", "power_interval", "c0 * cos_t + sin_t * root", "c0 * cos_t - sin_t * root", None),
+    ("sin_sign_flipped", "_interval", "c0 * cos_t + sin_t * root", "c0 * cos_t - sin_t * root", None),
     # Facet points (t, t, -t) with t > pi/8 take theta from 2 (pi/2 - a2 - |a3|).
     ("abs_a3_read_as_a3", "_magnitudes", "abs(a3)", "a3", None),
     ("half_pi_clamp_dropped", "effective_angle", "_HALF_PI - a2 - a3), _HALF_PI)", "_HALF_PI - a2 - a3))",
@@ -45,8 +45,8 @@ MUTANTS = [
      "power_interval returns [0, 1], as at theta = pi/2"),
     # Within ~1e-8 below theta = pi/2, sin(theta) rounds to 1, so deciding the c_min clamp
     # on it rounds c_min at c0 = 1 to 0.  The NEAR_HALF_PI gates expose it.
-    ("sine_decides_the_c_min_clamp", "power_interval", "phi + theta >= _HALF_PI", "c0 <= sin_t", None),
-    ("c0_clamps_dropped", "power_interval",
+    ("sine_decides_the_c_min_clamp", "_interval", "phi + theta >= _HALF_PI", "c0 <= sin_t", None),
+    ("c0_clamps_dropped", "_interval",
      "min(max(c0 * cos_t + sin_t * root, c0), 1.0)\n"
      "    c_min = 0.0 if phi + theta >= _HALF_PI else max(min(c0 * cos_t - sin_t * root, c0), 0.0)",
      "c0 * cos_t + sin_t * root\n    c_min = 0.0 if phi + theta >= _HALF_PI else c0 * cos_t - sin_t * root",

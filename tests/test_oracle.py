@@ -542,7 +542,7 @@ def test_bracket_never_calls_the_closed_forms(monkeypatch):
     for name in power.__all__:
         if inspect.isfunction(getattr(power, name)):
             monkeypatch.setattr(power, name, refuse)
-    monkeypatch.setattr(oracle, "power_interval", refuse)
+    monkeypatch.setattr(oracle, "power_profile", refuse)
     w = [0.52, 0.33, 0.11]
     for c0 in (0.0, 0.45, 1.0):
         lo = extremal_concurrence(w, c0, Direction.MIN)

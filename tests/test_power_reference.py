@@ -19,11 +19,13 @@ from test_mutants import NEAR_HALF_PI, OUTSIDE_CHAMBER
 from test_oracle import GRID_11, VERIFY_ANCHORS
 from gatepower import (
     GateOrdering,
+    PowerInterval,
     c0_max,
     c1_min,
     compare_gates,
     effective_angle,
     power_interval,
+    power_profile,
     saturation_condition,
 )
 from gatepower.states import _concurrence
@@ -194,3 +196,44 @@ def test_c0_is_checked_before_alpha(bad):
 def test_strings_and_ints_read_as_the_reference():
     for w in (["0.5", "0.25", "-0.125"], [1, 0, 0], (np.float32(0.3), 0.2, 0.1), np.array([3, 2, 1])):
         assert _bits(effective_angle(w)) == _bits(reference_theta(w))
+
+
+# c0 at and next to the ends of [0, 1], and within the 1e-12 drift that _concurrence clamps.
+PROFILE_C0 = (
+    st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, -1e-12, 1.0 + 1e-12])
+    | st.floats(-1e-12, 1e-12) | st.floats(1.0 - 1e-12, 1.0 + 1e-12) | st.floats(0.0, 1.0)
+)
+GRID_FORMS = st.sampled_from([list, tuple, np.array, iter])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(COORDS, FORMS, st.lists(PROFILE_C0, max_size=12), GRID_FORMS)
+def test_power_profile_is_the_per_call_list_bit_for_bit(w, form, c0s, grid_form):
+    alpha = form(w)
+    got = power_profile(alpha, grid_form(c0s))
+    want = [power_interval(alpha, c0) for c0 in c0s]
+    assert type(got) is list and all(type(interval) is PowerInterval for interval in got)
+    assert [[_bits(x) for x in interval] for interval in got] == [[_bits(x) for x in interval] for interval in want]
+
+
+BAD_C0 = [math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0), 1.5, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("bad", BAD_C0, ids=[repr(b) for b in BAD_C0])
+def test_power_profile_rejects_a_bad_c0_as_power_interval(bad):
+    for c0s in ([bad], [0.5, bad], [bad, 0.5]):
+        assert _raised(power_profile, CNOT_W, c0s) == _raised(power_interval, CNOT_W, bad)
+    # With a bad alpha as well, the first c0 decides which is reported, as in the per-call list.
+    assert _raised(power_profile, BAD[0], [bad, 0.5]) == _raised(power_interval, BAD[0], bad)
+    assert _raised(power_profile, BAD[0], [0.5, bad]) == _raised(power_interval, BAD[0], 0.5)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=[repr(b) for b in BAD])
+def test_power_profile_rejects_a_bad_alpha_as_power_interval(bad):
+    assert _raised(power_profile, bad, [0.5, 0.0]) == _raised(power_interval, bad, 0.5)
+
+
+@pytest.mark.parametrize("empty", [[], (), np.array([]), iter([])], ids=["list", "tuple", "array", "iterator"])
+def test_power_profile_of_an_empty_grid_is_empty_and_reads_no_alpha(empty):
+    assert power_profile(CNOT_W, empty) == []
+    assert power_profile([math.nan, 0.0, 0.0], empty) == []
