@@ -13,14 +13,18 @@ to JSON files of the form {"matrix": [[[re, im], ...], ...]}.
 
 Only ``decompose`` builds local factors; ``power``, ``curve``, ``compare``
 and ``verify`` read the chamber coordinates alone (``weyl_coordinates``) and
-take the effective angle theta once per gate.  ``decompose`` formats only
-what it prints: the JSON document under ``--json``, else the human lines.
+take the effective angle theta once per gate.  Every command builds only
+what it prints: under ``--json`` one document, written byte for byte as
+``json.dumps(doc, indent=2, sort_keys=True)`` would write it but without
+json's pure-Python indent path; else the human lines.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 
-``main`` can be called repeatedly in one process.  It builds its argument
-parser on the first call and reuses it afterwards; output goes to the
-``sys.stdout`` and ``sys.stderr`` of each call.
+``main`` can be called repeatedly in one process: it builds its argument
+parsers once and writes to the ``sys.stdout`` and ``sys.stderr`` of each
+call.  An argv whose first word names a command is parsed once, by that
+command's parser; any other argv (empty, ``-h``, an unknown command) goes
+to the top-level parser.
 """
 
 from __future__ import annotations
@@ -32,16 +36,11 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .canonical import (
-    DecompositionError,
-    canonical_gate,
-    decompose,
-    eigen_phases,
-    weyl_coordinates,
-)
+from .canonical import DecompositionError, canonical_gate, decompose, eigen_phases, weyl_coordinates
 from .oracle import verify_profile
 from .power import _interval, _order, _reaches_max, _reaches_zero, effective_angle, power_profile
 from .states import _concurrence
@@ -50,16 +49,10 @@ __all__ = ["main", "resolve_gate", "named_gate"]
 
 _NAMED_GATES = {
     "identity": np.eye(4, dtype=complex),
-    "cnot": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
     "cz": np.diag([1, 1, 1, -1]).astype(complex),
-    "swap": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-    "iswap": np.array(
-        [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "iswap": np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex),
     "sqrtswap": np.array(
         [
             [1, 0, 0, 0],
@@ -101,6 +94,14 @@ def _parse_angle(text: str) -> float:
     return sign * value
 
 
+def _entry(pair) -> complex:
+    """A gate-file entry: exactly two JSON numbers (bools are not numbers)."""
+    re_, im = pair
+    if type(re_) not in (int, float) or type(im) not in (int, float):
+        raise TypeError(f"entry {pair!r} is not two numbers")
+    return complex(re_, im)
+
+
 def _load_gate_file(path: str) -> tuple[str, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,13 +114,9 @@ def _load_gate_file(path: str) -> tuple[str, np.ndarray]:
         raise GateInputError(f"gate file {path!r}: {exc}") from exc
     try:
         rows = doc["matrix"]
-        matrix = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise GateInputError(
-            f"gate file {path!r} must contain \"matrix\": 4x4 nested [re, im] pairs"
-        ) from exc
+        matrix = np.array([[_entry(pair) for pair in row] for row in rows], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GateInputError(f'gate file {path!r} must contain "matrix": 4x4 nested [re, im] pairs') from exc
     except OverflowError as exc:  # an integer entry beyond the float range
         raise GateInputError(f"gate file {path!r}: {exc}") from exc
     if matrix.shape != (4, 4):
@@ -178,9 +175,38 @@ def _fmt(x: float, degrees: bool = False) -> str:
     return f"{x:.12g}"
 
 
-def _emit(doc: dict | None, json_flag: bool, human_lines: list[str], file=None) -> None:
-    """Print ``doc`` as JSON or the human lines to ``file`` (stdout if None)."""
-    print(json.dumps(doc, indent=2, sort_keys=True) if json_flag else "\n".join(human_lines), file=file)
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for str keys: finite floats by
+    ``float.__repr__``, keys and other scalars by json's C encoder."""
+    parts = []
+    _json_parts(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(obj, indent: str, put) -> None:
+    if isinstance(obj, float) and math.isfinite(obj):
+        put(float.__repr__(obj))
+    elif isinstance(obj, dict) and obj:
+        inner, sep = indent + "  ", "{"
+        for key in sorted(obj):
+            put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_parts(obj[key], inner, put)
+            sep = ","
+        put(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner, sep = indent + "  ", "["
+        for item in obj:
+            put(sep + inner)
+            _json_parts(item, inner, put)
+            sep = ","
+        put(indent + "]")
+    else:
+        put(json.dumps(obj))
+
+
+def _emit(out: dict | list[str], file=None) -> None:
+    """Print a JSON document (a dict) or human lines to ``file`` (stdout if None)."""
+    print(_json_text(out) if isinstance(out, dict) else "\n".join(out), file=file)
 
 
 def _verdict(failures: list[str]) -> int:
@@ -199,7 +225,7 @@ def _cmd_decompose(args) -> int:
         doc = {"gate": name, "alpha": alpha, "lambda": lam, "global_phase": d.global_phase, **vars(d.diagnostics)}
         for label, pair in (("pre_local", d.pre_local), ("post_local", d.post_local)):
             doc[label] = [[[[z.real, z.imag] for z in row] for row in m.tolist()] for m in pair]
-        _emit(doc, True, [])
+        _emit(doc)
         return 0
     deg = args.degrees
     lines = [
@@ -213,7 +239,7 @@ def _cmd_decompose(args) -> int:
             lines.append(f"{label}_local_{qubit}:")
             lines += ["  " + "  ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in row) for row in m.tolist()]
     lines.append(f"reconstruction_residual: {d.diagnostics.reconstruction_residual:.3e}")
-    _emit(None, False, lines)
+    _emit(lines)
     return 0
 
 
@@ -221,10 +247,7 @@ def _cmd_power(args) -> int:
     name, alpha = _weyl(args.gate)
     c0, theta = _concurrence(args.c0), effective_angle(alpha)
     interval = _interval(c0, theta)
-    doc = {
-        "gate": name,
-        "alpha": alpha.tolist(),
-        "c0": args.c0,
+    values = {  # in the order of the human lines
         "c_min": interval.c_min,
         "c_max": interval.c_max,
         "c0_max": _interval(0.0, theta).c_max,
@@ -232,18 +255,12 @@ def _cmd_power(args) -> int:
         "can_reach_max": _reaches_max(c0, theta),
         "can_reach_zero": _reaches_zero(c0, theta),
     }
-    lines = [
-        f"gate: {name}",
-        "alpha: " + " ".join(_fmt(a, args.degrees) for a in alpha),
-        f"c0: {_fmt(args.c0)}",
-        f"c_min: {_fmt(interval.c_min)}",
-        f"c_max: {_fmt(interval.c_max)}",
-        f"c0_max: {_fmt(doc['c0_max'])}",
-        f"c1_min: {_fmt(doc['c1_min'])}",
-        f"can_reach_max: {str(doc['can_reach_max']).lower()}",
-        f"can_reach_zero: {str(doc['can_reach_zero']).lower()}",
-    ]
-    _emit(doc, args.json, lines)
+    if args.json:
+        _emit({"gate": name, "alpha": alpha.tolist(), "c0": args.c0, **values})
+        return 0
+    lines = [f"gate: {name}", "alpha: " + " ".join(_fmt(a, args.degrees) for a in alpha), f"c0: {_fmt(args.c0)}"]
+    lines += [f"{key}: {str(v).lower() if isinstance(v, bool) else _fmt(v)}" for key, v in values.items()]
+    _emit(lines)
     return 0
 
 
@@ -266,14 +283,16 @@ def _cmd_curve(args) -> int:
         failures = report.failures
     else:
         table = [[c0, *interval] for c0, interval in zip(grid, power_profile(alpha, grid))]
-    lines = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
-    doc = {"gate": name, "columns": columns, "rows": table, "passed": not failures}
+    if args.json:
+        out = {"gate": name, "columns": columns, "rows": table, "passed": not failures}
+    else:
+        out = [",".join(columns)] + [",".join(_fmt(x) for x in row) for row in table]
     if args.out in (None, "-"):
-        _emit(doc, args.json, lines)
+        _emit(out)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                _emit(doc, args.json, lines, fh)
+                _emit(out, fh)
         except OSError as exc:
             raise GateInputError(f"cannot write {args.out!r}: {exc}") from exc
     return _verdict(failures)
@@ -283,33 +302,22 @@ def _cmd_compare(args) -> int:
     name_a, alpha_a = _weyl(args.gate_a)
     name_b, alpha_b = _weyl(args.gate_b)
     theta_a, theta_b = effective_angle(alpha_a), effective_angle(alpha_b)
-    relation = _order(theta_a, theta_b)
-    doc = {
-        "a": name_a,
-        "b": name_b,
-        "relation": relation.value,
-        "theta_a": theta_a,
-        "theta_b": theta_b,
-    }
-    lines = [
-        f"{name_a} {relation.value} {name_b}",
-        f"theta_a: {_fmt(theta_a, args.degrees)}",
-        f"theta_b: {_fmt(theta_b, args.degrees)}",
-    ]
-    _emit(doc, args.json, lines)
+    relation = _order(theta_a, theta_b).value
+    if args.json:
+        _emit({"a": name_a, "b": name_b, "relation": relation, "theta_a": theta_a, "theta_b": theta_b})
+    else:
+        deg = args.degrees
+        _emit([f"{name_a} {relation} {name_b}", f"theta_a: {_fmt(theta_a, deg)}", f"theta_b: {_fmt(theta_b, deg)}"])
     return 0
 
 
 def _cmd_verify(args) -> int:
     name, alpha = _weyl(args.gate)
     report = verify_profile(alpha, _grid(args.grid, "--grid"), tol=args.tol)
-    doc = {
-        "gate": name,
-        "alpha": [float(a) for a in alpha],
-        "tol": args.tol,
-        "passed": report.passed,
-        "rows": [vars(r) for r in report.rows],
-    }
+    if args.json:
+        rows = [vars(r) for r in report.rows]
+        _emit({"gate": name, "alpha": alpha.tolist(), "tol": args.tol, "passed": report.passed, "rows": rows})
+        return _verdict(report.failures)
     lines = [
         f"gate: {name}",
         "alpha: " + " ".join(_fmt(a, args.degrees) for a in alpha),
@@ -322,14 +330,15 @@ def _cmd_verify(args) -> int:
             f"{'PASS' if r.passed else 'FAIL'}"
         )
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    _emit(doc, args.json, lines)
+    _emit(lines)
     return _verdict(report.failures)
 
 
-# One build per process: parse_args leaves the parser unchanged, and argparse
+# One build per process: parsing leaves the parsers unchanged, and argparse
 # looks up sys.stdout/sys.stderr when it writes, not when it is built.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by command name."""
     parser = argparse.ArgumentParser(
         prog="gatepower",
         description="Canonical coordinates and entanglement changing power of two-qubit gates.",
@@ -347,9 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="reachable concurrence interval")
     p.add_argument("--gate", required=True)
-    p.add_argument(
-        "--c0", type=float, required=True, help="input concurrence in [0, 1]; write -5e-13 as --c0=-5e-13"
-    )
+    p.add_argument("--c0", type=float, required=True, help="input concurrence in [0, 1]; write -5e-13 as --c0=-5e-13")
     add_common(p)
     p.set_defaults(func=_cmd_power)
 
@@ -373,13 +380,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args(argv)`` of the top-level parser, but without ``command`` and with one parse:
+    the top-level parser hands every word after a command's name to that command's parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import shift_closed_form
 from gatepower import (
@@ -464,11 +466,16 @@ def test_non_finite_gate_file_exits_two(tmp_path, capsys):
     assert "not unitary" in err
 
 
-def _identity_file_with(path, first: str):
-    """Write the identity as a gate file whose first entry reads ``[first, 0]``."""
-    rows = [[f"[{first}, 0]" if i == j == 0 else f"[{int(i == j)}, 0]" for j in range(4)] for i in range(4)]
+def _identity_file_with_entry(path, entry: str):
+    """Write the identity as a gate file whose first entry reads ``entry``."""
+    rows = [[entry if i == j == 0 else f"[{int(i == j)}, 0]" for j in range(4)] for i in range(4)]
     path.write_text('{"matrix": [' + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]}")
     return str(path)
+
+
+def _identity_file_with(path, first: str):
+    """Write the identity as a gate file whose first entry reads ``[first, 0]``."""
+    return _identity_file_with_entry(path, f"[{first}, 0]")
 
 
 def test_overflowing_gate_file_exits_two_with_one_error_line(tmp_path, capsys):
@@ -520,6 +527,16 @@ def test_gate_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
         raw.decode("utf-8")
     assert (code, out) == (2, "")
     assert err == f"error: gate file {str(path)!r}: {info.value}\n"
+
+
+@pytest.mark.parametrize("entry", ["[1, 0, 99]", "[true, false]", "[1]", "[1, false]", '"10"', "{}"])
+@pytest.mark.parametrize("command", [["decompose"], ["power", "--c0", "0.5"]])
+def test_gate_file_entry_must_be_two_numbers(tmp_path, capsys, entry, command):
+    # [1, 0, 99] once read as 1 with the 99 dropped, and [true, false] as 1.
+    path = _identity_file_with_entry(tmp_path / "entry.json", entry)
+    code, out, err = run(capsys, [command[0], "--gate", path, *command[1:]])
+    assert (code, out) == (2, "")
+    assert err == f'error: gate file {path!r} must contain "matrix": 4x4 nested [re, im] pairs\n'
 
 
 def test_malformed_gate_file_exits_two(tmp_path, capsys):
@@ -681,3 +698,98 @@ def test_json_reports_the_library_values_bit_for_bit(tmp_path, capsys, spec):
         assert _bits(got[key]) == _bits([[[[z.real, z.imag] for z in r] for r in m.tolist()] for m in pair])
     for field in dataclasses.fields(d.diagnostics):
         assert _bits(got[field.name]) == _bits(getattr(d.diagnostics, field.name))
+
+
+# The --json writer must print what json.dumps(doc, indent=2, sort_keys=True) prints.
+_JSON_LEAVES = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.text(alphabet="\"\\\x00\x1f\x7f\n\té€😀", max_size=8)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_writes_numpy_floats_as_json_does():
+    doc = {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64(np.nan)], "": {}, "z": []}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("gate", list(cli._NAMED_GATES))
+def test_json_documents_of_every_command_match_json_dumps(monkeypatch, gate):
+    docs = []
+    writer = cli._json_text
+
+    def recorded(doc):
+        docs.append(json.dumps(doc, indent=2, sort_keys=True))
+        return writer(doc)
+
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    for argv in (
+        ["decompose", "--gate", gate],
+        ["power", "--gate", gate, "--c0", "0.3"],
+        ["curve", "--gate", gate],
+        ["compare", "--gate-a", gate, "--gate-b", "sqrtswap"],
+        ["verify", "--gate", gate, "--grid", "3"],
+    ):
+        code, out, err = call([*argv, "--json"])
+        assert (code, err) == (0, "")
+        assert out == docs[-1] + "\n"
+    assert len(docs) == 5
+
+
+# An argv whose first word names a command skips the top-level parser; the
+# result must be what the top-level parse_args route gives.
+_DISPATCH_REQUIRED = {
+    "decompose": ["--gate", "cnot"],
+    "power": ["--gate", "cnot", "--c0", "0.5"],
+    "curve": ["--gate", "cnot", "--steps", "3"],
+    "compare": ["--gate-a", "cnot", "--gate-b", "swap"],
+    "verify": ["--gate", "cnot", "--grid", "3"],
+}
+DISPATCH_ARGV = [[], ["-h"], ["--help"], ["frobnicate", "--gate", "cnot"], ["--", "power"], ["--he"]]
+for _command, _required in _DISPATCH_REQUIRED.items():
+    DISPATCH_ARGV += [
+        [_command, "-h"],
+        [_command, *_required[2:]],  # the first required option missing
+        [_command, *_required, "--bogus"],
+        [_command, *_required, "--starts", "4"],
+        [_command, *_required, "--deg"],
+        [_command, "--", *_required],
+        [_command, *_required, "--", "stray"],
+        [_command, *_required, "--json"],
+    ]
+DISPATCH_ARGV.append(["power", "--gate", "cnot", "--c0=-5e-13"])
+
+
+def _top_level(argv):
+    return cli._build_parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_prints_what_the_top_level_parser_prints(monkeypatch, argv):
+    dispatched = call(argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", _top_level)
+        assert dispatched == call(argv)
+    try:
+        expected = _top_level(argv)
+    except SystemExit:
+        return
+    got = vars(cli._parse(argv))
+    assert {**got, "command": argv[0]} == vars(expected)
