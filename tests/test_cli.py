@@ -532,7 +532,7 @@ def test_gate_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("entry", ["[1, 0, 99]", "[true, false]", "[1]", "[1, false]", '"10"', "{}"])
 @pytest.mark.parametrize("command", [["decompose"], ["power", "--c0", "0.5"]])
 def test_gate_file_entry_must_be_two_numbers(tmp_path, capsys, entry, command):
-    # [1, 0, 99] once read as 1 with the 99 dropped, and [true, false] as 1.
+    # Without the check, [1, 0, 99] reads as 1 (the 99 dropped) and [true, false] as 1.
     path = _identity_file_with_entry(tmp_path / "entry.json", entry)
     code, out, err = run(capsys, [command[0], "--gate", path, *command[1:]])
     assert (code, out) == (2, "")
