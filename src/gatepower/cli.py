@@ -110,7 +110,7 @@ def _load_gate_file(path: str) -> tuple[str, np.ndarray]:
         raise GateInputError(f"cannot read gate file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GateInputError(f"gate file {path!r} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer of more than 4300 digits, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # an integer past 4300 digits, not UTF-8, nested too deep
         raise GateInputError(f"gate file {path!r}: {exc}") from exc
     try:
         rows = doc["matrix"]

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -79,11 +80,6 @@ def test_registry_cphase_and_canonical_tokens():
     np.testing.assert_allclose(m, np.diag([1, 1, 1, np.exp(1j)]), atol=1e-15)
     c = named_gate("canonical:pi/8,0,0")
     assert np.linalg.norm(c.conj().T @ c - np.eye(4)) <= 1e-13
-
-
-def test_resolve_gate_rejects_garbage():
-    with pytest.raises(Exception):
-        resolve_gate("nonsense")
 
 
 ISWAP_DOC = {"name": "from-file", "matrix": [[[z.real, z.imag] for z in row] for row in named_gate("iswap")]}
@@ -295,6 +291,8 @@ def test_retired_starts_and_seed_flags_are_rejected(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
+    # A command's leftover words are reported by the top-level parser, as parse_args reports them.
+    assert err.splitlines()[0] == "usage: gatepower [-h] {decompose,power,curve,compare,verify} ..."
     assert "unrecognized arguments" in err
 
 
@@ -539,11 +537,15 @@ def test_gate_file_entry_must_be_two_numbers(tmp_path, capsys, entry, command):
     assert err == f'error: gate file {path!r} must contain "matrix": 4x4 nested [re, im] pairs\n'
 
 
-def test_malformed_gate_file_exits_two(tmp_path, capsys):
+# json.load raises RecursionError, a RuntimeError, on arrays nested past the recursion
+# limit; 100 000 levels exceed even a raised limit.
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000], ids=["not_json", "nested"])
+def test_malformed_gate_file_exits_two(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, ["decompose", "--gate", str(path)])
-    assert code == 2
+    path.write_text(text)
+    code, out, err = run(capsys, ["decompose", "--gate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: gate file {str(path)!r}") and err.count("\n") == 1
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):
@@ -579,6 +581,15 @@ def call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    # The console script calls main() with no argv.
+    for argv, code in [(["power", "--gate", "cnot", "--c0", "0.5"], 0), (["power", "--gate", "cnott", "--c0", "0.5"], 2)]:
+        expected = call(argv)
+        assert expected[0] == code
+        monkeypatch.setattr(sys, "argv", ["gatepower", *argv])
+        assert call(None) == expected
 
 
 def test_main_builds_no_parser_after_its_first_call(monkeypatch):
