@@ -168,7 +168,11 @@ def eigen_phases(alpha) -> np.ndarray:
     Raises:
         ValueError: if a coordinate is complex, not finite or exceeds 1e3 in magnitude.
     """
-    a1, a2, a3 = _coordinates(alpha)
+    return _phases(*_coordinates(alpha))
+
+
+def _phases(a1: float, a2: float, a3: float) -> np.ndarray:
+    """``eigen_phases`` of three checked floats."""
     return np.array([-a1 + a2 + a3, a1 - a2 + a3, a1 + a2 - a3, -a1 - a2 - a3])
 
 
@@ -214,7 +218,7 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
         _, basis = np.linalg.eigh(m.real + c * m.imag)
         diag = basis.T @ m @ basis
         eigvals = diag.diagonal().copy()
-        diag.flat[::5] = 0.0
+        diag.ravel()[::5] = 0.0  # a view: the product is C-contiguous
         off = math.sqrt(np.vdot(diag, diag).real)
         if off < best[2]:
             best = basis, eigvals, off, c
@@ -226,8 +230,11 @@ def _orthogonal_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
 def _by_magnitude(alpha) -> list[float]:
     """The ``_coordinates``, each shifted by a multiple of pi/2 into (-pi/4, pi/4],
     by decreasing magnitude; equal magnitudes keep their order."""
-    shifted = [x - math.ceil(x / _HALF_PI - 0.5) * _HALF_PI for x in _coordinates(alpha)]
-    return sorted(shifted, key=abs, reverse=True)
+    a1, a2, a3 = _coordinates(alpha)
+    a = [a1 - math.ceil(a1 / _HALF_PI - 0.5) * _HALF_PI, a2 - math.ceil(a2 / _HALF_PI - 0.5) * _HALF_PI,
+         a3 - math.ceil(a3 / _HALF_PI - 0.5) * _HALF_PI]
+    a.sort(key=abs, reverse=True)
+    return a
 
 
 def reduce_alpha(alpha) -> np.ndarray:
@@ -263,26 +270,29 @@ def _match_columns(eigvals: np.ndarray, target: np.ndarray):
     """
     dist = np.abs(np.array([eigvals, -eigvals])[:, None, :] - target[:, None]).reshape(2, 16)
     for row, flats in zip(dist.tolist(), np.argsort(dist, axis=1, kind="stable").tolist()):
-        order, taken = [-1] * 4, [False] * 4
+        order, taken, left = [-1] * 4, [False] * 4, 4
         for flat in flats:
             k, j = divmod(flat, 4)
             if order[k] < 0 and not taken[j]:
-                order[k], taken[j], worst = j, True, row[flat]
+                order[k], taken[j], worst, left = j, True, row[flat], left - 1
+                if not left:  # every later pair repeats a chosen k or j
+                    break
         yield order, worst
 
 
 def _chamber_match(u):
     """Validated gate, magic-frame image, matched eigenbasis, alpha, lam, miss, eigenbasis residual, mix.
 
-    alpha is ``reduce_alpha`` of the half-phases of m.  Every reduction
-    move is local up to a factor i, so exp(2i lam) is the spectrum of m or
-    of -m (the image then gains a factor i); the basis follows the better.
+    alpha is ``reduce_alpha`` of the half-phases of m, checked to lie in the chamber, and lam
+    its eigenphases.  Every reduction move is local up to a factor i, so exp(2i lam) is the
+    spectrum of m or of -m (the image then gains a factor i); the basis follows the better.
     """
     u = require_unitary(u, atol=INPUT_UNITARY_ATOL, name="gate")
     if u.shape != (4, 4):
         raise UnitarityError(f"gate must be 4x4, got shape {u.shape}")
-    # Scaled by exp(-i arg(det u) / 4), the gate has determinant one.
-    u_magic = MAGIC_H @ (u * np.exp(-1j * (float(np.angle(np.linalg.det(u))) / 4))) @ MAGIC
+    # Scaled by exp(-i arg(det u) / 4), the gate has determinant one; arctan2 is what np.angle computes.
+    det = np.linalg.det(u)
+    u_magic = MAGIC_H @ (u * np.exp(-1j * (float(np.arctan2(det.imag, det.real)) / 4))) @ MAGIC
     m = u_magic.T @ u_magic
     m = 0.5 * (m + m.T)
 
@@ -295,7 +305,11 @@ def _chamber_match(u):
     # reduce_alpha undoes.
     mu = (np.arctan2(eigvals.imag, eigvals.real) / 2.0).tolist()  # np.angle without its Python-level wrapper
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
-    lam = eigen_phases(alpha)
+    a1, a2, a3 = a = alpha.tolist()
+    if not in_weyl_chamber(a, 1e-12) or (a3 < -1e-15 and a1 >= _QUARTER_PI - 1e-10):  # reduce_alpha's tolerances
+        excess = max(a1 - _QUARTER_PI, a2 - a1, abs(a3) - a2, -a3 if a1 >= _QUARTER_PI - 1e-10 else 0.0)
+        raise DecompositionError(f"reduced coordinates {a} lie outside the Weyl chamber", excess)
+    lam = _phases(a1, a2, a3)
     (order, miss), (order_neg, miss_neg) = _match_columns(eigvals, np.exp(2j * lam))
     if miss_neg < miss:
         order, miss, u_magic = order_neg, miss_neg, 1j * u_magic
@@ -311,7 +325,7 @@ def weyl_coordinates(u: np.ndarray) -> np.ndarray:
 
     Raises:
         UnitarityError: if ``u`` is not a 4x4 unitary to 1e-10.
-        DecompositionError: if the eigenbasis or the spectrum match fails.
+        DecompositionError: if the eigenbasis, the chamber check or the spectrum match fails.
     """
     _, _, _, alpha, _, miss, _, _ = _chamber_match(u)
     if miss > RECONSTRUCTION_ATOL:
@@ -324,15 +338,15 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
 
     Returns a :class:`CanonicalDecomposition` whose reconstruction matches
     ``u`` up to the stored global phase within 1e-8 and whose coordinates
-    satisfy the Weyl chamber inequalities.  Deterministic per input.
+    are checked to satisfy the Weyl chamber inequalities.  Deterministic per input.
 
     The eigenbasis matched to the chamber eigenphases gives the local
     factors without tracking the reduction moves.
 
     Raises:
         UnitarityError: if ``u`` is not unitary to 1e-10.
-        DecompositionError: if the eigenbasis extraction or the final
-            reconstruction check fails.
+        DecompositionError: if the eigenbasis extraction, the chamber check
+            or the final reconstruction check fails.
     """
     u, u_magic, basis, alpha, lam, _, residual, mix = _chamber_match(u)
     if np.linalg.det(basis) < 0:
@@ -344,9 +358,10 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     if imag_leak > 1e-6:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
     a, b = _su2_factors(np.array([o1.real, basis.T]))
-    # The middle factor is canonical_gate(alpha), built from the lam in hand.
-    bare = tensor_product(a[0], b[0]) @ ((MAGIC * np.exp(1j * lam)) @ MAGIC_H) @ tensor_product(a[1], b[1])
-    phase = float(np.angle(np.vdot(bare, u)))
+    # A[s] (x) B[s] for both s in one broadcast; the middle factor is canonical_gate(alpha) from lam.
+    post, pre = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(2, 4, 4)
+    bare = post @ ((MAGIC * np.exp(1j * lam)) @ MAGIC_H) @ pre
+    phase = float(np.arctan2((overlap := np.vdot(bare, u)).imag, overlap.real))  # np.angle's arithmetic
     gap = u - np.exp(1j * phase) * bare
     check = math.sqrt(np.vdot(gap, gap).real)
     if check > RECONSTRUCTION_ATOL:

@@ -15,6 +15,8 @@ concurrence of a pure state takes a simple quadratic form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -68,7 +70,9 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
         finite = np.isfinite(m)
         what, bad = ("non-finite entries", ~finite) if not finite.all() else ("entries above 1", ~ok)
         raise UnitarityError(f"{name} is not unitary: {what} at {np.argwhere(bad).tolist()}")
-    defect = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+    gram = (m.conj().T @ m).ravel()  # a view, as the product is C-contiguous
+    gram[:: m.shape[0] + 1] -= 1.0  # M^dag M - I, with the identity taken off the diagonal in place
+    defect = math.sqrt(gram.real.dot(gram.real) + gram.imag.dot(gram.imag))  # ||.||_F as np.linalg.norm sums it
     if not defect <= atol:
         raise UnitarityError(f"{name} is not unitary: ||M^dag M - I||_F = {defect:.3e} > {atol:.1e}")
     return m

@@ -59,23 +59,13 @@ class GateOrdering(enum.Enum):
     GREATER = ">"
 
 
-def _magnitudes(alpha) -> tuple[float, float, float]:
-    """(a1, a2, |a3|) of the chamber representative of alpha, which is all theta reads.
-
-    ``reduce_alpha`` only flips signs of the floats ``_by_magnitude`` gives, so
-    these are their magnitudes (+0.0 where it leaves a zero as -0.0).
-    """
-    a1, a2, a3 = _by_magnitude(alpha)
-    return abs(a1), abs(a2), abs(a3)
-
-
 def saturation_condition(alpha) -> bool:
     """True if the gate reaches both concurrence 0 and 1 from any input.
 
     Holds iff a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 (non-strict, with a
     1e-12 slack so boundary gates such as the CNOT class qualify).
     """
-    a1, a2, a3 = _magnitudes(alpha)
+    a1, a2, a3 = map(abs, _by_magnitude(alpha))  # as in effective_angle
     return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
 
 
@@ -85,16 +75,17 @@ def effective_angle(alpha) -> float:
     The paper's three cases (2 (a1 + a2), pi/2 when saturating, and
     2 (pi/2 - a2 - |a3|)) are one clamped minimum.
     """
-    a1, a2, a3 = _magnitudes(alpha)
-    return max(min(2.0 * (a1 + a2), 2.0 * (_HALF_PI - a2 - a3), _HALF_PI), 0.0)
+    # reduce_alpha only flips signs of the floats _by_magnitude gives, so the chamber
+    # representative's a1, a2, |a3| are their magnitudes (+0.0 where it keeps a -0.0).
+    a1, a2, a3 = _by_magnitude(alpha)
+    a2 = abs(a2)
+    return max(min(2.0 * (abs(a1) + a2), 2.0 * (_HALF_PI - a2 - abs(a3)), _HALF_PI), 0.0)
 
 
 def _interval(c0: float, theta: float) -> PowerInterval:
     """``power_interval`` at a checked c0 and the gate's theta; c0 comes first, as it is checked first."""
     phi = math.acos(c0)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    root = math.sqrt(max(1.0 - c0 * c0, 0.0))
+    cos_t, sin_t, root = math.cos(theta), math.sin(theta), math.sqrt(1.0 - c0 * c0)  # c0 * c0 <= 1 in floats
     c_max = 1.0 if phi <= theta else min(max(c0 * cos_t + sin_t * root, c0), 1.0)
     c_min = 0.0 if phi + theta >= _HALF_PI else max(min(c0 * cos_t - sin_t * root, c0), 0.0)
     return PowerInterval(c_min, c_max)

@@ -21,7 +21,7 @@ def _concurrence(value: float, what: str = "initial") -> float:
     """
     if not -1e-12 <= value <= 1.0 + 1e-12:
         raise ValueError(f"{what} concurrence must be in [0, 1], got {value}")
-    return float(min(max(value, 0.0), 1.0))
+    return float(0.0 if 0.0 > value else 1.0 if 1.0 < value else value)  # min(max(value, 0.0), 1.0), inline
 
 
 def to_magic_coefficients(state: np.ndarray) -> np.ndarray:

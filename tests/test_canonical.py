@@ -1,6 +1,7 @@
 """Tests for the canonical decomposition and Weyl chamber reduction."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -217,6 +218,43 @@ def test_noisy_cnot_class_gates_decompose_exactly():
         d = decompose(u)
         assert np.max(np.abs(d.weyl - reduce_alpha(w))) <= 1e-12
         assert distance_up_to_phase(reconstruct(d), u) <= 1e-12
+
+
+# Faults that gave wrong coordinates without raising before the chamber post-condition:
+# (function, expression, its rewrite).
+SILENT_REDUCTION_FAULTS = {
+    "sorted_smallest_first": ("_by_magnitude", "key=abs, reverse=True", "key=abs"),
+    "second_sign_flip_skipped": ("reduce_alpha", "    if a[1] < 0:\n        a[1], a[2] = -a[1], -a[2]\n", ""),
+    "face_fold_dropped": (
+        "reduce_alpha", "    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:\n        a[2] = -a[2]\n", ""
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SILENT_REDUCTION_FAULTS)
+def test_chamber_post_condition_catches_silent_reduction_faults(monkeypatch, fault):
+    function, expression, rewrite = SILENT_REDUCTION_FAULTS[fault]
+    source = inspect.getsource(getattr(canonical, function))
+    assert source.count(expression) == 1
+    scope = {}
+    exec(source.replace(expression, rewrite), vars(canonical), scope)
+    rng = np.random.default_rng(53)
+    face = [p for p in facet_and_edge_points() if p[0] == QUARTER_PI]
+    gates = [random_unitary(4, seed) for seed in range(60)]
+    gates += [random_local_pair(rng) @ canonical_gate(p) @ random_local_pair(rng) for p in face]
+    expected = [weyl_coordinates(u) for u in gates]
+    monkeypatch.setattr(canonical, function, scope[function])
+    raised = 0
+    for u, want in zip(gates, expected):
+        for call in (weyl_coordinates, lambda u: decompose(u).weyl):
+            try:
+                got = call(u)
+            except DecompositionError as exc:
+                assert "outside the Weyl chamber" in str(exc)
+                raised += 1
+            else:  # a value returned is the right one; on ties within rounding (the SWAP vertex)
+                assert np.max(np.abs(got - want)) <= 1e-15  # their order may move it by an ulp
+    assert raised > 0
 
 
 def test_decompose_falls_back_to_the_next_mix(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the matrix utilities and basis conventions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,21 @@ def test_every_memory_layout_is_accepted_alike():
 def test_non_square_matrices_are_not_unitary():
     with pytest.raises(UnitarityError, match="square"):
         require_unitary(np.eye(2, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_unitarity_defect_is_numpy_frobenius_norm_in_every_layout(n):
+    # Accepted at atol = the defect and rejected one float below pins the defect bit for bit.
+    rng = np.random.default_rng(n)
+    for noise in (0.0, *[1e-9] * 7):
+        m = random_unitary(n, n) + noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for layout, v in {"c_order": m, **memory_layouts(m)}.items():
+            defect = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
+            assert require_unitary(v, atol=defect).tobytes() == m.tobytes(), layout
+            below = math.nextafter(defect, -math.inf)
+            with pytest.raises(UnitarityError) as info:
+                require_unitary(v, atol=below)
+            assert str(info.value) == f"matrix is not unitary: ||M^dag M - I||_F = {defect:.3e} > {below:.1e}", layout
 
 
 def test_to_magic_frame_preserves_unitarity():

@@ -25,7 +25,7 @@ import pytest
 
 from test_edge_cases import facet_and_edge_points
 from test_oracle import GRID_11, VERIFY_ANCHORS, _named_gates
-from gatepower import oracle, power, random_unitary, verify_profile, weyl_coordinates
+from gatepower import canonical, oracle, power, random_unitary, verify_profile, weyl_coordinates
 
 OUTSIDE = "outside the certified bracket"
 UNCONVERGED = "not converged"
@@ -33,14 +33,19 @@ QUARTER_PI = math.pi / 4
 # Every second point of GRID_11, to keep the module near 2 s.
 GRID = GRID_11[::2]
 
+# The shifts of the three coordinates into (-pi/4, pi/4] in _by_magnitude.
+SHIFT = (
+    "a1 - math.ceil(a1 / _HALF_PI - 0.5) * _HALF_PI, a2 - math.ceil(a2 / _HALF_PI - 0.5) * _HALF_PI,\n"
+    "         a3 - math.ceil(a3 / _HALF_PI - 0.5) * _HALF_PI"
+)
 # (name, function, expression, its mutant, why no gate can expose it or None).
 MUTANTS = [
     ("theta_plus_1e-8", "effective_angle", "_HALF_PI), 0.0)", "_HALF_PI), 0.0) + 1e-8", None),
-    ("factor_2_dropped", "effective_angle", "2.0 * (a1 + a2)", "(a1 + a2)", None),
+    ("factor_2_dropped", "effective_angle", "2.0 * (abs(a1) + a2)", "(abs(a1) + a2)", None),
     ("sin_sign_flipped", "_interval", "c0 * cos_t + sin_t * root", "c0 * cos_t - sin_t * root", None),
     # Facet points (t, t, -t) with t > pi/8 take theta from 2 (pi/2 - a2 - |a3|).
-    ("abs_a3_read_as_a3", "_magnitudes", "abs(a3)", "a3", None),
-    ("half_pi_clamp_dropped", "effective_angle", "_HALF_PI - a2 - a3), _HALF_PI)", "_HALF_PI - a2 - a3))",
+    ("abs_a3_read_as_a3", "effective_angle", "abs(a3)", "a3", None),
+    ("half_pi_clamp_dropped", "effective_angle", "_HALF_PI - a2 - abs(a3)), _HALF_PI)", "_HALF_PI - a2 - abs(a3)))",
      "theta > pi/2 gives arccos(c0) <= theta and arccos(c0) + theta >= pi/2 for every c0, so "
      "power_interval returns [0, 1], as at theta = pi/2"),
     # Within ~1e-8 below theta = pi/2, sin(theta) rounds to 1, so deciding the c_min clamp
@@ -55,12 +60,12 @@ MUTANTS = [
     # reduce_alpha flips the sign of the largest coordinate where it is negative; power
     # reads its magnitude.  Only coordinates outside the chamber reach the flip:
     # (-0.3, 0.2, 0.1) has theta = 1.0, the mutant 0.
-    ("first_sign_flip_skipped", "_magnitudes", "abs(a1)", "a1", None),
+    ("first_sign_flip_skipped", "effective_angle", "abs(a1)", "a1", None),
     # (0.5, -0.3, 0.1) has theta = pi/2; a2 read as -0.3 gives 0.4.
-    ("abs_a2_read_as_a2", "_magnitudes", "abs(a2)", "a2", None),
+    ("abs_a2_read_as_a2", "effective_angle", "abs(a2)", "a2", None),
     # Rounding x / (pi/2) up, not to the nearest integer, shifts into (-pi/2, 0]:
     # the generic anchor (0.45, 0.25, 0.10) then has theta = 0, not 1.4.
-    ("shift_rounds_up", "_by_magnitude", "math.ceil(x / _HALF_PI - 0.5)", "math.ceil(x / _HALF_PI)", None),
+    ("shift_rounds_up", "_by_magnitude", SHIFT, SHIFT.replace(" - 0.5)", ")"), None),
     # Smallest first reads |a3| as a1: the generic anchor then has theta = 0.7, not 1.4.
     ("sorted_smallest_first", "_by_magnitude", "key=abs, reverse=True", "key=abs", None),
 ]
@@ -70,7 +75,7 @@ MUTANTS = [
 # bracket.  The state built for the swapped spectrum misses its bound on the true gate,
 # so the convergence check catches it.
 SWAPPED_EIGENPHASES = (
-    "eigen_phases_swapped", "eigen_phases", "-a1 + a2 + a3, a1 - a2 + a3", "a1 - a2 + a3, -a1 + a2 + a3",
+    "eigen_phases_swapped", "_phases", "-a1 + a2 + a3, a1 - a2 + a3", "a1 - a2 + a3, -a1 + a2 + a3",
 )
 # Coordinates given outside the chamber, which only the shift, the sort and the magnitudes
 # bring into it.
@@ -96,7 +101,7 @@ def _mutated(function, expression, mutant):
     """A copy of ``function`` with ``expression`` rewritten; it reads the
     globals of the module that defines it, so it sees the other functions
     as patched."""
-    original = getattr(_targets(function)[0], function)
+    original = getattr((_targets(function) or [canonical])[0], function)
     source = inspect.getsource(original)
     assert source.count(expression) == 1
     scope = {}
@@ -111,8 +116,13 @@ def failures():
     (gate, c0), so the closed-form ones read one bracket pair; the swapped
     eigenphases, run last, build their own."""
     faults = [(None, None, None)] + [
-        (name, fn, _mutated(fn, *rewrite)) for name, fn, *rewrite in [*(m[:4] for m in MUTANTS), SWAPPED_EIGENPHASES]
+        (name, fn, _mutated(fn, *rewrite)) for name, fn, *rewrite in (m[:4] for m in MUTANTS)
     ]
+    # The swapped _phases reach the oracle through its eigen_phases alone: canonical_gate,
+    # which builds the true gate, keeps the unmutated spectrum.
+    name, fn, *rewrite = SWAPPED_EIGENPHASES
+    swapped = _mutated(fn, *rewrite)
+    faults.append((name, "eigen_phases", lambda alpha: swapped(*canonical._coordinates(alpha))))
     found = {name: {} for name, *_ in faults}
     for k, alpha in enumerate(_gates()):
         for c0 in GRID:

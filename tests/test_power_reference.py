@@ -2,13 +2,15 @@
 
 The reference reduces alpha through the former ``reduce_alpha`` (numpy
 validation, the shift, a bubble sort by magnitude, the sign flips and the
-a1 = pi/4 mirror) and reads (a1, a2, |a3|) from the array it returns.
+a1 = pi/4 mirror) and reads (a1, a2, |a3|) from the array it returns; it
+clamps c0 as the former ``_concurrence`` did, with ``min`` and ``max``.
 ``gatepower.power`` takes the same numbers as magnitudes of plain floats;
 every result must agree bit for bit, and every rejected input must raise
 the same exception with the same message.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,8 +71,14 @@ def reference_theta(alpha):
     return max(min(2.0 * (a1 + a2), 2.0 * (math.pi / 2.0 - a2 - a3), math.pi / 2.0), 0.0)
 
 
+def reference_concurrence(value, what="initial"):
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise ValueError(f"{what} concurrence must be in [0, 1], got {value}")
+    return float(min(max(value, 0.0), 1.0))
+
+
 def reference_interval(alpha, c0, theta_of=reference_theta):
-    c0 = _concurrence(c0)
+    c0 = reference_concurrence(c0)
     theta = theta_of(alpha)
     phi = math.acos(c0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -199,8 +207,9 @@ def test_strings_and_ints_read_as_the_reference():
 
 
 # c0 at and next to the ends of [0, 1], and within the 1e-12 drift that _concurrence clamps.
+PROFILE_C0_POINTS = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, -1e-12, 1.0 + 1e-12]
 PROFILE_C0 = (
-    st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, -1e-12, 1.0 + 1e-12])
+    st.sampled_from(PROFILE_C0_POINTS)
     | st.floats(-1e-12, 1e-12) | st.floats(1.0 - 1e-12, 1.0 + 1e-12) | st.floats(0.0, 1.0)
 )
 GRID_FORMS = st.sampled_from([list, tuple, np.array, iter])
@@ -237,3 +246,25 @@ def test_power_profile_rejects_a_bad_alpha_as_power_interval(bad):
 def test_power_profile_of_an_empty_grid_is_empty_and_reads_no_alpha(empty):
     assert power_profile(CNOT_W, empty) == []
     assert power_profile([math.nan, 0.0, 0.0], empty) == []
+
+
+# Every kind of number _concurrence is given, at and next to the ends of [0, 1].
+CLAMP_INPUTS = [
+    *PROFILE_C0_POINTS, *BAD_C0, 1, 0, True, False, Fraction(1, 3), np.float64(-1e-13), np.float64(1.0 + 1e-13),
+    np.float32(0.3), np.int64(1), np.float64(-0.0),
+]
+
+
+def _raised_or_bits(call, *args):
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), _bits(value)
+
+
+@pytest.mark.parametrize("c0", CLAMP_INPUTS, ids=[repr(c0) for c0 in CLAMP_INPUTS])
+def test_concurrence_clamp_matches_the_reference(c0):
+    for what in ("initial", "final"):
+        new, reference = _raised_or_bits(_concurrence, c0, what), _raised_or_bits(reference_concurrence, c0, what)
+        assert new == reference
