@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    MAGIC,
-    MAGIC_H,
-    UnitarityError,
-    require_unitary,
-    tensor_product,
-)
+from .linalg import MAGIC, MAGIC_H, UnitarityError, _aligned, require_unitary, tensor_product
 
 __all__ = [
     "DecompositionError",
@@ -48,6 +42,7 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
+_FACE_TOL, _SIGN_TOL = 1e-10, 1e-15  # reduce_alpha's face a1 >= pi/4 - _FACE_TOL folds a3 < -_SIGN_TOL
 _COORDINATE_RULE = "chamber coordinates must be three finite numbers, |a_j| <= 1e3"
 
 # Acceptance thresholds for the decomposition pipeline.
@@ -257,7 +252,7 @@ def reduce_alpha(alpha) -> np.ndarray:
         a[0], a[2] = -a[0], -a[2]
     if a[1] < 0:
         a[1], a[2] = -a[1], -a[2]
-    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:
+    if a[2] < -_SIGN_TOL and a[0] >= _QUARTER_PI - _FACE_TOL:
         a[2] = -a[2]
     return np.array(a)
 
@@ -306,8 +301,8 @@ def _chamber_match(u):
     mu = (np.arctan2(eigvals.imag, eigvals.real) / 2.0).tolist()  # np.angle without its Python-level wrapper
     alpha = reduce_alpha([(mu[1] + mu[2]) / 2.0, (mu[0] + mu[2]) / 2.0, (mu[0] + mu[1]) / 2.0])
     a1, a2, a3 = a = alpha.tolist()
-    if not in_weyl_chamber(a, 1e-12) or (a3 < -1e-15 and a1 >= _QUARTER_PI - 1e-10):  # reduce_alpha's tolerances
-        excess = max(a1 - _QUARTER_PI, a2 - a1, abs(a3) - a2, -a3 if a1 >= _QUARTER_PI - 1e-10 else 0.0)
+    if not in_weyl_chamber(a, 1e-12) or (a3 < -_SIGN_TOL and a1 >= _QUARTER_PI - _FACE_TOL):
+        excess = max(a1 - _QUARTER_PI, a2 - a1, abs(a3) - a2, -a3 if a1 >= _QUARTER_PI - _FACE_TOL else 0.0)
         raise DecompositionError(f"reduced coordinates {a} lie outside the Weyl chamber", excess)
     lam = _phases(a1, a2, a3)
     (order, miss), (order_neg, miss_neg) = _match_columns(eigvals, np.exp(2j * lam))
@@ -358,12 +353,8 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
     if imag_leak > 1e-6:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
     a, b = _su2_factors(np.array([o1.real, basis.T]))
-    # A[s] (x) B[s] for both s in one broadcast; the middle factor is canonical_gate(alpha) from lam.
-    post, pre = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(2, 4, 4)
-    bare = post @ ((MAGIC * np.exp(1j * lam)) @ MAGIC_H) @ pre
-    phase = float(np.arctan2((overlap := np.vdot(bare, u)).imag, overlap.real))  # np.angle's arithmetic
-    gap = u - np.exp(1j * phase) * bare
-    check = math.sqrt(np.vdot(gap, gap).real)
+    post, pre = tensor_product(a, b)
+    phase, check = _aligned(u, post @ canonical_gate(alpha) @ pre)
     if check > RECONSTRUCTION_ATOL:
         raise DecompositionError("reconstruction check failed", check)
     return CanonicalDecomposition(

@@ -79,29 +79,31 @@ def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matr
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b of two matrices; qubit A is the first factor.
+    """Kronecker product a (x) b of two matrices, or of two equal stacks slice by slice; qubit A is first.
 
     Forms the same products as ``np.kron`` (bit-identical result) by one
     broadcast multiply, without ``np.kron``'s general-rank set-up.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], m * p, n * q)
+
+
+def _aligned(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """The phase phi = arg <v, u> that best aligns v with u, and ||u - exp(i phi) v||_F."""
+    phase = float(np.arctan2((overlap := np.vdot(v, u)).imag, overlap.real))  # np.angle's arithmetic
+    gap = u - np.exp(1j * phase) * v
+    return phase, math.sqrt(np.vdot(gap, gap).real)
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     """Frobenius distance between unitaries minimized over a global phase.
 
-    Equals sqrt(2 n - 2 |tr(U^dag V)|); evaluated by aligning V with the
-    optimal phase arg(tr(U^dag V)) and subtracting directly, which avoids
-    the catastrophic cancellation of the trace form (whose floating-point
-    floor is ~1e-7 even for identical inputs).
+    Equals sqrt(2 n - 2 |tr(U^dag V)|); evaluated by aligning V with the optimal phase
+    arg(tr(V^dag U)) and subtracting directly, which avoids the catastrophic cancellation
+    of the trace form (whose floating-point floor is ~1e-7 even for identical inputs).
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    tr = np.trace(u.conj().T @ v)
-    return float(np.linalg.norm(u - np.exp(-1j * np.angle(tr)) * v))
+    return _aligned(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))[1]
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

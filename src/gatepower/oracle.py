@@ -80,7 +80,8 @@ class OracleResult:
 
     ``extremal_concurrence`` is the final concurrence of the explicit state
     ``achiever``, reported as the bracket built it; ``constraint_violation``
-    is that state's distance from the initial concurrence, ||sum b^2| - c0|.
+    is that state's distance from the initial concurrence, ||sum b^2| - c0|,
+    rounding only: every state is made feasible before it is measured.
     ``bound`` is the certified value on the other side (the target for
     :func:`reach_target`).  ``starts_agreeing`` is 1 if converged.
     """
@@ -311,10 +312,23 @@ def _pad(u, omega) -> np.ndarray:
     return u + t * v
 
 
+def _feasible(u, omega, c0: float) -> np.ndarray:
+    """u padded to a state of concurrence c0: sum |u| = 1 and sum u = c0.  Where clustered
+    w_j cost _primal's units their digits, a miss of sum u is spread over the entries by |u|,
+    a sum |u| above 1 is mixed toward the aligned state c0 |u| / sum |u|, and _pad runs again."""
+    u = _pad(u, omega)
+    if abs(miss := c0 - u.sum()) <= 1e-13:
+        return u
+    u = u + miss * np.abs(u) / np.abs(u).sum()
+    if (size := np.abs(u).sum()) > 1.0:
+        u += (size - 1.0) / (size - c0) * (c0 * np.abs(u) / size - u)
+    return _pad(u, omega)
+
+
 @functools.lru_cache(maxsize=1)
 def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
-    """MIN's and MAX's explicit feasible u (read-only) and certified bounds,
-    ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
+    """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`,
+    and certified bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
 
     Each round splits the gaps that either side finds wide, and every
     support point gets its primal state.  Keyed by exact bytes, so the two
@@ -324,8 +338,8 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     omega = np.exp(2j * lam)
     if c0 >= 1.0:  # D(1) is the hull of the w_j
         mu = _nearest_weights(omega[:, None], _HULL_4)[:, 0]
-        lo = mu.astype(complex), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
-        hi = np.eye(4, dtype=complex)[0], 1.0
+        lo = _feasible(mu.astype(complex), omega, c0), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
+        hi = _feasible(np.eye(4, dtype=complex)[0], omega, c0), 1.0
         lo[0].flags.writeable = hi[0].flags.writeable = False
         return lo, hi
     c0s = np.full(_OPENING_THETA.size, c0)
@@ -335,7 +349,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
     # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
     theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:, :-1], z[:-1], r[:, :-1], c0).T.copy()
-    lo = None  # MIN's state and bound, fixed once its support points' hull holds 0
+    lo = None  # MIN's states and their hull weights, fixed once the hull of its support points holds 0
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
         gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
@@ -345,7 +359,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
             # No direction separates 0 from D: [0, |F|] closes once the hull holds 0.
             mu = None if bound else _nearest_weights(f[:, None], _fan(theta.size))[:, 0]
             if mu is not None and abs(mu @ f) <= 0.1 * _TOL:
-                lo = _pad(mu @ u, omega), bound
+                lo = u, mu
             else:
                 wide |= _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
         # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
@@ -358,9 +372,9 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         order = np.concatenate([theta, new]).argsort(kind="stable")
         u_new = _primal(w, z, r, c0).T
         theta, h, u = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (u, u_new)))
-    if lo is None:
-        lo = _pad(_nearest_weights(f[:, None], _fan(theta.size))[:, 0] @ u, omega), bound
-    hi = u[h.argmax()].copy(), float(gap_bound.max())
+    u_lo, mu = lo or (u, _nearest_weights(f[:, None], _fan(theta.size))[:, 0])  # unclosed: the point nearest 0
+    lo = _feasible(mu @ u_lo, omega, c0), bound
+    hi = _feasible(u[h.argmax()].copy(), omega, c0), float(gap_bound.max())
     lo[0].flags.writeable = hi[0].flags.writeable = False
     return lo, hi
 
@@ -422,7 +436,7 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
         p, q, r = (a.conjugate() * d).real, (abs(a) - target) * (abs(a) + target), abs(d) ** 2
         root = math.sqrt(p * p - r * q)
         s = (root - p) / r if p < 0 else -q / (p + root)
-    return _result(alpha, c0, _pad((1.0 - s) * lo_u + s * hi_u, omega), target)
+    return _result(alpha, c0, _feasible((1.0 - s) * lo_u + s * hi_u, omega, c0), target)
 
 
 def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: float = 1e-3) -> ProfileReport:
@@ -437,7 +451,9 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     (up to rounding): a ``tol`` at or above that bound never fails a row on
     its own, and a smaller ``tol`` can fail a correct closed form.
     Failures are recorded in the report and named by its ``failures``,
-    never raised.  An empty grid raises ``ValueError``.  The closed forms
+    never raised.  An empty grid raises ``ValueError``.  The oracle's states
+    have concurrence c0 to rounding, also where the eigenphases nearly
+    coincide (gates near the identity or SWAP classes).  The closed forms
     come from ``power_profile``, which takes theta once per gate.  The
     MIN and MAX searches at one c0 read one bracket pair, built from one
     set of directions: the first search builds it and the second reads the

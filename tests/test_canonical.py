@@ -226,7 +226,7 @@ SILENT_REDUCTION_FAULTS = {
     "sorted_smallest_first": ("_by_magnitude", "key=abs, reverse=True", "key=abs"),
     "second_sign_flip_skipped": ("reduce_alpha", "    if a[1] < 0:\n        a[1], a[2] = -a[1], -a[2]\n", ""),
     "face_fold_dropped": (
-        "reduce_alpha", "    if a[2] < -1e-15 and a[0] >= _QUARTER_PI - 1e-10:\n        a[2] = -a[2]\n", ""
+        "reduce_alpha", "    if a[2] < -_SIGN_TOL and a[0] >= _QUARTER_PI - _FACE_TOL:\n        a[2] = -a[2]\n", ""
     ),
 }
 

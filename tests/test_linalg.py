@@ -17,10 +17,13 @@ from gatepower import (
     distance_up_to_phase,
     eigen_phases,
     random_unitary,
+    reconstruct,
     require_unitary,
     tensor_product,
     weyl_coordinates,
 )
+from gatepower.cli import named_gate
+from gatepower.linalg import _aligned
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -106,6 +109,18 @@ def test_tensor_product_matches_kron_on_non_square_factors():
     t = tensor_product(a, b)
     assert t.shape == (6, 3)
     assert np.array_equal(t, np.kron(a, b))
+
+
+def test_stacked_tensor_product_is_kron_slice_by_slice():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    b = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    a[0, 1, 0], b[1, 0, 1] = -0.0, complex(0.0, -0.0)  # signed zeros survive too
+    t = tensor_product(a, b)
+    assert t.shape == (3, 4, 4)
+    for k in range(3):
+        assert t[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        assert t[k].tobytes() == tensor_product(a[k], b[k]).tobytes()
 
 
 def test_to_magic_frame_identity():
@@ -233,6 +248,23 @@ def test_distance_up_to_phase_symmetric_and_separating():
         if distance_up_to_phase(u, v) <= 1e-10:
             phase = np.angle(np.trace(u.conj().T @ v))
             assert np.linalg.norm(u - np.exp(-1j * phase) * v) <= 1e-9
+
+
+def trace_form_distance(u, v):
+    """The former ``distance_up_to_phase``: v aligned by the phase of tr(U^dag V)."""
+    tr = np.trace(u.conj().T @ v)
+    return float(np.linalg.norm(u - np.exp(-1j * np.angle(tr)) * v))
+
+
+def test_distance_up_to_phase_is_the_shared_alignment():
+    gates = [random_unitary(4, seed) for seed in range(20)]
+    gates += [named_gate(t) for t in ("identity", "cnot", "cz", "swap", "iswap", "sqrtswap")]
+    for u in gates:
+        # Small distances (a reconstruction), one phase apart and far apart.
+        for v in (reconstruct(decompose(u)), np.exp(0.7j) * u, gates[0]):
+            d = distance_up_to_phase(u, v)
+            assert d == _aligned(u, v)[1]
+            assert abs(d - trace_form_distance(u, v)) <= 1e-15
 
 
 def test_random_unitary_contract():

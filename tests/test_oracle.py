@@ -26,7 +26,7 @@ from gatepower import (
     verify_profile,
 )
 from gatepower import oracle, power
-from gatepower.cli import named_gate
+from gatepower.cli import main, named_gate
 from gatepower.oracle import ProfileRow
 
 QUARTER_PI = math.pi / 4
@@ -739,6 +739,47 @@ def test_brackets_close_near_c0_one_on_coincident_eigenphases(gates, c0):
     # two-point optima, which raw distances can read as one point.
     for w in gates():
         _assert_closed_form_inside(w, c0)
+
+
+# Within 1e-5 to 1e-11 of the identity and SWAP classes the four w_j
+# cluster and _primal's units (w - z) / r lose digits, so sum u misses c0
+# by up to 9.8e-7 unless oracle._feasible puts each witness back on the
+# constraint; unrepaired, verify fails correct closed forms.
+NEAR_COINCIDENT = {f"identity+{e:g}": (e, 0.0, 0.0) for e in (1e-5, 1e-6, 1e-8, 1e-10, 1e-11)}
+NEAR_COINCIDENT |= {f"swap-{e:g}": (QUARTER_PI, QUARTER_PI, QUARTER_PI - e) for e in (1e-6, 1e-8)}
+
+
+def _assert_rows_pass_on_feasible_witnesses(alpha, grid):
+    for c0 in grid:
+        assert verify_profile(alpha, [c0]).passed
+        # The memo holds this (gate, c0): these are the row's own witnesses.
+        lo, hi = (extremal_concurrence(alpha, c0, d) for d in (Direction.MIN, Direction.MAX))
+        mid = reach_target(alpha, c0, 0.5 * (lo.extremal_concurrence + hi.extremal_concurrence))
+        assert mid.converged
+        for r in (lo, hi, mid):
+            assert r.constraint_violation <= 1e-12
+
+
+@pytest.mark.parametrize("gate", NEAR_COINCIDENT)
+def test_verify_passes_when_eigenphases_nearly_coincide(gate):
+    _assert_rows_pass_on_feasible_witnesses(NEAR_COINCIDENT[gate], GRID_11)
+
+
+def test_verify_command_passes_a_near_identity_cphase(capsys):
+    assert main(["verify", "--gate", "cphase:1e-5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(0.0, 0.0, 0.0), (QUARTER_PI, QUARTER_PI, QUARTER_PI)]),
+    st.floats(-11.0, -4.0),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: np.linalg.norm(d) >= 0.1),
+    st.floats(0.0, 1.0),
+)
+def test_verify_passes_near_the_identity_and_swap_classes(anchor, exponent, direction, c0):
+    alpha = np.array(anchor) + 10.0**exponent * np.array(direction) / np.linalg.norm(direction)
+    _assert_rows_pass_on_feasible_witnesses(alpha, [c0])
 
 
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
