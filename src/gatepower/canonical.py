@@ -177,8 +177,12 @@ def canonical_gate(alpha) -> np.ndarray:
     Built exactly as Q diag(exp(i l_k)) Q^dag from the eigenphases, which
     avoids a matrix exponential.
     """
-    phases = np.exp(1j * eigen_phases(alpha))
-    return (MAGIC * phases) @ MAGIC_H
+    return _gate(eigen_phases(alpha))
+
+
+def _gate(lam: np.ndarray) -> np.ndarray:
+    """``canonical_gate`` of the eigenphases lam."""
+    return (MAGIC * np.exp(1j * lam)) @ MAGIC_H
 
 
 def _su2_factors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +358,7 @@ def decompose(u: np.ndarray) -> CanonicalDecomposition:
         raise DecompositionError("left magic-frame factor is not real orthogonal", imag_leak)
     a, b = _su2_factors(np.array([o1.real, basis.T]))
     post, pre = tensor_product(a, b)
-    phase, check = _aligned(u, post @ canonical_gate(alpha) @ pre)
+    phase, check = _aligned(u, post @ _gate(lam) @ pre)
     if check > RECONSTRUCTION_ATOL:
         raise DecompositionError("reconstruction check failed", check)
     return CanonicalDecomposition(

@@ -330,15 +330,23 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`,
     and certified bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
 
-    Each round splits the gaps that either side finds wide, and every
-    support point gets its primal state.  Keyed by exact bytes, so the two
+    Every bound is a support value, which holds for any unit direction however it was
+    rounded.  Below c0 = 1 each round splits the gaps that either side finds wide, and
+    every support point gets its primal state.  D(1) is the hull of the w_j, whose point
+    nearest 0 is a vertex or lies on an edge, so MIN's bound there is the best support
+    value over the w_j and both normals of each pair.  Keyed by exact bytes, so the two
     searches at one (gate, c0) share the latest result.
     """
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
-    if c0 >= 1.0:  # D(1) is the hull of the w_j
+    if c0 >= 1.0:
+        edges = 1j * (omega[_PAIRS[1]] - omega[_PAIRS[0]])
+        d = np.concatenate((omega, edges, -edges))
+        d = d[d != 0]  # coincident w_j have no edge
+        d /= np.abs(d)
+        support = (d.conj()[:, None] * omega).real.min(axis=1).max()
         mu = _nearest_weights(omega[:, None], _HULL_4)[:, 0]
-        lo = _feasible(mu.astype(complex), omega, c0), max(abs(mu @ omega) - 8.0 * _EPS, 0.0)
+        lo = _feasible(mu.astype(complex), omega, c0), max(float(support) - 8.0 * _EPS, 0.0)
         hi = _feasible(np.eye(4, dtype=complex)[0], omega, c0), 1.0
         lo[0].flags.writeable = hi[0].flags.writeable = False
         return lo, hi

@@ -782,6 +782,29 @@ def test_verify_passes_near_the_identity_and_swap_classes(anchor, exponent, dire
     _assert_rows_pass_on_feasible_witnesses(alpha, [c0])
 
 
+# Near sqrt(SWAP) three w_j nearly coincide and the fourth is antipodal, so at c0 = 1
+# the origin lies in thin triangles of their hull, which the hull ranking can miss.
+SQRT_SWAP = np.full(3, math.pi / 8)
+NEAR_SQRT_SWAP_C0S = [*GRID_11, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1e-3, 1e-6]
+
+
+def test_verify_command_passes_near_sqrt_swap(capsys):
+    # At 50 digits the origin lies in two thin triangles of the w_j: C_min(1) is 0 and
+    # the closed form is right, so MIN's bound at c0 = 1 must not read above it.
+    gate = "canonical:0.39269908171573703,0.39269908170218726,0.39269908165894885"
+    assert main(["verify", "--gate", gate]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+
+
+def test_verify_passes_near_sqrt_swap():
+    # 20 draws of sqrt(SWAP) + 10^U(-12, -4) along a random direction per c0.
+    rng = np.random.default_rng(1)
+    for k in range(20 * len(NEAR_SQRT_SWAP_C0S)):
+        direction = rng.standard_normal(3)
+        alpha = SQRT_SWAP + 10.0 ** rng.uniform(-12.0, -4.0) * direction / np.linalg.norm(direction)
+        _assert_rows_pass_on_feasible_witnesses(alpha, [NEAR_SQRT_SWAP_C0S[k % len(NEAR_SQRT_SWAP_C0S)]])
+
+
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
 def test_direction_cap_counts_every_piece(monkeypatch, direction):
     monkeypatch.setattr(oracle, "_MAX_DIRECTIONS", 100)
