@@ -47,9 +47,8 @@ _MAX_DIRECTIONS = 8192
 _ACTIVE_ATOL = 1e-11
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
-# Every search opens on these directions; the opening sweep appends MAX's
-# cap row at c0 = 0, theta = 0 (see _brackets).
-_OPENING_THETA = np.append(np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False), 0.0)
+# Every search opens on these directions.
+_OPENING_THETA = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
 _OPENING_THETA.flags.writeable = False
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
 # point w_j, or the optimum on the bisector of one of these pairs.
@@ -216,44 +215,40 @@ def _nearest_weights(p, hull, valid=None) -> np.ndarray:
     return out
 
 
-def _support(lam, c0, theta):
+def _support(lam, c0: float, theta):
     """Certified support values h(theta) of D(c0) and their dual data: the
     minimisers z, the points w_j and the distances |w_j - z|, (4, rows)
-    with the point axis first; c0 may be a row of one value per direction."""
+    with the point axis first."""
     psi = 2.0 * lam[:, None] - theta
     w = np.exp(1j * psi)
     first, second = psi[_PAIRS[0]], psi[_PAIRS[1]]
     half, diff = 0.5 * (first + second), 0.5 * (first - second)
     # On the bisector z = t exp(i half), |z - w_j|^2 = (t - a)^2 + b^2.
     a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
-    root = np.sqrt(1.0 - s * s)
-    # Only rows with c0 within 1e-8 of 1 reach |t| > 1e4 (|t| <= 1 + c0 / sqrt(1 - c0^2)).
-    # There 1 - s * s cancels, so they take 1 -/+ s from half-angle squares.
-    near = np.greater(c0, 1.0 - 1e-8)  # not >: a float c0 gives a numpy bool, which has .any()
-    stable = near.any()
-    if stable:
+    # Only c0 within 1e-8 of 1 reaches |t| > 1e4 (|t| <= 1 + c0 / sqrt(1 - c0^2)).
+    # There 1 - s * s cancels, so it takes 1 -/+ s from half-angle squares.
+    near = c0 > 1.0 - 1e-8
+    if near:
         ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
-        root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
-    t = a - s * b / root
+    t = a - s * b / np.sqrt(ends[0] * ends[1] if near else 1.0 - s * s)
     cand = np.concatenate([np.zeros((1, theta.size)), w, t * np.exp(1j * half)])
     # Distances (4, 11, rows): the max over the points reduces contiguous planes.
     dist = np.abs(w[:, None] - cand)
-    g = c0 * cand.real + dist.max(axis=0)
     # Any z bounds h from above; a margin covers rounding in evaluating g
-    # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g on near rows).
-    far = 1.0
-    if stable:
+    # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g when near).
+    g = c0 * cand.real + dist.max(axis=0)
+    if near:
         # g = lead + max_j (|w_j - z| - |z|), lead = c0 Re z + |z| = |t| (1 -/+ s) on bisectors.
         size = np.abs(cand)
         lead = c0 * cand.real + size
         lead[5:] = np.abs(t) * np.where(t < 0, *ends)
         excess = (1.0 - 2.0 * (w.conj()[:, None] * cand).real) / (dist + size)
-        g = np.where(near, lead + excess.max(axis=0) + 8.0 * _EPS * (2.0 + lead), g)
-        far = np.where(near, 0.0, 1.0)
+        g = lead + excess.max(axis=0) + 8.0 * _EPS * (2.0 + lead)
     best = g.argmin(axis=0)
     rows = np.arange(theta.size)
     z = cand[best, rows]
-    return g[best, rows] + 8.0 * _EPS * far * (1.0 + np.abs(z)), z, w, dist[:, best, rows]
+    h = g[best, rows] if near else g[best, rows] + 8.0 * _EPS * (1.0 + np.abs(z))
+    return h, z, w, dist[:, best, rows]
 
 
 def _rolled(x) -> np.ndarray:
@@ -313,9 +308,10 @@ def _pad(u, omega) -> np.ndarray:
 
 
 def _feasible(u, omega, c0: float) -> np.ndarray:
-    """u padded to a state of concurrence c0: sum |u| = 1 and sum u = c0.  Where clustered
-    w_j cost _primal's units their digits, a miss of sum u is spread over the entries by |u|,
-    a sum |u| above 1 is mixed toward the aligned state c0 |u| / sum |u|, and _pad runs again."""
+    """u padded to a state of concurrence c0: sum |u| = 1 and sum u = c0.  Sum u misses c0 where
+    clustered w_j cost _primal's units their digits, or where z ties between a point and a bisector
+    (alpha = (0, 7.07e-7, 7.07e-7), c0 = 0: z = w_1 against that of (w_0, w_3), units missing by 1.4e-6).
+    The miss is spread by |u|, a sum |u| above 1 is mixed toward c0 |u| / sum |u|, and _pad runs again."""
     u = _pad(u, omega)
     if abs(miss := c0 - u.sum()) <= 1e-13:
         return u
@@ -350,13 +346,14 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         hi = _feasible(np.eye(4, dtype=complex)[0], omega, c0), 1.0
         lo[0].flags.writeable = hi[0].flags.writeable = False
         return lo, hi
-    c0s = np.full(_OPENING_THETA.size, c0)
-    c0s[-1] = 0.0
-    h, z, w, r = _support(lam, c0s, _OPENING_THETA)
-    # MAX's cap, from the row at c0 = 0, theta = 0: rotating its minimiser z0 with the points bounds h.
-    cap = min(1.0, float(h[-1] + c0 * abs(z[-1])) + 8.0 * _EPS)
+    theta = _OPENING_THETA
+    h, z, w, r = _support(lam, c0, theta)
+    # MAX's cap: rotated with the points, each row's z_k is feasible at every direction, so h <=
+    # h_k + c0 (|z_k| - Re z_k); 8 eps (1 + c0 |z_k|) covers rounding that term and a sum below 1.
+    lift = c0 * np.abs(z)
+    cap = min(1.0, float((h + (lift - c0 * z.real) + 8.0 * _EPS * (1.0 + lift)).min()))
     # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
-    theta, h, u = _OPENING_THETA[:-1], h[:-1], _primal(w[:, :-1], z[:-1], r[:, :-1], c0).T.copy()
+    u = _primal(w, z, r, c0).T.copy()
     lo = None  # MIN's states and their hull weights, fixed once the hull of its support points holds 0
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta

@@ -327,7 +327,7 @@ def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
     # Without refinement rounds the brackets stay open while the values
     # still match the closed form: the failure is convergence, not deviation.
     monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
-    code, _, err = run(capsys, ["curve", "--gate", "cphase:0.05", "--steps", "3", "--verify"])
+    code, _, err = run(capsys, ["curve", "--gate", "canonical:0.025,0.015,0.00625", "--steps", "3", "--verify"])
     assert code == 1
     assert err == "verification failed: 1 of 3 rows not converged\n"
 
@@ -339,8 +339,8 @@ def test_verify_and_curve_verify_print_one_cause_line(capsys, monkeypatch, cause
     else:
         # Below the default tol: only the certified bracket sees the shift.
         shift_closed_form(monkeypatch, 1e-6)
-    for argv in (["curve", "--gate", "cphase:0.05", "--steps", "3", "--verify"],
-                 ["verify", "--gate", "cphase:0.05", "--grid", "3"]):
+    for argv in (["curve", "--gate", "canonical:0.025,0.015,0.00625", "--steps", "3", "--verify"],
+                 ["verify", "--gate", "canonical:0.025,0.015,0.00625", "--grid", "3"]):
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err == f"verification failed: {cause}\n"

@@ -659,19 +659,16 @@ def test_row_last_nearest_weights_match_the_row_first_reference():
 def _support_cases():
     rng = np.random.default_rng(31)
     lams = [oracle.eigen_phases(g) for g in [rng.uniform(-1.0, 1.0, 3) for _ in range(3)] + _named_gates()]
-    opening = np.full(oracle._OPENING_THETA.size, 0.45)
-    opening[-1] = 0.0  # MAX's cap row
     for lam in lams:
         yield lam, float(rng.uniform(0.0, 0.99)), rng.uniform(0.0, 2 * math.pi, 200)
         for c0 in (1.0 - 1e-9, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0))):
             yield lam, c0, rng.uniform(0.0, 2 * math.pi, 40)
-        yield lam, opening, oracle._OPENING_THETA
 
 
 def test_point_first_support_matches_the_point_last_reference():
     for lam, c0, theta in _support_cases():
-        # The oracle takes c0 per direction as a row and returns w and r point axis first.
-        h, z, w, r = point_last_support(lam, np.reshape(c0, (-1, 1)), theta)
+        # The oracle returns w and r point axis first.
+        h, z, w, r = point_last_support(lam, c0, theta)
         for got, ref in zip(oracle._support(lam, c0, theta), (h, z, w.T, r.T)):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
@@ -747,6 +744,8 @@ def test_brackets_close_near_c0_one_on_coincident_eigenphases(gates, c0):
 # constraint; unrepaired, verify fails correct closed forms.
 NEAR_COINCIDENT = {f"identity+{e:g}": (e, 0.0, 0.0) for e in (1e-5, 1e-6, 1e-8, 1e-10, 1e-11)}
 NEAR_COINCIDENT |= {f"swap-{e:g}": (QUARTER_PI, QUARTER_PI, QUARTER_PI - e) for e in (1e-6, 1e-8)}
+# At c0 = 0 MAX's minimiser ties between z = w_1 and the bisector of (w_0, w_3).
+NEAR_COINCIDENT["identity+1e-06-on-a2=a3"] = (0.0, 7.071067811865476e-07, 7.071067811865476e-07)
 
 
 def _assert_rows_pass_on_feasible_witnesses(alpha, grid):
@@ -829,18 +828,14 @@ def _counting_primal(monkeypatch):
 @pytest.mark.parametrize("gate", ["generic", "near_identity"])
 def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
     # MIN reads every support point and MAX the one at its final direction,
-    # from one set of directions: each support row gets one primal state,
-    # except the opening's cap row at c0 = 0.
+    # from one set of directions: each support row gets one primal state.
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
     for direction in (Direction.MIN, Direction.MAX):
         oracle._brackets.cache_clear()
         support_rows.clear()
         primal_rows.clear()
         assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction).converged
-        assert primal_rows == [support_rows[0] - 1, *support_rows[1:]]
-
-
-OPENING_ROWS = oracle._START_DIRECTIONS + 1
+        assert primal_rows == support_rows
 
 
 def _standalone_rows(alpha, grid):
@@ -873,7 +868,7 @@ def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
     rows = _counting_support(monkeypatch)
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
-    assert rows.count(OPENING_ROWS) == len(grid)
+    assert rows.count(oracle._START_DIRECTIONS) == len(grid)
     assert oracle._brackets.cache_info().currsize == 1
     # The memo holds the last row's brackets, so a search there evaluates nothing.
     rows.clear()
@@ -881,7 +876,7 @@ def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
     assert rows == []
     rows.clear()
     verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
-    assert rows.count(OPENING_ROWS) == 1
+    assert rows.count(oracle._START_DIRECTIONS) == 1
 
 
 def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
@@ -890,12 +885,12 @@ def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
     extremal_concurrence(alpha, 0.5, Direction.MIN)
     searched = len(rows)
     extremal_concurrence(alpha, 0.5, Direction.MAX)
-    assert rows.count(OPENING_ROWS) == 1 and len(rows) == searched
+    assert rows.count(oracle._START_DIRECTIONS) == 1 and len(rows) == searched
     # Keyed by exact bytes: -0.0 and 0.0 are two entries.
     rows.clear()
     extremal_concurrence(alpha, 0.0, Direction.MIN)
     extremal_concurrence(alpha, -0.0, Direction.MAX)
-    assert rows.count(OPENING_ROWS) == 2
+    assert rows.count(oracle._START_DIRECTIONS) == 2
 
 
 def test_memoised_opening_is_read_only():
@@ -934,7 +929,7 @@ def test_reach_target_makes_one_opening(monkeypatch):
     rows = _counting_support(monkeypatch)
     first = reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7)
     assert first.converged
-    assert rows.count(OPENING_ROWS) == 1
+    assert rows.count(oracle._START_DIRECTIONS) == 1
     # A second call at the same (gate, c0) reuses it and gives the same state.
     searched = len(rows)
     assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).achiever.tobytes() == first.achiever.tobytes()
@@ -946,8 +941,7 @@ def test_profile_row_builds_the_opening_states_once(monkeypatch, gate):
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
     verify_profile(VERIFY_ANCHORS[gate], [0.5])
     # Neither side refines, so both read the opening's states.
-    assert support_rows == [OPENING_ROWS]
-    assert primal_rows == [oracle._START_DIRECTIONS]
+    assert support_rows == primal_rows == [oracle._START_DIRECTIONS]
     # A later search at the same (gate, c0) builds nothing new.
     support_rows.clear()
     primal_rows.clear()

@@ -5,7 +5,9 @@ w_j = exp(2i l_j), so the extremal minimum C_min(1) is the distance from
 the origin to that hull.  Here that distance is evaluated at 40 digits
 from the float coordinates, on a gate set fixed up front, and MIN's bound
 must not exceed it: a bound above the true minimum would fail correct
-closed forms.  A violation is a defect in the bound, not a margin to
+closed forms.  Below c0 = 1 the extrema are the paper's
+cos(arccos c0 -+ theta), also at 40 digits, and neither bound may cross
+them unwidened.  A violation is a defect in the bound, not a margin to
 widen.
 """
 
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from test_edge_cases import facet_and_edge_points
-from test_oracle import SQRT_SWAP, VERIFY_ANCHORS, _named_gates
+from test_oracle import GRID_11, SQRT_SWAP, VERIFY_ANCHORS, _named_gates
+from test_power_precision import _theta
 from gatepower import decompose, oracle, random_unitary, verify_profile
 
 mpmath = pytest.importorskip("mpmath", reason="the 40-digit reference needs mpmath (the test extra)")
@@ -68,3 +71,18 @@ def test_min_bound_at_c0_one_is_below_the_40_digit_hull_distance():
     print(f"worst share of the 8 eps margin used over {len(shares)} positive bounds: {max(shares):.3g}")
     assert above == []
     assert wide == []
+
+
+def test_bounds_below_c0_one_do_not_cross_the_40_digit_extrema():
+    gates = [*VERIFY_ANCHORS.values(), *_named_gates(), *facet_and_edge_points()[::6]]
+    c0s = [*GRID_11[:-1], *(1.0 - 10.0**-k for k in (6, 9, 12, 15)), 1e-6, 1e-12]
+    crossed = []
+    with mpmath.workdps(40):
+        for alpha in gates:
+            theta = _theta(alpha)
+            for row in verify_profile(alpha, c0s).rows:
+                phi = mpmath.acos(mpmath.mpf(row.c0))
+                c_min, c_max = mpmath.cos(min(phi + theta, mpmath.pi / 2)), mpmath.cos(max(phi - theta, 0))
+                if mpmath.mpf(row.bound_max) < c_max or mpmath.mpf(row.bound_min) > c_min:
+                    crossed.append((tuple(map(float, alpha)), row.c0, row.bound_min, row.bound_max))
+    assert crossed == []
