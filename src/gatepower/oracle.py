@@ -40,7 +40,7 @@ __all__ = [
 
 # Converged: the bracket and the state's constraint violation are at most _TOL.
 _TOL = 1e-8
-_START_DIRECTIONS = 64
+_START_DIRECTIONS = 16
 _MAX_ROUNDS = 40
 _MAX_DIRECTIONS = 8192
 # Dual distances within this of the largest one count as active.
@@ -287,24 +287,34 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
     return np.where(inside, value, -np.inf).max(axis=0)
 
 
+def _kernel(omega) -> list:
+    """v: sum v = sum v w = 0 (w = omega), |v_j| <= 1 via the widest pair; (1, -1, 0, 0) if all w coincide."""
+    w = omega.tolist()
+    i, j = max(itertools.combinations(range(4), 2), key=lambda p: abs(w[p[0]] - w[p[1]]))
+    if w[i] == w[j]:
+        return [1.0, -1.0, 0.0, 0.0]
+    v, k, d = [0.0] * 4, min({0, 1, 2, 3} - {i, j}), w[j] - w[i]
+    v[k], v[i], v[j] = 1.0, (w[k] - w[j]) / d, (w[i] - w[k]) / d
+    return v
+
+
 def _pad(u, omega) -> np.ndarray:
-    """Move u along the kernel of u -> (sum u, sum u w) until sum |u| = 1."""
-    size = np.abs(u).sum()
+    """Move u along :func:`_kernel` until sum |u| = 1, on Python floats."""
+    size = math.fsum(map(abs, a := u.tolist()))
     if size >= 1.0 - 1e-12:  # a rounding deficit; at c0 = 1 u must stay real
         return u
-    v = np.linalg.svd(np.array([np.ones(4), omega]))[2][-1].conj()
-    # f(t) = sum |u + t v| is convex with f(0) < 1 <= f(t); Newton steps
-    # from the right fall monotonically onto its smallest root.
-    t = (1.0 + size) / np.abs(v).sum()
+    v = _kernel(omega)
+    # f(t) = sum |u + t v| is convex, f(0) < 1 <= f(t): Newton steps from the right fall onto its root.
+    t = (1.0 + size) / math.fsum(map(abs, v))
     for _ in range(60):
-        x = u + t * v
-        r = np.abs(x)
-        slope = np.divide((x.conj() * v).real, r, out=np.zeros(4), where=r > 0).sum()
-        step = (r.sum() - 1.0) / slope
+        x = [p + t * q for p, q in zip(a, v)]
+        r = list(map(abs, x))
+        slope = math.fsum((c.conjugate() * q).real / m for c, q, m in zip(x, v, r) if m > 0)
+        step = (math.fsum(r) - 1.0) / slope
         if not t - step < t:
             break
         t -= step
-    return u + t * v
+    return np.array([p + t * q for p, q in zip(a, v)])
 
 
 def _feasible(u, omega, c0: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -434,12 +435,12 @@ def test_verify_profile_matches_recorded_report():
             c0=0.0,
             closed_min=0.0,
             closed_max=0.9854497299884601,
-            oracle_min=1.3877787807814457e-16,
-            oracle_max=0.9854497299884594,
+            oracle_min=1.7554167342883506e-16,
+            oracle_max=0.9854497299884595,
             bound_min=0.0,
             bound_max=0.9854497299884639,
-            deviation_min=1.3877787807814457e-16,
-            deviation_max=7.771561172376096e-16,
+            deviation_min=1.7554167342883506e-16,
+            deviation_max=6.661338147750939e-16,
             converged=True,
             passed=True,
         ),
@@ -447,12 +448,12 @@ def test_verify_profile_matches_recorded_report():
             c0=0.3,
             closed_min=0.0,
             closed_max=1.0,
-            oracle_min=1.5700924586837752e-16,
-            oracle_max=0.9999999999999994,
+            oracle_min=8.326672684688674e-17,
+            oracle_max=0.9999999999999993,
             bound_min=0.0,
             bound_max=1.0,
-            deviation_min=1.5700924586837752e-16,
-            deviation_max=5.551115123125783e-16,
+            deviation_min=8.326672684688674e-17,
+            deviation_max=6.661338147750939e-16,
             converged=True,
             passed=True,
         ),
@@ -557,7 +558,7 @@ def bisected_pad(u, omega):
     """Reference for ``oracle._pad``: 60 bisection steps for sum |u + t v| = 1."""
     if np.abs(u).sum() >= 1.0 - 1e-12:
         return u
-    v = np.linalg.svd(np.stack([np.ones(4), omega]))[2][-1].conj()
+    v = np.array(oracle._kernel(omega))
     lo, hi = 0.0, (1.0 + np.abs(u).sum()) / np.abs(v).sum()
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -577,7 +578,7 @@ def test_newton_pad_matches_bisection():
             assert abs(np.abs(out).sum() - 1.0) <= 4 * eps
             assert abs(out.sum() - u.sum()) <= 1e-15
             assert abs(out @ omega - u @ omega) <= 1e-15
-        # Both move u along the same unit kernel vector, by t = |out - u|.
+        # Both move u along the same kernel vector, by t |v| = |out - u|.
         t_newton, t_bisected = np.linalg.norm(newton - u), np.linalg.norm(bisected - u)
         assert abs(t_newton - t_bisected) <= 1e-12 * t_bisected
 
@@ -701,11 +702,12 @@ def _counting_support(monkeypatch):
 
 
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
-@pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("c0", GRID_11[:-1])
 def test_near_identity_search_refines_in_few_rounds(monkeypatch, c0, direction):
+    # The opening is the coarsest level of the refinement; far below _MAX_ROUNDS, no gap stays wide.
     rows = _counting_support(monkeypatch)
     assert extremal_concurrence(VERIFY_ANCHORS["near_identity"], c0, direction).converged
-    assert len(rows) <= 5
+    assert rows[0] == oracle._START_DIRECTIONS and len(rows) <= 5
     assert max(rows[1:], default=0) <= 256
 
 
@@ -762,6 +764,33 @@ def _assert_rows_pass_on_feasible_witnesses(alpha, grid):
 @pytest.mark.parametrize("gate", NEAR_COINCIDENT)
 def test_verify_passes_when_eigenphases_nearly_coincide(gate):
     _assert_rows_pass_on_feasible_witnesses(NEAR_COINCIDENT[gate], GRID_11)
+
+
+def _coinciding_omegas():
+    """Points w_j with all four, three or two pairs coincident, and those of NEAR_COINCIDENT."""
+    a, b = np.exp(0.3j), np.exp(2.1j)
+    omegas = {"all-four": [a] * 4, "two-pairs": [a, a, b, b], "two-pairs-interleaved": [a, b, a, b],
+              "three": [a, a, a, b], "three-last": [b, a, a, a]}
+    anchors = {"identity": (0.0, 0.0, 0.0), "swap": (QUARTER_PI, QUARTER_PI, QUARTER_PI), **NEAR_COINCIDENT}
+    omegas |= {name: np.exp(2j * oracle.eigen_phases(alpha)) for name, alpha in anchors.items()}
+    return {name: np.array(w) for name, w in omegas.items()}
+
+
+@pytest.mark.parametrize("name", _coinciding_omegas())
+def test_pad_keeps_both_sums_where_points_coincide(name):
+    # The kernel vector needs no division by a zero pair: all four w_j equal take (1, -1, 0, 0).
+    omega = _coinciding_omegas()[name]
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    for k in range(50):
+        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u *= 0.0 if k == 0 else rng.uniform(0.0, 0.999) / np.abs(u).sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = oracle._pad(u, omega)
+        assert abs(np.abs(out).sum() - 1.0) <= 4 * eps
+        assert abs(out.sum() - u.sum()) <= 1e-15
+        assert abs(out @ omega - u @ omega) <= 1e-15
 
 
 def test_verify_command_passes_a_near_identity_cphase(capsys):
@@ -936,16 +965,17 @@ def test_reach_target_makes_one_opening(monkeypatch):
     assert len(rows) == searched
 
 
+@pytest.mark.parametrize("c0", GRID_11[:-1])
 @pytest.mark.parametrize("gate", ["saturating", "facet"])
-def test_profile_row_builds_the_opening_states_once(monkeypatch, gate):
+def test_profile_row_builds_the_opening_states_once(monkeypatch, gate, c0):
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
-    verify_profile(VERIFY_ANCHORS[gate], [0.5])
+    assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
     # Neither side refines, so both read the opening's states.
     assert support_rows == primal_rows == [oracle._START_DIRECTIONS]
     # A later search at the same (gate, c0) builds nothing new.
     support_rows.clear()
     primal_rows.clear()
-    extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MAX)
+    extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX)
     assert support_rows == primal_rows == []
 
 
@@ -969,18 +999,18 @@ def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
 
 # reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
 RECORDED_REACH = {
-    "generic": (0.5, 0.49999999999999983, 1.1102230246251565e-16,
-                "ba06c9fa03bee13fce09a79f139e7d3f8c34f3bbe697d43fba09ac7c631bbebf"
-                "1a4b7697fa4ae7bf79a566cfd8d9cabfe028cba384f48fbfd260f79b0ad3a03f"),
-    "near_identity": (0.49840085315130966, 0.4984008531513094, 8.881784197001252e-16,
-                      "d204edcc9b62b4bf4bd76ed6c7c1b53f5b27148b30edd63facf975454a80d8bf"
-                      "55eb8b2eb9a0dcbf2e6c52e00c8dd9bf154d3f447582e13fa24bbd8aaf60cd3f"),
-    "saturating": (0.5, 0.49999999999999983, 1.6653345369377348e-16,
-                   "604ada2b1b5eeb3f7c9015d92d7ab1bf1c163d83547dac3fe07da62099eb96bf"
-                   "de67b56db899dbbf3c8b2e6671c1b3bf2d78f57329a5d03faacb434c05ad9b3f"),
-    "facet": (0.5, 0.49999999999999967, 1.6653345369377348e-16,
-              "4adf8622d2a0cd3fda5e2fc34574e9bf893d61870e83c63f67dfd87eb3f6c7bf"
-              "2eea135522e8dbbfe55cadc36521c3bf5890cb23fcfe8ebf6af0a66625f3c73f"),
+    "generic": (0.5, 0.49999999999999956, 5.551115123125783e-17,
+                "f8b01f4ac681973f1b83312f7a1ee3bfcc985842e8a7d43f7f2f794a16fdd6bf"
+                "b2a95f73efe5ba3f96738a33d0d8c93ff8b01f4ac68197bf1b83312f7a1ee33f"),
+    "near_identity": (0.49840085315130966, 0.4984008531513094, 9.992007221626409e-16,
+                      "000000000000000058b63dc67695e3bf2f21c6e56c7dd23fda23172f8f9ccebf"
+                      "7f869780e25ed03f20f6252c571acb3f000000000000000058b63dc67695e33f"),
+    "saturating": (0.5, 0.4999999999999997, 2.220446049250313e-16,
+                   "e5acc529fd7d933f551d97b1a7f1e7bf0480a4a793b1e03ff27ad57481b0d0bf"
+                   "98c479176da2d0bf823a684195cdc2bfca999eb169848d3f9028411e68f1b93f"),
+    "facet": (0.5, 0.4999999999999999, 0.0,
+              "e749ad10295cda3f0a50e14f2c3ed7bf3c0e0bac3400c23f3b89e1929cc6d53f"
+              "3c0e0bac3400c2bf3b89e1929cc6d5bf5421b526c4cfe23fac09c920c54dd23f"),
 }
 
 
