@@ -252,8 +252,8 @@ def _cmd_power(args) -> int:
         "c_max": interval.c_max,
         "c0_max": _interval(0.0, theta).c_max,
         "c1_min": _interval(1.0, theta).c_min,
-        "can_reach_max": _reaches_max(c0, theta),
-        "can_reach_zero": _reaches_zero(c0, theta),
+        "can_reach_max": _reaches_max(interval),
+        "can_reach_zero": _reaches_zero(interval),
     }
     if args.json:
         _emit({"gate": name, "alpha": alpha.tolist(), "c0": args.c0, **values})

@@ -40,7 +40,6 @@ __all__ = [
     "compare_gates",
 ]
 
-_QUARTER_PI = math.pi / 4.0
 _BOUNDARY_SLACK = 1e-12
 
 
@@ -62,11 +61,11 @@ class GateOrdering(enum.Enum):
 def saturation_condition(alpha) -> bool:
     """True if the gate reaches both concurrence 0 and 1 from any input.
 
-    Holds iff a1 + a2 >= pi/4 and a2 + |a3| <= pi/4 (non-strict, with a
-    1e-12 slack so boundary gates such as the CNOT class qualify).
+    Both reach rules at the worst inputs: c0_max reaches 1 and c1_min
+    reaches 0, so theta is pi/2 within ~1e-12 and the CNOT class qualifies.
     """
-    a1, a2, a3 = map(abs, _by_magnitude(alpha))  # as in effective_angle
-    return a1 + a2 >= _QUARTER_PI - _BOUNDARY_SLACK and a2 + a3 <= _QUARTER_PI + _BOUNDARY_SLACK
+    theta = effective_angle(alpha)
+    return _reaches_max(_interval(0.0, theta)) and _reaches_zero(_interval(1.0, theta))
 
 
 def effective_angle(alpha) -> float:
@@ -91,13 +90,13 @@ def _interval(c0: float, theta: float) -> PowerInterval:
     return PowerInterval(c_min, c_max)
 
 
-# The reach rules and the order rule at a theta in hand, for a checked c0.
-def _reaches_max(c0: float, theta: float) -> bool:
-    return c0 >= _interval(1.0, theta).c_min - _BOUNDARY_SLACK
+# The reach rules, read off an interval with a 1e-12 slack on its ends, and the order rule at two thetas.
+def _reaches_max(interval: PowerInterval) -> bool:
+    return interval.c_max >= 1.0 - _BOUNDARY_SLACK
 
 
-def _reaches_zero(c0: float, theta: float) -> bool:
-    return c0 <= _interval(0.0, theta).c_max + _BOUNDARY_SLACK
+def _reaches_zero(interval: PowerInterval) -> bool:
+    return interval.c_min <= _BOUNDARY_SLACK
 
 
 def _order(theta_a: float, theta_b: float) -> GateOrdering:
@@ -142,13 +141,13 @@ def c1_min(alpha) -> float:
 
 
 def can_reach_max(alpha, c0: float) -> bool:
-    """True if the final state can be maximally entangled."""
-    return _reaches_max(_concurrence(c0), effective_angle(alpha))
+    """True if the final state can be maximally entangled: c_max lies within 1e-12 of 1."""
+    return _reaches_max(power_interval(alpha, c0))
 
 
 def can_reach_zero(alpha, c0: float) -> bool:
-    """True if the final state can be a product state."""
-    return _reaches_zero(_concurrence(c0), effective_angle(alpha))
+    """True if the final state can be a product state: c_min lies within 1e-12 of 0."""
+    return _reaches_zero(power_interval(alpha, c0))
 
 
 def compare_gates(alpha_a, alpha_b) -> GateOrdering:

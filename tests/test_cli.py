@@ -192,6 +192,13 @@ def test_power_cnot(capsys):
     assert doc["can_reach_max"] is True and doc["can_reach_zero"] is True
 
 
+def test_power_just_below_half_pi_cannot_reach_zero_from_a_bell_state(capsys):
+    code, out, _ = run(capsys, ["power", "--gate", "canonical:0.7853976633974483,0,0", "--c0", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "c_min: 1.00000000042e-06" in lines and "can_reach_zero: false" in lines and "can_reach_max: true" in lines
+
+
 def test_power_canonical_token(capsys):
     code, out, _ = run(capsys, ["power", "--gate", "canonical:0.392699,0,0", "--c0", "0", "--json"])
     assert code == 0
@@ -656,11 +663,12 @@ def test_help_prints_identical_bytes_twice(argv):
     assert err1 == err2 == ""
 
 
-# Named gates, canonical tokens inside and outside the chamber, cphase tokens,
-# and "haar", which stands for a gate file of a Haar random unitary.
+# Named gates, canonical tokens inside and outside the chamber, theta = pi/2 - 1e-6
+# (c_min at c0 = 1 is 1e-6, so zero is out of reach), cphase tokens, and "haar",
+# which stands for a gate file of a Haar random unitary.
 LIBRARY_SPECS = [
     *cli._NAMED_GATES, "canonical:0.3,0.2,0.1", "canonical:pi/4,0.3,-0.2", "canonical:-pi/3,pi/5,2pi/7",
-    "canonical:1.2,-0.4,3", "cphase:pi/3", "cphase:-2.5", "haar",
+    "canonical:1.2,-0.4,3", "canonical:0.7853976633974483,0,0", "cphase:pi/3", "cphase:-2.5", "haar",
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import envelope_scan, random_chamber_point, shift_closed_form
 from test_edge_cases import facet_and_edge_points
+from test_power import REACH_FACES
 from gatepower import (
     Direction,
     OptimizerConfig,
@@ -292,6 +293,25 @@ def test_gates_straddling_the_saturation_boundary():
             assert hi.converged and lo.converged
             assert abs(hi.extremal_concurrence - closed.c_max) <= 1e-3
             assert abs(lo.extremal_concurrence - closed.c_min) <= 1e-3
+
+
+@pytest.mark.parametrize("face", REACH_FACES)
+@pytest.mark.parametrize("d", [1e-6, 1e-7])
+def test_oracle_certifies_the_reach_rules_just_below_half_pi(face, d):
+    # theta = pi/2 - d: zero is out of reach from a Bell state, since MIN's
+    # certified bound is ~d, while a product state still reaches 1 - d^2 / 2.
+    w = REACH_FACES[face](d)
+    lo = extremal_concurrence(w, 1.0, Direction.MIN)
+    assert lo.converged and lo.bound > 1e-12 and power.can_reach_zero(w, 1.0) is False
+    hi = extremal_concurrence(w, 0.0, Direction.MAX)
+    assert hi.extremal_concurrence >= 1 - 1e-8 and power.can_reach_max(w, 0.0) is True
+
+
+@pytest.mark.parametrize("w", [(QUARTER_PI, 0, 0), (QUARTER_PI, QUARTER_PI, 0), (math.pi / 8,) * 3],
+                         ids=["cnot", "iswap", "sqrtswap"])
+def test_oracle_certifies_that_saturating_gates_reach_zero_from_a_bell_state(w):
+    lo = extremal_concurrence(w, 1.0, Direction.MIN)
+    assert lo.extremal_concurrence <= 1e-8 and power.can_reach_zero(w, 1.0) is True
 
 
 def test_conjugate_classes_have_identical_power():
@@ -727,8 +747,7 @@ def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
             else:
                 assert r.bound - 1e-12 <= closed.c_min <= r.extremal_concurrence + 1e-12
             assert r.converged
-            # The opening sweep evaluates one more row, at c0 = 0, for MAX's cap.
-            assert sum(rows) - 1 <= oracle._MAX_DIRECTIONS
+            assert sum(rows) <= oracle._MAX_DIRECTIONS
 
 
 @pytest.mark.parametrize("c0", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))])
@@ -838,7 +857,7 @@ def test_direction_cap_counts_every_piece(monkeypatch, direction):
     monkeypatch.setattr(oracle, "_MAX_DIRECTIONS", 100)
     rows = _counting_support(monkeypatch)
     extremal_concurrence(VERIFY_ANCHORS["near_identity"], 0.5, direction)
-    assert sum(rows) - 1 <= 100
+    assert sum(rows) <= 100
 
 
 def _counting_primal(monkeypatch):

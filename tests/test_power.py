@@ -68,7 +68,7 @@ def test_effective_angle_range():
 
 
 def _branch_angle(alpha):
-    """The paper's three cases for theta, with the predicates' 1e-12 slack."""
+    """The paper's three cases for theta, the saturating one with a 1e-12 slack on the coordinate sums."""
     a1, a2, a3 = reduce_alpha(alpha).tolist()
     a3 = abs(a3)
     if a1 + a2 >= QUARTER_PI - 1e-12 and a2 + a3 <= QUARTER_PI + 1e-12:
@@ -172,6 +172,38 @@ def test_reachability_examples():
     assert can_reach_zero(CNOT_W, 1.0) is True
     assert can_reach_zero([0, 0, 0], 0.5) is False
     assert can_reach_zero(HALF_CNOT_W, 0.6) is True
+
+
+def _reach_identities(w, c0s):
+    """The one reach rule: both flags and saturation are read off the interval, 1e-12 from its clamps."""
+    for c0 in c0s:
+        interval = power_interval(w, c0)
+        assert can_reach_max(w, c0) is (interval.c_max >= 1 - 1e-12), c0
+        assert can_reach_zero(w, c0) is (interval.c_min <= 1e-12), c0
+    assert saturation_condition(w) is (can_reach_max(w, 0.0) and can_reach_zero(w, 1.0))
+
+
+# theta = pi/2 - d on the two saturating faces, a1 + a2 = pi/4 and a2 + |a3| = pi/4.
+REACH_FACES = {
+    "a1+a2": lambda d: (QUARTER_PI - d / 2, 0.0, 0.0),
+    "a2+a3": lambda d: (QUARTER_PI, math.pi / 8 + d / 4, math.pi / 8 + d / 4),
+}
+
+
+@pytest.mark.parametrize("face", REACH_FACES)
+@pytest.mark.parametrize("d", [0.0, 1e-13, 1.5e-12, 1e-9, 1e-6, 1.5e-6, 1e-4])
+def test_reach_rules_are_read_off_the_interval_below_half_pi(face, d):
+    # sin(theta) is flat at pi/2: for d up to ~1.4e-6, c0 = 1 lies within 1e-12
+    # of sin(theta) while c_min at c0 = 1 is cos(theta) ~ d, so zero is out of reach.
+    w = REACH_FACES[face](d)
+    assert abs(effective_angle(w) - (math.pi / 2 - d)) <= 1e-15
+    _reach_identities(w, [0.0, 1e-13, 0.5, 1 - 1e-13, 1.0])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(COORDS | NEAR_FACE, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_reach_rules_are_read_off_the_interval(w, c0s):
+    _reach_identities(w, c0s)
 
 
 def test_compare_gates_examples():

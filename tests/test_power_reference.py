@@ -89,8 +89,8 @@ def reference_interval(alpha, c0, theta_of=reference_theta):
 
 
 def reference_saturation(alpha):
-    a1, a2, a3 = reference_abs_a3(alpha)
-    return a1 + a2 >= QUARTER_PI - 1e-12 and a2 + a3 <= QUARTER_PI + 1e-12
+    """Both reach rules at the worst inputs: c_max at c0 = 0 reaches 1 and c_min at c0 = 1 reaches 0."""
+    return reference_interval(alpha, 0.0)[1] >= 1 - 1e-12 and reference_interval(alpha, 1.0)[0] <= 1e-12
 
 
 def reference_compare(alpha_a, alpha_b):
@@ -128,6 +128,9 @@ FIXED = [
     (-0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, HALF_PI), (-0.0, -0.0, -HALF_PI),
     # The a1 = pi/4 face with a3 < 0, on it and within the mirror's 1e-10 of it.
     (QUARTER_PI, 0.3, -0.2), (QUARTER_PI - 1e-11, 0.3, -0.2), (QUARTER_PI - 1e-9, 0.3, -0.2), (-QUARTER_PI, 0.2, -0.1),
+    # theta = pi/2 - 1.5e-12, where the coordinate sums saturate and c_min at c0 = 1 does not,
+    # and pi/2 - 1e-6, where sin(theta) is within 1e-12 of 1 and c_min at c0 = 1 is 1e-6.
+    (QUARTER_PI - 7.5e-13, 0.0, 0.0), (QUARTER_PI - 5e-7, 0.0, 0.0),
 ]
 COORDS = st.tuples(*[st.floats(-1e3, 1e3) | st.sampled_from(SPECIAL)] * 3) | st.sampled_from(FIXED)
 # The 11-point grid and the drift that _concurrence clamps.
