@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .canonical import _real, canonical_gate, eigen_phases
-from .power import power_profile
+from .power import _BOUNDARY_SLACK, power_profile
 from .states import _concurrence, concurrence, from_magic_coefficients
 
 __all__ = [
@@ -116,7 +116,7 @@ class ProfileRow:
 def _failed_checks(row: ProfileRow, tol: float) -> tuple[bool, bool, bool]:
     """Whether ``row`` fails each check of :func:`verify_profile`: convergence,
     the certified brackets and the deviation ``tol``."""
-    m = 1e-12  # rounding margin of the closed forms and the bounds
+    m = _BOUNDARY_SLACK  # rounding margin of the closed forms and the bounds
     inside = (row.bound_min - m <= row.closed_min <= row.oracle_min + m
               and row.oracle_max - m <= row.closed_max <= row.bound_max + m)
     return not row.converged, not inside, not (row.deviation_min <= tol and row.deviation_max <= tol)

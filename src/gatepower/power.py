@@ -90,7 +90,7 @@ def _interval(c0: float, theta: float) -> PowerInterval:
     return PowerInterval(c_min, c_max)
 
 
-# The reach rules, read off an interval with a 1e-12 slack on its ends, and the order rule at two thetas.
+# One 1e-12 slack: the reach rules on an interval's ends, the order rule on thetas (ends are 1-Lipschitz in theta).
 def _reaches_max(interval: PowerInterval) -> bool:
     return interval.c_max >= 1.0 - _BOUNDARY_SLACK
 
@@ -100,7 +100,7 @@ def _reaches_zero(interval: PowerInterval) -> bool:
 
 
 def _order(theta_a: float, theta_b: float) -> GateOrdering:
-    if abs(theta_a - theta_b) <= 1e-10:
+    if abs(theta_a - theta_b) <= _BOUNDARY_SLACK:
         return GateOrdering.EQUAL
     return GateOrdering.LESS if theta_a < theta_b else GateOrdering.GREATER
 
@@ -153,7 +153,7 @@ def can_reach_zero(alpha, c0: float) -> bool:
 def compare_gates(alpha_a, alpha_b) -> GateOrdering:
     """Order two gates by inclusion of their reachable intervals.
 
-    Equivalent to comparing effective angles; EQUAL implies the intervals
-    agree at every input concurrence.
+    Compares effective angles: EQUAL when they agree within 1e-12, so the
+    intervals agree within the reach rules' 1e-12 slack at every input concurrence.
     """
     return _order(effective_angle(alpha_a), effective_angle(alpha_b))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import math
 import warnings
 
@@ -296,15 +297,17 @@ def test_gates_straddling_the_saturation_boundary():
 
 
 @pytest.mark.parametrize("face", REACH_FACES)
-@pytest.mark.parametrize("d", [1e-6, 1e-7])
+@pytest.mark.parametrize("d", [2e-12, 5e-11, 1e-6, 1e-7])
 def test_oracle_certifies_the_reach_rules_just_below_half_pi(face, d):
     # theta = pi/2 - d: zero is out of reach from a Bell state, since MIN's
     # certified bound is ~d, while a product state still reaches 1 - d^2 / 2.
+    # CNOT reaches zero there, so the gate is strictly weaker than CNOT.
     w = REACH_FACES[face](d)
     lo = extremal_concurrence(w, 1.0, Direction.MIN)
     assert lo.converged and lo.bound > 1e-12 and power.can_reach_zero(w, 1.0) is False
     hi = extremal_concurrence(w, 0.0, Direction.MAX)
     assert hi.extremal_concurrence >= 1 - 1e-8 and power.can_reach_max(w, 0.0) is True
+    assert power.compare_gates(w, (QUARTER_PI, 0.0, 0.0)) is power.GateOrdering.LESS
 
 
 @pytest.mark.parametrize("w", [(QUARTER_PI, 0, 0), (QUARTER_PI, QUARTER_PI, 0), (math.pi / 8,) * 3],
@@ -533,6 +536,35 @@ def test_bracket_closes_on_verify_anchors(gate, c0):
     # Converged and inside the brackets: only a tol below this bound can fail the row.
     row = verify_profile(VERIFY_ANCHORS[gate], [c0]).rows[0]
     assert row.passed and max(row.deviation_min, row.deviation_max) <= oracle._TOL + 1e-12
+
+
+def test_oracle_certifies_the_order():
+    # LESS claims max_small <= max_big and min_big <= min_small at every c0. No certificate
+    # may contradict that: an achieved value beyond the other gate's certified bound would
+    # (up to verify's 1e-12 rounding margin). Each converged bracket is at most _TOL wide,
+    # so small's bound lies within _TOL above its extremum and big's achieved value within
+    # _TOL below its own: the bound exceeds the achieved value by at most 2 _TOL.
+    # EQUAL extrema agree within the 1e-12 slack, so achieved values within _TOL of that.
+    named = {token: decompose(named_gate(token)).weyl for token in ("swap", "identity", "cnot")}
+    gates = {**named, **VERIFY_ANCHORS, "cphase(1.0)": (0.25, 0.0, 0.0), "cphase(2.0)": (0.5, 0.0, 0.0)}
+    brackets = {(name, c0): (extremal_concurrence(w, c0, Direction.MIN), extremal_concurrence(w, c0, Direction.MAX))
+                for name, w in gates.items() for c0 in GRID_11}
+    assert all(lo.converged and hi.converged for lo, hi in brackets.values())
+    slack, relations = power._BOUNDARY_SLACK, set()
+    for a, b in itertools.permutations(gates, 2):
+        relation = power.compare_gates(gates[a], gates[b])
+        relations.add(relation)
+        for c0 in GRID_11:
+            (lo_a, hi_a), (lo_b, hi_b) = brackets[a, c0], brackets[b, c0]
+            if relation is power.GateOrdering.LESS:
+                assert hi_a.extremal_concurrence <= hi_b.bound + slack, (a, b, c0)
+                assert lo_b.bound <= lo_a.extremal_concurrence + slack, (a, b, c0)
+                assert hi_a.bound <= hi_b.extremal_concurrence + 2 * oracle._TOL, (a, b, c0)
+                assert lo_b.extremal_concurrence <= lo_a.bound + 2 * oracle._TOL, (a, b, c0)
+            elif relation is power.GateOrdering.EQUAL:
+                assert abs(hi_a.extremal_concurrence - hi_b.extremal_concurrence) <= oracle._TOL + slack, (a, b, c0)
+                assert abs(lo_a.extremal_concurrence - lo_b.extremal_concurrence) <= oracle._TOL + slack, (a, b, c0)
+    assert relations == set(power.GateOrdering)
 
 
 def _criterion_07_gates():

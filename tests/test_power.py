@@ -8,21 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chamber_point
+from conftest import random_chamber_point, random_local_pair
+from test_edge_cases import facet_and_edge_points
 from gatepower import (
     GateOrdering,
     c0_max,
     c1_min,
     can_reach_max,
     can_reach_zero,
+    canonical_gate,
     compare_gates,
     effective_angle,
     eigen_phases,
     power_interval,
+    random_unitary,
     reduce_alpha,
     saturation_condition,
     verify_profile,
+    weyl_coordinates,
 )
+from gatepower.cli import named_gate
+from gatepower.linalg import MAGIC, MAGIC_H
 
 QUARTER_PI = math.pi / 4
 CNOT_W = [QUARTER_PI, 0, 0]
@@ -191,13 +197,36 @@ REACH_FACES = {
 
 
 @pytest.mark.parametrize("face", REACH_FACES)
-@pytest.mark.parametrize("d", [0.0, 1e-13, 1.5e-12, 1e-9, 1e-6, 1.5e-6, 1e-4])
+@pytest.mark.parametrize("d", [0.0, 1e-13, 1.5e-12, 2e-12, 5e-11, 1e-9, 1e-6, 1.5e-6, 1e-4])
 def test_reach_rules_are_read_off_the_interval_below_half_pi(face, d):
     # sin(theta) is flat at pi/2: for d up to ~1.4e-6, c0 = 1 lies within 1e-12
     # of sin(theta) while c_min at c0 = 1 is cos(theta) ~ d, so zero is out of reach.
+    # The order reads theta with the same slack: only a saturating gate equals CNOT.
     w = REACH_FACES[face](d)
     assert abs(effective_angle(w) - (math.pi / 2 - d)) <= 1e-15
     _reach_identities(w, [0.0, 1e-13, 0.5, 1 - 1e-13, 1.0])
+    assert compare_gates(w, CNOT_W) is (GateOrdering.EQUAL if saturation_condition(w) else GateOrdering.LESS)
+
+
+def _gap_angle(u):
+    """theta from the gate's own spectrum: m = U_B^T U_B in the magic basis has eigenphases
+    2 lambda_k up to a common shift; they span an arc of 2 pi - G, G the largest circular
+    gap between them, and theta is half that arc, capped at pi/2."""
+    u_b = MAGIC_H @ u @ MAGIC
+    phases = np.sort(np.angle(np.linalg.eigvals(u_b.T @ u_b)))
+    gap = max(np.diff(phases).max(), 2 * math.pi - (phases[-1] - phases[0]))
+    return min(math.pi / 2, math.pi - gap / 2)
+
+
+def test_effective_angle_is_read_off_the_spectrum():
+    rng = np.random.default_rng(17)
+    cores = [named_gate(token) for token in ("identity", "cnot", "cz", "swap", "iswap", "sqrtswap")]
+    cores += [canonical_gate(w) for w in facet_and_edge_points()]
+    cores += [canonical_gate(face(d)) for face in REACH_FACES.values() for d in (0.0, 1e-13, 1.5e-12, 5e-11, 1e-9, 1e-6)]
+    gates = [random_unitary(4, seed) for seed in range(1000)]
+    gates += [random_local_pair(rng) @ core @ random_local_pair(rng) for core in cores]
+    for u in gates:
+        assert abs(_gap_angle(u) - effective_angle(weyl_coordinates(u))) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -286,7 +315,9 @@ def test_interval_nesting_never_flips(wa, wb):
         elif relation is GateOrdering.GREATER:
             assert ia.c_min <= ib.c_min + 1e-12 and ib.c_max <= ia.c_max + 1e-12
         else:
-            assert abs(ia.c_min - ib.c_min) <= 1e-9 and abs(ia.c_max - ib.c_max) <= 1e-9
+            # EQUAL thetas differ by at most 1e-12 and every end is 1-Lipschitz in theta;
+            # 1e-15 covers the few ulps of 1 by which each computed end rounds.
+            assert abs(ia.c_min - ib.c_min) <= 1e-12 + 1e-15 and abs(ia.c_max - ib.c_max) <= 1e-12 + 1e-15
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -94,8 +94,9 @@ def reference_saturation(alpha):
 
 
 def reference_compare(alpha_a, alpha_b):
+    """Thetas within the reach rules' 1e-12 slack are EQUAL."""
     ta, tb = reference_theta(alpha_a), reference_theta(alpha_b)
-    if abs(ta - tb) <= 1e-10:
+    if abs(ta - tb) <= 1e-12:
         return GateOrdering.EQUAL
     return GateOrdering.LESS if ta < tb else GateOrdering.GREATER
 
