@@ -102,26 +102,22 @@ class CanonicalDecomposition:
     diagnostics: DecompositionDiagnostics | None = None
 
 
-def _real(alpha) -> np.ndarray:
-    """alpha as floats; ValueError if complex, whose imaginary parts a float
-    conversion would drop with only a warning, or too large for a float."""
+def _three_floats(alpha) -> list[float]:
+    """alpha as three Python floats of any size: as given in a list, tuple or array, else converted.
+    ValueError unless three real numbers: complex ones, whose imaginary parts a float conversion
+    would drop with only a warning, and ints beyond the float range fail too."""
+    v = alpha.tolist() if type(alpha) is np.ndarray else list(alpha) if type(alpha) is tuple else alpha
+    if type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
+        return v
     a = np.asarray(alpha)
     if a.dtype.kind == "O":  # let the elements' own types decide, as for a list
         a = np.asarray(a.tolist())
     if a.dtype.kind == "c":
         raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
     try:
-        return a.astype(float, copy=False)
+        a = a.astype(float)
     except OverflowError as exc:  # an int beyond the float range
         raise ValueError(f"{_COORDINATE_RULE}: {exc}") from exc
-
-
-def _three_floats(alpha) -> list[float]:
-    """alpha as three Python floats of any size: as given in a list, tuple or array, else by ``_real``."""
-    v = alpha.tolist() if type(alpha) is np.ndarray else list(alpha) if type(alpha) is tuple else alpha
-    if type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
-        return v
-    a = _real(alpha)
     if a.shape != (3,):
         raise ValueError(f"{_COORDINATE_RULE}, got {a.tolist()}")
     return a.tolist()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .canonical import _real, canonical_gate, eigen_phases
+from .canonical import _three_floats, canonical_gate, eigen_phases
 from .power import _BOUNDARY_SLACK, power_profile
 from .states import _concurrence, concurrence, from_magic_coefficients
 
@@ -318,16 +318,14 @@ def _pad(u, omega) -> np.ndarray:
 
 
 def _feasible(u, omega, c0: float) -> np.ndarray:
-    """u padded to a state of concurrence c0: sum |u| = 1 and sum u = c0.  Sum u misses c0 where
+    """u made a state of concurrence c0: sum |u| = 1 and sum u = c0, in one pass.  Sum u misses c0 where
     clustered w_j cost _primal's units their digits, or where z ties between a point and a bisector
     (alpha = (0, 7.07e-7, 7.07e-7), c0 = 0: z = w_1 against that of (w_0, w_3), units missing by 1.4e-6).
-    The miss is spread by |u|, a sum |u| above 1 is mixed toward c0 |u| / sum |u|, and _pad runs again."""
-    u = _pad(u, omega)
-    if abs(miss := c0 - u.sum()) <= 1e-13:
-        return u
-    u = u + miss * np.abs(u) / np.abs(u).sum()
-    if (size := np.abs(u).sum()) > 1.0:
-        u += (size - 1.0) / (size - c0) * (c0 * np.abs(u) / size - u)
+    A miss above 1e-13 is spread by |u|, a sum |u| above 1 is mixed toward c0 |u| / sum |u|, then _pad."""
+    if abs(miss := c0 - u.sum()) > 1e-13:
+        u = u + miss * np.abs(u) / np.abs(u).sum()
+        if (size := np.abs(u).sum()) > 1.0:
+            u += (size - 1.0) / (size - c0) * (c0 * np.abs(u) / size - u)
     return _pad(u, omega)
 
 
@@ -476,7 +474,7 @@ def verify_profile(alpha, c0_grid, cfg: OptimizerConfig | None = None, tol: floa
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    alpha = _real(alpha)
+    alpha = np.array(_three_floats(alpha))
     c0_grid = list(c0_grid)
     rows = []
     for c0, closed in zip(c0_grid, power_profile(alpha, c0_grid)):

@@ -208,6 +208,21 @@ def test_decompose_reconstruction_check_rejects_a_bad_split(monkeypatch):
         decompose(random_unitary(4, 7))
 
 
+def test_decompose_rejects_an_imaginary_leak(monkeypatch):
+    # Shifting all four phases by delta leaves the left magic-frame factor times exp(-i delta):
+    # its imaginary part has norm 2 sin(delta).  That is a global phase only, so at delta = 1e-7
+    # the leak passes both checks; at 1e-3 the leak check rejects it.
+    phases, u = canonical._phases, random_unitary(4, 3)
+    monkeypatch.setattr(canonical, "_phases", lambda a1, a2, a3: phases(a1, a2, a3) + 1e-7)
+    d = decompose(u)
+    assert d.diagnostics.imaginary_leak == pytest.approx(2 * math.sin(1e-7), rel=1e-6)
+    assert d.diagnostics.reconstruction_residual <= 1e-12
+    monkeypatch.setattr(canonical, "_phases", lambda a1, a2, a3: phases(a1, a2, a3) + 1e-3)
+    with pytest.raises(DecompositionError, match="left magic-frame factor is not real orthogonal") as err:
+        decompose(u)
+    assert err.value.residual == pytest.approx(2 * math.sin(1e-3), rel=1e-6)
+
+
 def test_noisy_cnot_class_gates_decompose_exactly():
     # 1e-8 noise splits the degenerate eigenvalue pairs of the CNOT class
     # by about 1e-8; the eigenbasis must still diagonalize m exactly.

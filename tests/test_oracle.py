@@ -231,6 +231,19 @@ def test_profile_failures_name_each_cause_once_in_order(monkeypatch):
     ]
 
 
+def test_verify_profile_report_owns_its_coordinates():
+    alpha = np.array([0.45, 0.25, 0.10])
+    report = verify_profile(alpha, [0.5])
+    alpha[0] = 0.0
+    assert report.alpha is not alpha
+    np.testing.assert_array_equal(report.alpha, [0.45, 0.25, 0.10])
+
+
+def test_verify_profile_checks_coordinates_before_the_grid():
+    with pytest.raises(ValueError, match="chamber coordinates"):
+        verify_profile([0.3, 0.2], [1.5])
+
+
 def test_verify_profile_rejects_bad_tol():
     with pytest.raises(ValueError):
         verify_profile([0, 0, 0], [0.5], tol=0.0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chamber_point, random_local_pair
@@ -303,8 +303,22 @@ def test_pairwise_formula_matches_unified_form():
             checked_min += 1
 
 
+def near_slack_examples(test):
+    """Pairs whose thetas differ by +-2.5e-13, +-7.5e-13, +-1.25e-12 and +-2e-12, about the EQUAL slack 1e-12.
+
+    Three kinds of gate: theta = 2 (a1 + a2), theta = 2 (pi/2 - a2 - |a3|) on the a1 = pi/4 facet,
+    and theta 5e-12 below pi/2, each moved along the coordinate its theta reads.
+    """
+    for base, step in (((0.3, 0.1, 0.05), (0.5, 0.0, 0.0)), ((QUARTER_PI, 0.5, 0.4), (0.0, 0.0, -0.5)),
+                       ((QUARTER_PI - 2.5e-12, 0.0, 0.0), (0.5, 0.0, 0.0))):
+        for d in (2.5e-13, 7.5e-13, 1.25e-12, 2e-12, -2.5e-13, -7.5e-13, -1.25e-12, -2e-12):
+            test = example(base, tuple(b + d * s for b, s in zip(base, step)))(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(COORDS, COORDS)
+@near_slack_examples
 def test_interval_nesting_never_flips(wa, wb):
     relation = compare_gates(wa, wb)
     for c0 in np.linspace(0, 1, 21):
