@@ -105,7 +105,8 @@ class CanonicalDecomposition:
 def _three_floats(alpha) -> list[float]:
     """alpha as three Python floats of any size: as given in a list, tuple or array, else converted.
     ValueError unless three real numbers: complex ones, whose imaginary parts a float conversion
-    would drop with only a warning, and ints beyond the float range fail too."""
+    would drop with only a warning, ints beyond the float range, and bools and numeric strings,
+    which a float conversion would read as numbers, fail too."""
     v = alpha.tolist() if type(alpha) is np.ndarray else list(alpha) if type(alpha) is tuple else alpha
     if type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
         return v
@@ -114,6 +115,11 @@ def _three_floats(alpha) -> list[float]:
         a = np.asarray(a.tolist())
     if a.dtype.kind == "c":
         raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
+    # Integers and floats only, also where a bool joins them in a list; an object array left
+    # here holds ints beyond 64 bits, or objects that are not numbers.
+    ints = a.dtype.kind == "O" and all(type(x) is int for x in a.ravel().tolist())
+    if not (a.dtype.kind in "iuf" or ints) or type(v) is list and any(isinstance(x, (bool, np.bool_)) for x in v):
+        raise ValueError(f"{_COORDINATE_RULE}, got {v if type(v) is list else a.tolist()}")
     try:
         a = a.astype(float)
     except OverflowError as exc:  # an int beyond the float range

@@ -10,7 +10,8 @@ D(c0) with support function, by Lagrange duality,
 
 Sampled support values bound max |F| from above and min |F| from below;
 explicit states from the dual active sets bound them from the other side.
-Gaps between directions are split into equal pieces until the two sides meet.
+Gaps between directions are split into equal pieces, and at the roots of the slope
+h'(theta) = c0 Im z of the dual minimiser z, until the two sides meet.
 """
 
 from __future__ import annotations
@@ -287,6 +288,23 @@ def _gap_min_bound(theta, gaps, f) -> np.ndarray:
     return np.where(inside, value, -np.inf).max(axis=0)
 
 
+def _gap_max_bound(gaps, h, z, c0: float) -> np.ndarray:
+    """Upper bound of h over each gap from the rotated duals at its ends.
+
+    Rotated with the points, the minimiser z_k is feasible at theta_k + d for every d, so h <=
+    h_k + c0 (Re(exp(-i d) z_k) - Re z_k).  Over the gap Re(exp(-i d) z_k) peaks at |z_k| where
+    arg z_k falls inside it, else at an end; 8 eps (1 + c0 |z_k|) covers rounding that term and a
+    sum below 1.  The far end reads exp(-i d) z_k with d <= 0 as its conjugate.
+    """
+    turn, lines = np.exp(-1j * gaps), []
+    for hk, zk in ((h, z), (_rolled(h), _rolled(z).conj())):
+        size = np.abs(zk)
+        inside = np.arctan2(zk.imag, zk.real) % _TWO_PI <= gaps
+        peak = np.where(inside, size, np.maximum(zk.real, (turn * zk).real))
+        lines.append(hk + c0 * (peak - zk.real) + 8.0 * _EPS * (1.0 + c0 * size))
+    return np.minimum(*lines)
+
+
 def _kernel(omega) -> list:
     """v: sum v = sum v w = 0 (w = omega), |v_j| <= 1 via the widest pair; (1, -1, 0, 0) if all w coincide."""
     w = omega.tolist()
@@ -334,12 +352,14 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`,
     and certified bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
 
-    Every bound is a support value, which holds for any unit direction however it was
-    rounded.  Below c0 = 1 each round splits the gaps that either side finds wide, and
-    every support point gets its primal state.  D(1) is the hull of the w_j, whose point
-    nearest 0 is a vertex or lies on an edge, so MIN's bound there is the best support
-    value over the w_j and both normals of each pair.  Keyed by exact bytes, so the two
-    searches at one (gate, c0) share the latest result.
+    Every bound is a support value or a rotated dual line, each of which holds for any unit
+    direction however it was rounded.  Below c0 = 1 each round splits the gaps that either side
+    finds wide into equal pieces, plus the secant root of the slope h' = c0 Im z where it changes
+    sign; MAX bounds each gap by :func:`_gap_max_bound`.  Support points get primal states while
+    MIN reads them, until its hull holds 0, and MAX builds one from its direction's dual data.
+    D(1) is the hull of the w_j, whose point nearest 0 is a vertex or lies on an edge, so MIN's
+    bound there is the best support value over the w_j and both normals of each pair.  Keyed by
+    exact bytes, so the two searches at one (gate, c0) share the latest result.
     """
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
@@ -356,8 +376,7 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         return lo, hi
     theta = _OPENING_THETA
     h, z, w, r = _support(lam, c0, theta)
-    # MAX's cap: rotated with the points, each row's z_k is feasible at every direction, so h <=
-    # h_k + c0 (|z_k| - Re z_k); 8 eps (1 + c0 |z_k|) covers rounding that term and a sum below 1.
+    # MAX's cap: the best over the opening of each row's rotated dual at its peak (see _gap_max_bound).
     lift = c0 * np.abs(z)
     cap = min(1.0, float((h + (lift - c0 * z.real) + 8.0 * _EPS * (1.0 + lift)).min()))
     # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
@@ -365,8 +384,12 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     lo = None  # MIN's states and their hull weights, fixed once the hull of its support points holds 0
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
+        # Across a gap h lies below the tangents at its ends, and where they leave one open below the rotated duals.
+        top = h.max() + 0.1 * _TOL
         gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
-        wide = gap_bound > h.max() + 0.1 * _TOL
+        if (wide := gap_bound > top).any():
+            gap_bound = np.minimum(gap_bound, _gap_max_bound(gaps, h, z, c0))
+            wide = gap_bound > top
         if lo is None:
             bound, f = max(float((-h).max()), 0.0), u @ omega
             # No direction separates 0 from D: [0, |F|] closes once the hull holds 0.
@@ -375,19 +398,31 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
                 lo = u, mu
             else:
                 wide |= _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
-        # Cut each wide gap into equal pieces; a round adds at most max(255, n_wide) rows.
         n_wide = int(wide.sum())
-        pieces = min(16, max(2, 256 // max(n_wide, 1)))
-        if rnd == _MAX_ROUNDS or not n_wide or theta.size + (pieces - 1) * n_wide > _MAX_DIRECTIONS:
+        if rnd == _MAX_ROUNDS or not n_wide:
             break
-        new = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
-        h_new, z, w, r = _support(lam, c0, new)
+        # Cut each wide gap into equal pieces, a round adding at most max(255, n_wide) of them, and
+        # where h' = c0 Im z changes sign add the secant root of h' (the envelope theorem on the dual).
+        pieces = min(16, max(2, 256 // n_wide))
+        slope = c0 * z.imag
+        turns = wide & (np.sign(slope) * np.sign(_rolled(slope)) < 0)
+        first, second = slope[turns], _rolled(slope)[turns]
+        roots = theta[turns] + gaps[turns] * (first / (first - second))
+        if theta.size + (pieces - 1) * n_wide + roots.size > _MAX_DIRECTIONS:
+            break
+        new = np.concatenate(((theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel(), roots))
+        h_new, z_new, w_new, r_new = _support(lam, c0, new)
         order = np.concatenate([theta, new]).argsort(kind="stable")
-        u_new = _primal(w, z, r, c0).T
-        theta, h, u = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (u, u_new)))
+        if lo is None:  # only MIN reads every row's state
+            u = np.concatenate((u, _primal(w_new, z_new, r_new, c0).T))[order]
+        theta, h, z = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (z, z_new)))
+        w, r = (np.concatenate(p, axis=1)[:, order] for p in ((w, w_new), (r, r_new)))
     u_lo, mu = lo or (u, _nearest_weights(f[:, None], _fan(theta.size))[:, 0])  # unclosed: the point nearest 0
     lo = _feasible(mu @ u_lo, omega, c0), bound
-    hi = _feasible(u[h.argmax()].copy(), omega, c0), float(gap_bound.max())
+    # MAX's state: that of its direction, built from the row's dual data as a batch builds it, unless MIN read it.
+    k = h.argmax()
+    u_hi = u[k].copy() if len(u) == theta.size else _primal(w[:, k, None], z[k, None], r[:, k, None], c0).ravel()
+    hi = _feasible(u_hi, omega, c0), float(gap_bound.max())
     lo[0].flags.writeable = hi[0].flags.writeable = False
     return lo, hi
 

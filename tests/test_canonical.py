@@ -20,6 +20,7 @@ from gatepower import (
     distance_up_to_phase,
     eigen_phases,
     in_weyl_chamber,
+    power_interval,
     random_unitary,
     reconstruct,
     reduce_alpha,
@@ -306,6 +307,34 @@ def test_eigen_phases_and_canonical_gate_reject_non_finite(bad):
 def test_in_weyl_chamber_rejects_anything_but_three_real_numbers(bad):
     with pytest.raises(ValueError, match="three finite numbers"):
         in_weyl_chamber(bad)
+
+
+NOT_NUMBERS = {
+    "str-list": ["0.3", "0.2", "0.1"],
+    "str-array": np.array(["0.3", "0.2", "0.1"]),
+    "bytes-list": [b"0.3", b"0.2", b"0.1"],
+    "bool-list": [True, False, False],
+    "bool-array": np.array([True, False, False]),
+    "bool-among-floats": [0.3, 0.2, True],
+    "numpy-bool-among-floats": [0.3, np.True_, 0.1],
+}
+
+
+@pytest.mark.parametrize("name", NOT_NUMBERS)
+def test_strings_and_bools_are_not_chamber_coordinates(name):
+    # A float conversion reads "0.3" as 0.3 and True as 1.0; gate files reject bools too.
+    for call in (in_weyl_chamber, reduce_alpha, lambda a: power_interval(a, 0.5)):
+        with pytest.raises(ValueError, match="three finite numbers"):
+            call(NOT_NUMBERS[name])
+
+
+@pytest.mark.parametrize("alpha", [
+    [1, 0, 0], (1, 0, 0), np.array([1, 0, 0]), [np.int64(1), 0, 0], np.array([1, 0, 0], dtype=np.uint8),
+    [0.3, 0.2, 0.1], np.array([0.3, 0.2, 0.1], dtype=np.float32), [np.float64(0.3), 0.2, 0], [2**64, 0, 0],
+], ids=["int-list", "int-tuple", "int-array", "numpy-int", "uint8-array", "float-list", "float32-array",
+        "numpy-float", "beyond-int64"])
+def test_ints_and_floats_stay_chamber_coordinates(alpha):
+    assert canonical._three_floats(alpha) == [float(x) for x in np.asarray(alpha, dtype=float)]
 
 
 def test_in_weyl_chamber_answers_a_python_bool():

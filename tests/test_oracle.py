@@ -920,15 +920,42 @@ def _counting_primal(monkeypatch):
 @pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("gate", ["generic", "near_identity"])
 def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
-    # MIN reads every support point and MAX the one at its final direction,
-    # from one set of directions: each support row gets one primal state.
+    # MIN reads every support point until its hull holds 0, and MAX the one at
+    # its final direction: support rows get primal states through MIN's closing
+    # round, plus at most one row for MAX.
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
     for direction in (Direction.MIN, Direction.MAX):
         oracle._brackets.cache_clear()
         support_rows.clear()
         primal_rows.clear()
-        assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction).converged
-        assert primal_rows == support_rows
+        r = extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction)
+        assert r.converged
+        read = primal_rows[:-1] if len(primal_rows) > 1 and primal_rows[-1] == 1 else primal_rows
+        assert read == support_rows[:len(read)] and len(read) >= 1
+        if direction is Direction.MIN and r.bound > 0:  # no hull closed: MIN read every row
+            assert read == support_rows
+    if (gate, c0) == ("generic", 0.1):
+        assert primal_rows == [oracle._START_DIRECTIONS, 1]
+
+
+def test_generic_max_search_takes_fewer_rows_than_uniform_pieces(monkeypatch):
+    # Polygon bounds and uniform pieces alone took 16 + 15 + 15 + 15 = 61 rows here.
+    rows = _counting_support(monkeypatch)
+    assert extremal_concurrence(VERIFY_ANCHORS["generic"], 0.1, Direction.MAX).converged
+    assert sum(rows) < 61
+
+
+def test_primal_state_of_one_row_is_bit_identical_to_its_batched_row():
+    # MAX builds its one state from its row's dual data; a batch builds the same bits.
+    rng = np.random.default_rng(31)
+    for c0 in (0.0, 0.3, 0.9, 1.0 - 1e-12):
+        lam = oracle.eigen_phases(rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-9.0, 0.0))
+        theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, 64))
+        _, z, w, r = oracle._support(lam, c0, theta)
+        batch = oracle._primal(w, z, r, c0).T.copy()
+        for k in range(theta.size):
+            one = oracle._primal(w[:, k, None], z[k, None], r[:, k, None], c0).ravel()
+            assert one.tobytes() == batch[k].tobytes()
 
 
 def _standalone_rows(alpha, grid):
@@ -958,18 +985,27 @@ def test_shared_opening_leaves_profile_rows_bit_identical(gate):
 
 
 def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
-    rows = _counting_support(monkeypatch)
+    # An opening is a call on the opening's directions; a refining round can also hold 16 rows.
+    thetas, support = [], oracle._support
+
+    def recorded(lam, c0, theta):
+        thetas.append(theta)
+        return support(lam, c0, theta)
+
+    def openings():
+        return sum(np.array_equal(theta, oracle._OPENING_THETA) for theta in thetas)
+
+    monkeypatch.setattr(oracle, "_support", recorded)
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
-    assert rows.count(oracle._START_DIRECTIONS) == len(grid)
+    assert openings() == len(grid)
     assert oracle._brackets.cache_info().currsize == 1
     # The memo holds the last row's brackets, so a search there evaluates nothing.
-    rows.clear()
+    thetas.clear()
     extremal_concurrence(VERIFY_ANCHORS["generic"], grid[-1], Direction.MIN)
-    assert rows == []
-    rows.clear()
+    assert thetas == []
     verify_profile(VERIFY_ANCHORS["generic"], [0.5, 1.0])
-    assert rows.count(oracle._START_DIRECTIONS) == 1
+    assert openings() == 1
 
 
 def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
@@ -1066,9 +1102,9 @@ RECORDED_REACH = {
     "generic": (0.5, 0.49999999999999956, 5.551115123125783e-17,
                 "f8b01f4ac681973f1b83312f7a1ee3bfcc985842e8a7d43f7f2f794a16fdd6bf"
                 "b2a95f73efe5ba3f96738a33d0d8c93ff8b01f4ac68197bf1b83312f7a1ee33f"),
-    "near_identity": (0.49840085315130966, 0.4984008531513094, 9.992007221626409e-16,
-                      "000000000000000058b63dc67695e3bf2f21c6e56c7dd23fda23172f8f9ccebf"
-                      "7f869780e25ed03f20f6252c571acb3f000000000000000058b63dc67695e33f"),
+    "near_identity": (0.49840085315130966, 0.49840085315130966, 1.1102230246251565e-16,
+                      "000000000000000010773dc67695e3bfbeef6de76c7dd23f8256432b8f9ccebf"
+                      "6a50fa81e25ed03fc89ea028571acb3f000000000000000010773dc67695e33f"),
     "saturating": (0.5, 0.4999999999999997, 2.220446049250313e-16,
                    "e5acc529fd7d933f551d97b1a7f1e7bf0480a4a793b1e03ff27ad57481b0d0bf"
                    "98c479176da2d0bf823a684195cdc2bfca999eb169848d3f9028411e68f1b93f"),

@@ -43,6 +43,12 @@ def _reference_coordinates(alpha):
         a = np.asarray(a.tolist())
     if a.dtype.kind == "c":
         raise ValueError(f"chamber coordinates must be real numbers, got {a.tolist()}")
+    # Numbers are ints and floats: no bool, string or other object, also inside a list.
+    entries = alpha.tolist() if isinstance(alpha, np.ndarray) else []
+    entries = list(alpha) if isinstance(alpha, (list, tuple)) else entries
+    if (a.dtype.kind not in "iufO" or any(isinstance(x, (bool, np.bool_)) for x in entries)
+            or a.dtype.kind == "O" and not all(isinstance(x, int) for x in a.ravel().tolist())):
+        raise ValueError(f"chamber coordinates must be three finite numbers, |a_j| <= 1e3, got {entries or a.tolist()}")
     a = a.astype(float, copy=False)
     values = a.tolist()
     a1, a2, a3 = values if a.shape == (3,) else [math.nan] * 3
@@ -206,8 +212,11 @@ def test_c0_is_checked_before_alpha(bad):
 
 
 def test_strings_and_ints_read_as_the_reference():
-    for w in (["0.5", "0.25", "-0.125"], [1, 0, 0], (np.float32(0.3), 0.2, 0.1), np.array([3, 2, 1])):
+    # Ints are numbers; numeric strings and bools, which a float conversion would read, are not.
+    for w in ([1, 0, 0], (np.float32(0.3), 0.2, 0.1), np.array([3, 2, 1])):
         assert _bits(effective_angle(w)) == _bits(reference_theta(w))
+    for w in (["0.5", "0.25", "-0.125"], [True, False, False], (0.5, True, 0.1)):
+        assert _raised(effective_angle, w) == _raised(reference_theta, w)
 
 
 # c0 at and next to the ends of [0, 1], and within the 1e-12 drift that _concurrence clamps.
