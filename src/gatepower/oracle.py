@@ -8,10 +8,10 @@ D(c0) with support function, by Lagrange duality,
 
     h(theta) = min_z [c0 Re z + max_j |exp(-i theta) w_j - z|].
 
-Sampled support values bound max |F| from above and min |F| from below;
-explicit states from the dual active sets bound them from the other side.
-Gaps between directions are split into equal pieces, and at the roots of the slope
-h'(theta) = c0 Im z of the dual minimiser z, until the two sides meet.
+Sampled support values bound max |F| from above and min |F| from below, and so does
+each sampled dual minimiser z, rotated with the points, at every direction; explicit states
+from the dual active sets bound them from the other side.  An open side samples its best
+line's optimum (a Newton step on h' = c0 Im z), then splits gaps, also at the roots of h'.
 """
 
 from __future__ import annotations
@@ -339,9 +339,10 @@ def _feasible(u, omega, c0: float) -> np.ndarray:
     """u made a state of concurrence c0: sum |u| = 1 and sum u = c0, in one pass.  Sum u misses c0 where
     clustered w_j cost _primal's units their digits, or where z ties between a point and a bisector
     (alpha = (0, 7.07e-7, 7.07e-7), c0 = 0: z = w_1 against that of (w_0, w_3), units missing by 1.4e-6).
-    A miss above 1e-13 is spread by |u|, a sum |u| above 1 is mixed toward c0 |u| / sum |u|, then _pad."""
+    A miss above 1e-13 is spread by |u| (evenly where u = 0, whose hull weights can cancel MIN's states
+    exactly), a sum |u| above 1 is mixed toward c0 |u| / sum |u|, then _pad."""
     if abs(miss := c0 - u.sum()) > 1e-13:
-        u = u + miss * np.abs(u) / np.abs(u).sum()
+        u = u + miss * (np.abs(u) / total if (total := np.abs(u).sum()) else 0.25)
         if (size := np.abs(u).sum()) > 1.0:
             u += (size - 1.0) / (size - c0) * (c0 * np.abs(u) / size - u)
     return _pad(u, omega)
@@ -353,14 +354,13 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     and certified bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
 
     Every bound is a support value or a rotated dual line, each of which holds for any unit
-    direction however it was rounded.  Below c0 = 1 each round splits the gaps that either side
-    finds wide into equal pieces, plus the secant root of the slope h' = c0 Im z where it changes
-    sign; MAX bounds each gap by :func:`_gap_max_bound`.  Support points get primal states while
-    MIN reads them, until its hull holds 0, and MAX builds one from its direction's dual data.
-    D(1) is the hull of the w_j, whose point nearest 0 is a vertex or lies on an edge, so MIN's
-    bound there is the best support value over the w_j and both normals of each pair.  Keyed by
-    exact bytes, so the two searches at one (gate, c0) share the latest result.
-    """
+    direction however it was rounded.  Below c0 = 1 each row's line caps MAX at its peak and floors MIN
+    at its trough, and an open side adds its best row's peak or trough direction.  A side open after
+    that Newton step, or MIN while its hull misses 0 at bound 0, splits its wide gaps into equal pieces
+    plus the secant root of h' = c0 Im z (MAX's gaps read :func:`_gap_max_bound`).  MIN reads every
+    support point's primal state until it closes on the state it returns; MAX builds its direction's.
+    D(1) is the hull of the w_j, whose point nearest 0 is a vertex or on an edge, so MIN's bound there
+    is the best support value over the w_j and both normals of each pair.  Keyed by exact bytes."""
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
     if c0 >= 1.0:
@@ -376,53 +376,62 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         return lo, hi
     theta = _OPENING_THETA
     h, z, w, r = _support(lam, c0, theta)
-    # MAX's cap: the best over the opening of each row's rotated dual at its peak (see _gap_max_bound).
-    lift = c0 * np.abs(z)
-    cap = min(1.0, float((h + (lift - c0 * z.real) + 8.0 * _EPS * (1.0 + lift)).min()))
     # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
     u = _primal(w, z, r, c0).T.copy()
-    lo = None  # MIN's states and their hull weights, fixed once the hull of its support points holds 0
+    lo = None  # MIN's feasible state and bound, once closed
     for rnd in range(_MAX_ROUNDS + 1):
         gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
-        # Across a gap h lies below the tangents at its ends, and where they leave one open below the rotated duals.
-        top = h.max() + 0.1 * _TOL
-        gap_bound = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), cap)
-        if (wide := gap_bound > top).any():
-            gap_bound = np.minimum(gap_bound, _gap_max_bound(gaps, h, z, c0))
-            wide = gap_bound > top
+        # Each row's rotated dual bounds h at every direction (see _gap_max_bound): its peak, where
+        # exp(-i d) z_k = |z_k|, caps MAX, and its trough, where it is -|z_k|, floors MIN.
+        lift, margin = c0 * np.abs(z), 8.0 * _EPS * (1.0 + c0 * np.abs(z))
+        k, top = int((caps := h + (lift - c0 * z.real) + margin).argmin()), h.max() + 0.1 * _TOL
+        hi_bound, wide = min(1.0, float(caps[k])), np.zeros(theta.size, dtype=bool)
+        if hi_bound > top and rnd:  # open after a Newton step: across a gap h lies below the cap,
+            # the tangents at its ends and the rotated duals of its ends.
+            polygon = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), hi_bound)
+            gap_bound = np.minimum(polygon, _gap_max_bound(gaps, h, z, c0))
+            wide, hi_bound = gap_bound > top, float(gap_bound.max())
+        # Newton steps: an open side samples the optimum of its best row's line.
+        new = [(theta[k] + math.atan2(z[k].imag, z[k].real)) % _TWO_PI] if hi_bound > top else []
         if lo is None:
-            bound, f = max(float((-h).max()), 0.0), u @ omega
-            # No direction separates 0 from D: [0, |F|] closes once the hull holds 0.
-            mu = None if bound else _nearest_weights(f[:, None], _fan(theta.size))[:, 0]
-            if mu is not None and abs(mu @ f) <= 0.1 * _TOL:
-                lo = u, mu
-            else:
-                wide |= _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
+            j = int((floors := (lift + c0 * z.real) - h - margin).argmax())
+            bound, f = max(float((-h).max()), float(floors[j]), 0.0), u @ omega
+            mu = _nearest_weights(f[:, None], _fan(theta.size))[:, 0]
+            # MIN closes on the state it returns, at bound 0 once the hull of its support points holds 0,
+            # or once no gap can bring that hull nearer 0 (at bound 0 there is no Newton step).
+            state = _feasible(mu @ u, omega, c0) if abs(mu @ f) <= bound + 0.1 * _TOL else mu @ u
+            if not (closed := abs(state @ omega) <= bound + 0.1 * _TOL) and (rnd or not bound):
+                deep = _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
+                closed, wide = not deep.any(), wide | deep
+            if closed:
+                lo = _feasible(state, omega, c0), bound
+            elif bound:
+                new.append((theta[j] + math.atan2(-z[j].imag, -z[j].real)) % _TWO_PI)
         n_wide = int(wide.sum())
-        if rnd == _MAX_ROUNDS or not n_wide:
+        if rnd == _MAX_ROUNDS or not (n_wide or new):
             break
         # Cut each wide gap into equal pieces, a round adding at most max(255, n_wide) of them, and
         # where h' = c0 Im z changes sign add the secant root of h' (the envelope theorem on the dual).
-        pieces = min(16, max(2, 256 // n_wide))
+        pieces = min(16, max(2, 256 // max(n_wide, 1)))
         slope = c0 * z.imag
         turns = wide & (np.sign(slope) * np.sign(_rolled(slope)) < 0)
         first, second = slope[turns], _rolled(slope)[turns]
         roots = theta[turns] + gaps[turns] * (first / (first - second))
-        if theta.size + (pieces - 1) * n_wide + roots.size > _MAX_DIRECTIONS:
+        if theta.size + len(new) + (pieces - 1) * n_wide + roots.size > _MAX_DIRECTIONS:
             break
-        new = np.concatenate(((theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel(), roots))
+        cuts = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
+        new = np.concatenate((new, cuts, roots))
         h_new, z_new, w_new, r_new = _support(lam, c0, new)
         order = np.concatenate([theta, new]).argsort(kind="stable")
         if lo is None:  # only MIN reads every row's state
             u = np.concatenate((u, _primal(w_new, z_new, r_new, c0).T))[order]
         theta, h, z = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (z, z_new)))
         w, r = (np.concatenate(p, axis=1)[:, order] for p in ((w, w_new), (r, r_new)))
-    u_lo, mu = lo or (u, _nearest_weights(f[:, None], _fan(theta.size))[:, 0])  # unclosed: the point nearest 0
-    lo = _feasible(mu @ u_lo, omega, c0), bound
+    lo = lo or (_feasible(state, omega, c0), bound)  # unclosed: the point nearest 0
     # MAX's state: that of its direction, built from the row's dual data as a batch builds it, unless MIN read it.
     k = h.argmax()
     u_hi = u[k].copy() if len(u) == theta.size else _primal(w[:, k, None], z[k, None], r[:, k, None], c0).ravel()
-    hi = _feasible(u_hi, omega, c0), float(gap_bound.max())
+    hi = _feasible(u_hi, omega, c0), hi_bound
     lo[0].flags.writeable = hi[0].flags.writeable = False
     return lo, hi
 

@@ -1081,20 +1081,35 @@ def test_profile_row_builds_the_opening_states_once(monkeypatch, gate, c0):
 
 @pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
 def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
-    calls, gap_min_bound = [], oracle._gap_min_bound
-
-    def counted(*args):
-        calls.append(args)
-        return gap_min_bound(*args)
-
-    monkeypatch.setattr(oracle, "_gap_min_bound", counted)
+    rows = _counting_support(monkeypatch)
     r = extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MIN)
     assert r.converged
-    if gate == "near_identity":  # c_min > 0: a direction separates 0 from D
-        assert r.bound > 0 and len(calls) >= 1
+    if gate == "near_identity":  # c_min > 0: a direction separates 0 from D; one Newton round per side
+        assert r.bound > 0 and rows == [oracle._START_DIRECTIONS, 2]
     else:
-        assert r.bound == 0 and calls == []
+        assert r.bound == 0 and rows == [oracle._START_DIRECTIONS]
         assert r.extremal_concurrence <= 0.1 * oracle._TOL
+
+
+# Support rows per call at each verify anchor: an interior optimum takes one Newton round.
+NEWTON_ROWS = {"near_identity": [16, 2], "generic": [16]}
+
+
+@pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_interior_optima_close_in_one_newton_round(monkeypatch, gate, c0):
+    rows = _counting_support(monkeypatch)
+    assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
+    expected = [16, 1] if (gate, c0) == ("generic", 0.1) else NEWTON_ROWS.get(gate, [16])
+    assert rows == expected
+
+
+def test_min_hull_state_that_cancels_to_zero_is_made_feasible():
+    # The hull weights cancel MIN's states to u = 0 exactly; the miss of sum u = c0 is spread evenly.
+    alpha = (1.0750987377908095e-10, -2.794672273459428e-10, 8.264339372071083e-12)
+    assert verify_profile(alpha, [1e-9]).passed
+    u = oracle._feasible(np.zeros(4, complex), np.exp(2j * oracle.eigen_phases(alpha)), 1e-9)
+    assert u.sum() == pytest.approx(1e-9, abs=1e-15) and np.abs(u).sum() == pytest.approx(1.0)
 
 
 # reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
@@ -1102,9 +1117,9 @@ RECORDED_REACH = {
     "generic": (0.5, 0.49999999999999956, 5.551115123125783e-17,
                 "f8b01f4ac681973f1b83312f7a1ee3bfcc985842e8a7d43f7f2f794a16fdd6bf"
                 "b2a95f73efe5ba3f96738a33d0d8c93ff8b01f4ac68197bf1b83312f7a1ee33f"),
-    "near_identity": (0.49840085315130966, 0.49840085315130966, 1.1102230246251565e-16,
-                      "000000000000000010773dc67695e3bfbeef6de76c7dd23f8256432b8f9ccebf"
-                      "6a50fa81e25ed03fc89ea028571acb3f000000000000000010773dc67695e33f"),
+    "near_identity": (0.49840085315130966, 0.49840085315130955, 0.0,
+                      "000000000000000059b63dc67695e3bfb520c6e56c7dd23ff322172f8f9ccebf"
+                      "0f879780e25ed03ff3f6252c571acb3f000000000000000059b63dc67695e33f"),
     "saturating": (0.5, 0.4999999999999997, 2.220446049250313e-16,
                    "e5acc529fd7d933f551d97b1a7f1e7bf0480a4a793b1e03ff27ad57481b0d0bf"
                    "98c479176da2d0bf823a684195cdc2bfca999eb169848d3f9028411e68f1b93f"),

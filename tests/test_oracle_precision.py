@@ -185,3 +185,39 @@ def test_rotated_dual_gap_bounds_and_slopes_hold_at_40_digits(monkeypatch):
     # exact one: in slope by ~4e-9 where z = 0 at c0 = 1 - 1e-16 here, and by 3.4e-8 at
     # sqrt(SWAP) + 1e-8, c0 = 1 - 1e-15 in a wider draw.  The slope only steers where to sample.
     assert near <= 1e-7
+
+
+def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
+    # Rotated with the points, each row's dual minimiser z_k gives h <= c0 Re(exp(-i d) z_k) + R_k at
+    # every direction, R_k = max_j |exp(-i theta_k) w_j - z_k|.  Every round reads each row's peak
+    # h_k + c0 (|z_k| - Re z_k) + 8 eps (1 + c0 |z_k|) as MAX's cap and its trough, negated, as MIN's
+    # floor: the cap must not fall below the exact c0 |z_k| + R_k, nor the floor rise above c0 |z_k| - R_k.
+    sampled, support = [], oracle._support
+
+    def recorded_support(lam, c0, theta):
+        out = support(lam, c0, theta)
+        sampled.append((theta, *out[:2]))
+        return out
+
+    monkeypatch.setattr(oracle, "_support", recorded_support)
+    crossed, shares = [], []
+    with mpmath.workdps(40):
+        for alpha, c0 in _line_audited_pairs():
+            sampled.clear()
+            oracle._brackets.cache_clear()
+            extremal_concurrence(alpha, c0, Direction.MAX)
+            omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in oracle.eigen_phases(alpha).tolist()]
+            theta, h, z = (np.concatenate(x) for x in zip(*sampled))
+            # The bracket's own float arithmetic for the caps and floors of every row it read.
+            lift, margin = c0 * np.abs(z), 8.0 * oracle._EPS * (1.0 + c0 * np.abs(z))
+            caps, floors = h + (lift - c0 * z.real) + margin, (lift + c0 * z.real) - h - margin
+            for k in range(theta.size):
+                zk = mpmath.mpc(complex(z[k]))
+                rest = max(abs(mpmath.expj(-mpmath.mpf(theta[k])) * x - zk) for x in omega)
+                peak, trough = c0 * abs(zk) + rest, c0 * abs(zk) - rest
+                shares += [float((peak - mpmath.mpf(caps[k]) + margin[k]) / margin[k]),
+                           float((mpmath.mpf(floors[k]) + margin[k] - trough) / margin[k])]
+                if mpmath.mpf(caps[k]) < peak or mpmath.mpf(floors[k]) > trough:
+                    crossed.append((tuple(map(float, alpha)), c0, theta[k], caps[k], floors[k]))
+    print(f"worst share of the 8 eps (1 + c0 |z|) margin used over {len(shares)} caps and floors: {max(shares):.3g}")
+    assert crossed == []
