@@ -10,8 +10,8 @@ D(c0) with support function, by Lagrange duality,
 
 Sampled support values bound max |F| from above and min |F| from below, and so does
 each sampled dual minimiser z, rotated with the points, at every direction; explicit states
-from the dual active sets bound them from the other side.  An open side samples its best
-line's optimum (a Newton step on h' = c0 Im z), then splits gaps, also at the roots of h'.
+from the dual active sets bound them from the other side.  Searches open on the spectrum's own
+directions; a side still open takes a Newton step on h' = c0 Im z, then splits gaps, also at h' roots.
 """
 
 from __future__ import annotations
@@ -41,19 +41,20 @@ __all__ = [
 
 # Converged: the bracket and the state's constraint violation are at most _TOL.
 _TOL = 1e-8
-_START_DIRECTIONS = 16
 _MAX_ROUNDS = 40
 _MAX_DIRECTIONS = 8192
 # Dual distances within this of the largest one count as active.
 _ACTIVE_ATOL = 1e-11
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
-# Every search opens on these directions.
-_OPENING_THETA = np.linspace(0.0, _TWO_PI, _START_DIRECTIONS, endpoint=False)
-_OPENING_THETA.flags.writeable = False
 # The minimiser of h is the origin (the circumcentre of any three w_j), a
 # point w_j, or the optimum on the bisector of one of these pairs.
 _PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
+# A search below c0 = 1 opens on (_OPENING @ l + _SHIFT) mod 2 pi: the quadrants, the points' directions
+# 2 l_j and both ends of each pair's bisector l_j + l_k, along which the optima off 0 and 1 lie.
+_OPENING = np.concatenate([np.zeros((4, 4)), 2.0 * np.eye(4), *2 * [np.eye(4)[_PAIRS].sum(axis=0)]])
+_SHIFT = np.concatenate([0.5 * math.pi * np.arange(4), np.zeros(10), np.full(6, math.pi)])
+_OPENING.flags.writeable = _SHIFT.flags.writeable = False
 
 
 class Direction(enum.Enum):
@@ -350,17 +351,17 @@ def _feasible(u, omega, c0: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
-    """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`,
-    and certified bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions.
+    """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`, and certified
+    bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions; keyed by exact bytes.
 
-    Every bound is a support value or a rotated dual line, each of which holds for any unit
-    direction however it was rounded.  Below c0 = 1 each row's line caps MAX at its peak and floors MIN
-    at its trough, and an open side adds its best row's peak or trough direction.  A side open after
-    that Newton step, or MIN while its hull misses 0 at bound 0, splits its wide gaps into equal pieces
-    plus the secant root of h' = c0 Im z (MAX's gaps read :func:`_gap_max_bound`).  MIN reads every
-    support point's primal state until it closes on the state it returns; MAX builds its direction's.
-    D(1) is the hull of the w_j, whose point nearest 0 is a vertex or on an edge, so MIN's bound there
-    is the best support value over the w_j and both normals of each pair.  Keyed by exact bytes."""
+    Every bound is a support value or a rotated dual line, each of which holds at any direction however
+    rounded.  Below c0 = 1 the opening samples the optima off 0 and 1 on its pair bisectors, and each
+    row's line caps MAX at its peak and floors MIN at its trough.  As a safeguard a side still open adds
+    its best row's peak or trough direction; one open after that Newton step, or MIN while its hull misses
+    0 at bound 0, splits its wide gaps into equal pieces plus the secant root of h' = c0 Im z (MAX's gaps
+    read :func:`_gap_max_bound`).  MIN reads every support point's primal state until it closes on the
+    state it returns; MAX builds its direction's.  D(1) is the hull of the w_j, whose point nearest 0 is
+    a vertex or on an edge, so MIN's bound there is the best over the w_j and both normals of each pair."""
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
     if c0 >= 1.0:
@@ -374,7 +375,11 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         hi = _feasible(np.eye(4, dtype=complex)[0], omega, c0), 1.0
         lo[0].flags.writeable = hi[0].flags.writeable = False
         return lo, hi
-    theta = _OPENING_THETA
+    theta = np.sort((_OPENING @ lam + _SHIFT) % _TWO_PI)
+    # One direction per cluster: each within _TOL past the one before it, or of the first's next turn, merges.
+    keep = theta < theta[0] + (_TWO_PI - _TOL)
+    keep[1:] &= theta[1:] - theta[:-1] > _TOL
+    theta = theta[keep]
     h, z, w, r = _support(lam, c0, theta)
     # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
     u = _primal(w, z, r, c0).T.copy()

@@ -113,6 +113,13 @@ def empty_bracket_memo():
     oracle._brackets.cache_clear()
 
 
+def open_on_quadrants(monkeypatch) -> None:
+    """Open every search on the four quadrants alone, off the spectrum's own directions: interior
+    optima are then left to the Newton round and the gap splitting, which no verify anchor reaches."""
+    monkeypatch.setattr(oracle, "_OPENING", oracle._OPENING[:4])
+    monkeypatch.setattr(oracle, "_SHIFT", oracle._SHIFT[:4])
+
+
 def shift_closed_form(monkeypatch, delta: float) -> None:
     """Shift both ends of the interval that verify_profile checks by ``delta``."""
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shift_closed_form
+from conftest import open_on_quadrants, shift_closed_form
 from gatepower import (
     c0_max,
     c1_min,
@@ -331,8 +331,9 @@ def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
 
 
 def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
-    # Without refinement rounds the brackets stay open while the values
-    # still match the closed form: the failure is convergence, not deviation.
+    # Opened on the quadrants alone and without refinement rounds, the brackets stay open
+    # while the values still match the closed form: the failure is convergence, not deviation.
+    open_on_quadrants(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     code, _, err = run(capsys, ["curve", "--gate", "canonical:0.025,0.015,0.00625", "--steps", "3", "--verify"])
     assert code == 1
@@ -342,6 +343,7 @@ def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
 @pytest.mark.parametrize("cause", ["1 of 3 rows not converged", "3 of 3 rows outside the certified bracket"])
 def test_verify_and_curve_verify_print_one_cause_line(capsys, monkeypatch, cause):
     if "converged" in cause:
+        open_on_quadrants(monkeypatch)
         monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     else:
         # Below the default tol: only the certified bracket sees the shift.

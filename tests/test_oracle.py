@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import envelope_scan, random_chamber_point, shift_closed_form
+from conftest import envelope_scan, open_on_quadrants, random_chamber_point, shift_closed_form
 from test_edge_cases import facet_and_edge_points
 from test_power import REACH_FACES
 from gatepower import (
@@ -139,7 +139,9 @@ def test_determinism():
 
 
 def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
-    # Without bisection rounds the 64 starting directions leave the bracket open.
+    # Opened on the quadrants alone and without refinement rounds, the near-identity bracket
+    # stays open at 0.3: by 5.1e-6 for MAX and 9.0e-6 for MIN.
+    open_on_quadrants(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     for direction in (Direction.MAX, Direction.MIN):
         result = extremal_concurrence([0.025, 0.015, 0.00625], 0.3, direction)
@@ -221,6 +223,7 @@ def test_profile_failures_name_each_cause_once_in_order(monkeypatch):
     shift_closed_form(monkeypatch, 1.8e-3)
     report = verify_profile(VERIFY_ANCHORS["generic"], [0.5], tol=1.5e-3)
     assert report.failures == ["1 of 1 rows outside the certified bracket", "max deviation 1.800e-03 > 1.5e-03"]
+    open_on_quadrants(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     shift_closed_form(monkeypatch, 1e-2)
     report = verify_profile(VERIFY_ANCHORS["near_identity"], [0.0, 0.5, 1.0])
@@ -471,12 +474,12 @@ def test_verify_profile_matches_recorded_report():
             c0=0.0,
             closed_min=0.0,
             closed_max=0.9854497299884601,
-            oracle_min=1.7554167342883506e-16,
-            oracle_max=0.9854497299884595,
+            oracle_min=2.237726045655905e-16,
+            oracle_max=0.9854497299884598,
             bound_min=0.0,
             bound_max=0.9854497299884639,
-            deviation_min=1.7554167342883506e-16,
-            deviation_max=6.661338147750939e-16,
+            deviation_min=2.237726045655905e-16,
+            deviation_max=3.3306690738754696e-16,
             converged=True,
             passed=True,
         ),
@@ -484,11 +487,11 @@ def test_verify_profile_matches_recorded_report():
             c0=0.3,
             closed_min=0.0,
             closed_max=1.0,
-            oracle_min=8.326672684688674e-17,
+            oracle_min=1.1188630228279524e-16,
             oracle_max=0.9999999999999993,
             bound_min=0.0,
             bound_max=1.0,
-            deviation_min=8.326672684688674e-17,
+            deviation_min=1.1188630228279524e-16,
             deviation_max=6.661338147750939e-16,
             converged=True,
             passed=True,
@@ -766,13 +769,77 @@ def _counting_support(monkeypatch):
     return rows
 
 
+def _recording_support(monkeypatch):
+    """Wrap ``oracle._support``; returns the list of directions per call."""
+    thetas, support = [], oracle._support
+
+    def recorded(lam, c0, theta):
+        thetas.append(theta)
+        return support(lam, c0, theta)
+
+    monkeypatch.setattr(oracle, "_support", recorded)
+    return thetas
+
+
+def _opening(alpha) -> np.ndarray:
+    """The directions every search of the gate below c0 = 1 opens on: those of a fresh search's
+    first ``_support`` call.  Leaves the bracket memo empty."""
+    with pytest.MonkeyPatch.context() as mp:
+        thetas = _recording_support(mp)
+        oracle._brackets.cache_clear()
+        extremal_concurrence(alpha, 0.5, Direction.MIN)
+    oracle._brackets.cache_clear()
+    return thetas[0]
+
+
+def _spectrum_directions(alpha) -> np.ndarray:
+    """The quadrants, the points' directions 2 l_j and both ends of each pair's bisector l_j + l_k."""
+    lam = oracle.eigen_phases(alpha)
+    bisectors = [lam[j] + lam[k] for j, k in itertools.combinations(range(4), 2)]
+    return np.mod([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, *2.0 * lam, *bisectors,
+                   *(b + math.pi for b in bisectors)], 2.0 * math.pi)
+
+
+def _circle_distance(a, b) -> np.ndarray:
+    d = np.abs(np.subtract.outer(a, b)) % (2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
+
+
+# Anchors whose eigenphases coincide in pairs, triples or all four, moved along a fixed direction, by
+# 3e-9 and 1e-8 into clusters a few _TOL wide, whose directions chain closer than _TOL; and free gates.
+OPENING_GATES = [np.array(anchor) + e * np.array([1.0, -0.6, 0.3])
+                 for anchor in [(0.0, 0.0, 0.0), (QUARTER_PI,) * 3, (math.pi / 8, math.pi / 8, -math.pi / 8),
+                                (QUARTER_PI, 0.0, 0.0), (QUARTER_PI, QUARTER_PI, 0.0), (0.3, 0.3, 0.0)]
+                 for e in (0.0, 1e-12, 3e-9, 1e-8, 1e-6)]
+OPENING_GATES += [np.array(alpha) for alpha in VERIFY_ANCHORS.values()] + [np.array([1.4, -0.9, 0.35])]
+
+
+@pytest.mark.parametrize("alpha", OPENING_GATES, ids=lambda a: ",".join(f"{x:.3g}" for x in a))
+def test_opening_holds_the_spectrum_directions_one_per_cluster(alpha):
+    opening, listed = _opening(alpha), np.sort(_spectrum_directions(alpha))
+    assert np.all(np.diff(opening) > 0) and opening[0] >= 0 and opening[-1] < 2.0 * math.pi
+    # Every kept direction is listed, and no two lie within _TOL of each other, around the circle too.
+    assert _circle_distance(opening, listed).min(axis=1).max() <= 1e-15
+    apart = _circle_distance(opening, opening) + np.diag(np.full(opening.size, math.inf))
+    assert apart.min() > oracle._TOL
+    # Every listed direction lies within _TOL of a kept one, of the listed one before it, or of the
+    # first kept one's next turn: each reaches a kept direction through its cluster.
+    near = _circle_distance(listed, opening).min(axis=1) <= oracle._TOL
+    chained = np.diff(listed, prepend=-math.inf) <= oracle._TOL
+    assert np.all(near | chained | (listed >= opening[0] + 2.0 * math.pi - oracle._TOL))
+    # A kept direction opens its cluster: no listed one lies within _TOL before it.
+    for k in opening[1:]:
+        assert listed[listed < k - 1e-15].max() < k - oracle._TOL
+
+
 @pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
 @pytest.mark.parametrize("c0", GRID_11[:-1])
 def test_near_identity_search_refines_in_few_rounds(monkeypatch, c0, direction):
-    # The opening is the coarsest level of the refinement; far below _MAX_ROUNDS, no gap stays wide.
+    # Opened on the quadrants alone, the refinement stays a safeguard: far below _MAX_ROUNDS, no gap stays wide.
+    open_on_quadrants(monkeypatch)
     rows = _counting_support(monkeypatch)
     assert extremal_concurrence(VERIFY_ANCHORS["near_identity"], c0, direction).converged
-    assert rows[0] == oracle._START_DIRECTIONS and len(rows) <= 5
+    assert rows[0] == 4 and len(rows) <= 5
     assert max(rows[1:], default=0) <= 256
 
 
@@ -934,8 +1001,13 @@ def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gat
         assert read == support_rows[:len(read)] and len(read) >= 1
         if direction is Direction.MIN and r.bound > 0:  # no hull closed: MIN read every row
             assert read == support_rows
-    if (gate, c0) == ("generic", 0.1):
-        assert primal_rows == [oracle._START_DIRECTIONS, 1]
+    if (gate, c0) == ("generic", 0.1):  # opened on the quadrants, MAX refines after MIN closed: it builds one row
+        open_on_quadrants(monkeypatch)
+        oracle._brackets.cache_clear()
+        support_rows.clear()
+        primal_rows.clear()
+        assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
+        assert support_rows == primal_rows == [4, 1]
 
 
 def test_generic_max_search_takes_fewer_rows_than_uniform_pieces(monkeypatch):
@@ -985,17 +1057,13 @@ def test_shared_opening_leaves_profile_rows_bit_identical(gate):
 
 
 def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
-    # An opening is a call on the opening's directions; a refining round can also hold 16 rows.
-    thetas, support = [], oracle._support
-
-    def recorded(lam, c0, theta):
-        thetas.append(theta)
-        return support(lam, c0, theta)
+    # An opening is a call on the gate's opening directions.
+    opening = _opening(VERIFY_ANCHORS["generic"])
+    thetas = _recording_support(monkeypatch)
 
     def openings():
-        return sum(np.array_equal(theta, oracle._OPENING_THETA) for theta in thetas)
+        return sum(np.array_equal(theta, opening) for theta in thetas)
 
-    monkeypatch.setattr(oracle, "_support", recorded)
     grid = [k / 50 for k in range(50)]
     verify_profile(VERIFY_ANCHORS["generic"], grid)
     assert openings() == len(grid)
@@ -1009,17 +1077,18 @@ def test_profile_rows_share_one_opening_and_hold_no_other(monkeypatch):
 
 
 def test_standalone_min_then_max_evaluate_one_opening(monkeypatch):
-    rows = _counting_support(monkeypatch)
     alpha = VERIFY_ANCHORS["generic"]
+    opening = _opening(alpha)
+    thetas = _recording_support(monkeypatch)
     extremal_concurrence(alpha, 0.5, Direction.MIN)
-    searched = len(rows)
+    searched = len(thetas)
     extremal_concurrence(alpha, 0.5, Direction.MAX)
-    assert rows.count(oracle._START_DIRECTIONS) == 1 and len(rows) == searched
+    assert sum(np.array_equal(theta, opening) for theta in thetas) == 1 and len(thetas) == searched
     # Keyed by exact bytes: -0.0 and 0.0 are two entries.
-    rows.clear()
+    thetas.clear()
     extremal_concurrence(alpha, 0.0, Direction.MIN)
     extremal_concurrence(alpha, -0.0, Direction.MAX)
-    assert rows.count(oracle._START_DIRECTIONS) == 2
+    assert sum(np.array_equal(theta, opening) for theta in thetas) == 2
 
 
 def test_memoised_opening_is_read_only():
@@ -1055,23 +1124,25 @@ def test_profile_that_raises_leaves_later_searches_correct(monkeypatch):
 
 
 def test_reach_target_makes_one_opening(monkeypatch):
-    rows = _counting_support(monkeypatch)
+    opening = _opening(VERIFY_ANCHORS["generic"])
+    thetas = _recording_support(monkeypatch)
     first = reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7)
     assert first.converged
-    assert rows.count(oracle._START_DIRECTIONS) == 1
+    assert sum(np.array_equal(theta, opening) for theta in thetas) == 1
     # A second call at the same (gate, c0) reuses it and gives the same state.
-    searched = len(rows)
+    searched = len(thetas)
     assert reach_target(VERIFY_ANCHORS["generic"], 0.5, 0.7).achiever.tobytes() == first.achiever.tobytes()
-    assert len(rows) == searched
+    assert len(thetas) == searched
 
 
 @pytest.mark.parametrize("c0", GRID_11[:-1])
 @pytest.mark.parametrize("gate", ["saturating", "facet"])
 def test_profile_row_builds_the_opening_states_once(monkeypatch, gate, c0):
+    size = _opening(VERIFY_ANCHORS[gate]).size
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
     assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
     # Neither side refines, so both read the opening's states.
-    assert support_rows == primal_rows == [oracle._START_DIRECTIONS]
+    assert support_rows == primal_rows == [size]
     # A later search at the same (gate, c0) builds nothing new.
     support_rows.clear()
     primal_rows.clear()
@@ -1083,25 +1154,62 @@ def test_profile_row_builds_the_opening_states_once(monkeypatch, gate, c0):
 def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
     rows = _counting_support(monkeypatch)
     r = extremal_concurrence(VERIFY_ANCHORS[gate], 0.5, Direction.MIN)
-    assert r.converged
-    if gate == "near_identity":  # c_min > 0: a direction separates 0 from D; one Newton round per side
-        assert r.bound > 0 and rows == [oracle._START_DIRECTIONS, 2]
+    assert r.converged and len(rows) == 1
+    if gate == "near_identity":  # c_min > 0: a direction of the opening separates 0 from D
+        assert r.bound > 0
     else:
-        assert r.bound == 0 and rows == [oracle._START_DIRECTIONS]
+        assert r.bound == 0
         assert r.extremal_concurrence <= 0.1 * oracle._TOL
 
 
-# Support rows per call at each verify anchor: an interior optimum takes one Newton round.
-NEWTON_ROWS = {"near_identity": [16, 2], "generic": [16]}
+@pytest.mark.parametrize("c0", GRID_11[:-1])
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_verify_anchors_close_on_their_opening(monkeypatch, gate, c0):
+    # The bisectors carry the interior optima, so no verify anchor reaches the Newton round.
+    opening = _opening(VERIFY_ANCHORS[gate])
+    thetas = _recording_support(monkeypatch)
+    assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
+    assert len(thetas) == 1 and np.array_equal(thetas[0], opening)
+
+
+# Support rows per call at each verify anchor opened on the quadrants alone: an interior optimum
+# takes one Newton round.  The saturating anchor's C_max(0.9) = 1 is no interior optimum: MAX's
+# support value is 1 on an arc, which the gap splitting finds after the Newton step.
+NEWTON_ROWS = {"near_identity": [4, 2], "generic": [4], ("generic", 0.1): [4, 1], ("saturating", 0.9): [4, 1, 63]}
 
 
 @pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
 def test_interior_optima_close_in_one_newton_round(monkeypatch, gate, c0):
+    open_on_quadrants(monkeypatch)
     rows = _counting_support(monkeypatch)
     assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
-    expected = [16, 1] if (gate, c0) == ("generic", 0.1) else NEWTON_ROWS.get(gate, [16])
+    expected = NEWTON_ROWS.get((gate, c0), NEWTON_ROWS.get(gate, [4]))
     assert rows == expected
+
+
+# Saturating chamber gates within 1e-10 of c0 = 1.  On an opening of 16 uniform directions MAX read the
+# row whose support value is 1 at the edge of its arc, where the dual minimiser is the origin; that row's
+# primal state misses sum u = c0 by 1.3e-8, and made feasible it fell to |F| = 1 - 1.03e-8, leaving the
+# first four rows unconverged.  The last four fail on an opening without the points' directions 2 l_j,
+# which centre the arc where MAX's support value is 1 as c0 -> 1.
+NEAR_ONE_SATURATING = [
+    ((0.6973602481593326, 0.19974332431180303, 0.13362310741388372), 1.0 - 1e-12),
+    ((0.6931092765347989, 0.47613572082281586, 0.09307083107149527), 1.0 - 1e-13),
+    ((0.5586896135372126, 0.5567129162585077, -0.12279938361216736), 1.0 - 1e-11),
+    ((0.6852329994743855, 0.27725717464994715, -0.09869193077047433), 1.0 - 1e-14),
+    ((0.740917741002032, 0.38090679397421007, -0.3533438361356695), 1.0 - 1e-10),
+    ((0.46561474504101913, 0.4251215898585878, 0.1029186975801144), 1.0 - 1e-10),
+    ((0.6657226315028113, 0.31512196558118016, 0.08364496690937617), 1.0 - 1e-12),
+    ((0.6148088909974947, 0.4969767973960754, 0.19497276139096775), 1.0 - 1e-14),
+]
+
+
+@pytest.mark.parametrize("alpha, c0", NEAR_ONE_SATURATING)
+def test_saturating_max_closes_within_1e_10_of_c0_one(alpha, c0):
+    row = verify_profile(alpha, [c0]).rows[0]
+    assert row.passed
+    assert row.bound_max - row.oracle_max <= 1e-14
 
 
 def test_min_hull_state_that_cancels_to_zero_is_made_feasible():
@@ -1114,18 +1222,18 @@ def test_min_hull_state_that_cancels_to_zero_is_made_feasible():
 
 # reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
 RECORDED_REACH = {
-    "generic": (0.5, 0.49999999999999956, 5.551115123125783e-17,
-                "f8b01f4ac681973f1b83312f7a1ee3bfcc985842e8a7d43f7f2f794a16fdd6bf"
-                "b2a95f73efe5ba3f96738a33d0d8c93ff8b01f4ac68197bf1b83312f7a1ee33f"),
+    "generic": (0.5, 0.49999999999999967, 1.6653345369377348e-16,
+                "097852784f8b973fcef0f3cb791ee3bf93cdd532efa8d43f8806b959d4fbd6bf"
+                "1722ab0a47e4ba3fcfe907ef32dac93f097852784f8b97bfcef0f3cb791ee33f"),
     "near_identity": (0.49840085315130966, 0.49840085315130955, 0.0,
                       "000000000000000059b63dc67695e3bfb520c6e56c7dd23ff322172f8f9ccebf"
                       "0f879780e25ed03ff3f6252c571acb3f000000000000000059b63dc67695e33f"),
-    "saturating": (0.5, 0.4999999999999997, 2.220446049250313e-16,
-                   "e5acc529fd7d933f551d97b1a7f1e7bf0480a4a793b1e03ff27ad57481b0d0bf"
-                   "98c479176da2d0bf823a684195cdc2bfca999eb169848d3f9028411e68f1b93f"),
-    "facet": (0.5, 0.4999999999999999, 0.0,
-              "e749ad10295cda3f0a50e14f2c3ed7bf3c0e0bac3400c23f3b89e1929cc6d53f"
-              "3c0e0bac3400c2bf3b89e1929cc6d5bf5421b526c4cfe23fac09c920c54dd23f"),
+    "saturating": (0.5, 0.4999999999999996, 0.0,
+                   "b928566dcfe8d33f111f6d936c5fdabf6efef46dfb70cc3f8d1c175c36c3e0bf"
+                   "e28f9c329b86a4bf50f8ad83b981c23fe55711a51568d23fc8f5504fe9a7e13f"),
+    "facet": (0.5, 0.49999999999999967, 1.1102230246251565e-16,
+              "2b215b0ee344da3f616a7df060e3c8bfbac0d5ec011ca03f18418e705c76ac3f"
+              "047efd6aac07d0bf307873e1c00de3bfecebc0eb5f82e23f616a7df060e3c83f"),
 }
 
 

@@ -16,6 +16,7 @@ defect in the bound, not a margin to widen.
 import numpy as np
 import pytest
 
+from conftest import open_on_quadrants
 from test_edge_cases import facet_and_edge_points
 from test_oracle import GRID_11, QUARTER_PI, SQRT_SWAP, VERIFY_ANCHORS, _named_gates
 from test_power_precision import _theta
@@ -107,6 +108,19 @@ def _line_audited_pairs():
     return pairs
 
 
+def _line_audited_searches():
+    """Each line-audited (gate, c0) pair twice, the memo cleared, with whether the search opens on the
+    four quadrants alone: first on the spectrum's own directions, on which most close, then on the
+    quadrants, from which the Newton round and the gap splitting still refine."""
+    for quadrants in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if quadrants:
+                open_on_quadrants(mp)
+            for alpha, c0 in _line_audited_pairs():
+                oracle._brackets.cache_clear()
+                yield alpha, c0, quadrants
+
+
 def _exact_support(omega, c0, theta):
     """h(theta) at the working precision: the least dual value over the candidates of _support."""
     w = [mpmath.expj(-theta) * x for x in omega]
@@ -123,9 +137,9 @@ def _exact_support(omega, c0, theta):
 
 def test_rotated_dual_gap_bounds_and_slopes_hold_at_40_digits(monkeypatch):
     # Each row's rotated dual bounds h at every direction, h(theta_k + d) <= c0 Re(exp(-i d) z_k)
-    # + max_j |exp(-i theta_k) w_j - z_k|, exactly.  In every round that reads them, a rotated bound
-    # under the polygon bound must not fall below the smaller of its two ends' exact lines over the
-    # gap, and so below h there.
+    # + max_j |exp(-i theta_k) w_j - z_k|, exactly.  In every round that reads them, and on every
+    # opening's own rows, a rotated bound under the polygon bound must not fall below the smaller of
+    # its two ends' exact lines over the gap, and so below h there.
     sampled, rounds = [], []
     support, gap_max_bound = oracle._support, oracle._gap_max_bound
 
@@ -144,15 +158,18 @@ def test_rotated_dual_gap_bounds_and_slopes_hold_at_40_digits(monkeypatch):
     below, shares, slopes = [], [], []
     with mpmath.workdps(40):
         two_pi = 2 * mpmath.pi
-        for alpha, c0 in _line_audited_pairs():
+        for alpha, c0, quadrants in _line_audited_searches():
             sampled.clear()
             rounds.clear()
-            oracle._brackets.cache_clear()
             extremal_concurrence(alpha, c0, Direction.MAX)
+            theta, h, z = sampled[0]
+            gaps = np.append(np.diff(theta), theta[0] + 2.0 * np.pi - theta[-1])
+            rounds.append((theta.tolist(), gaps, h, z, gap_max_bound(gaps, h, z, c0)))
             omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in oracle.eigen_phases(alpha).tolist()]
-            # The envelope theorem on the rotated dual: h' = c0 Im z, at MAX's direction and one other.
+            # The envelope theorem on the rotated dual: h' = c0 Im z, at MAX's direction and one other
+            # (of the spectrum's opening: 40-digit derivatives are most of this test's time).
             theta, h, z = (np.concatenate(x) for x in zip(*sampled))
-            for k in (int(h.argmax()), theta.size // 3):
+            for k in () if quadrants else (int(h.argmax()), theta.size // 3):
                 slope = mpmath.diff(lambda t: _exact_support(omega, mpmath.mpf(c0), t), mpmath.mpf(theta[k]))
                 slopes.append((c0 > 1.0 - 1e-6, abs(float(slope) - c0 * z[k].imag)))
             for theta, gaps, h, z, bound in rounds:
@@ -179,6 +196,7 @@ def test_rotated_dual_gap_bounds_and_slopes_hold_at_40_digits(monkeypatch):
     near, far = (max(error for is_near, error in slopes if is_near == side) for side in (True, False))
     print(f"worst share of the 8 eps (1 + c0 |z|) margin used over {len(shares)} rotated-dual gap bounds: "
           f"{max(shares):.3g}; worst |h' - c0 Im z|: {far:.3g}, {near:.3g} within 1e-6 of c0 = 1")
+    assert len(shares) >= 816  # as many as 16 uniform opening directions left to the refining rounds
     assert below == []
     assert far <= 1e-12
     # Near c0 = 1 the dual is flat to rounding around its minimiser, and the float z lies off the
@@ -202,9 +220,8 @@ def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
     monkeypatch.setattr(oracle, "_support", recorded_support)
     crossed, shares = [], []
     with mpmath.workdps(40):
-        for alpha, c0 in _line_audited_pairs():
+        for alpha, c0, _ in _line_audited_searches():
             sampled.clear()
-            oracle._brackets.cache_clear()
             extremal_concurrence(alpha, c0, Direction.MAX)
             omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in oracle.eigen_phases(alpha).tolist()]
             theta, h, z = (np.concatenate(x) for x in zip(*sampled))
@@ -220,4 +237,5 @@ def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
                 if mpmath.mpf(caps[k]) < peak or mpmath.mpf(floors[k]) > trough:
                     crossed.append((tuple(map(float, alpha)), c0, theta[k], caps[k], floors[k]))
     print(f"worst share of the 8 eps (1 + c0 |z|) margin used over {len(shares)} caps and floors: {max(shares):.3g}")
+    assert len(shares) >= 3660  # as many as 16 uniform opening directions and their refining rounds gave
     assert crossed == []
