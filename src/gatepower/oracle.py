@@ -10,8 +10,8 @@ D(c0) with support function, by Lagrange duality,
 
 Sampled support values bound max |F| from above and min |F| from below, and so does
 each sampled dual minimiser z, rotated with the points, at every direction; explicit states
-from the dual active sets bound them from the other side.  Searches open on the spectrum's own
-directions; a side still open takes a Newton step on h' = c0 Im z, then splits gaps, also at h' roots.
+from the dual active sets bound them from the other side.  Each bracket is one pass over the
+spectrum's own directions, with MAX's clamped end (C_max = 1) built outright; nothing refines.
 """
 
 from __future__ import annotations
@@ -41,20 +41,20 @@ __all__ = [
 
 # Converged: the bracket and the state's constraint violation are at most _TOL.
 _TOL = 1e-8
-_MAX_ROUNDS = 40
-_MAX_DIRECTIONS = 8192
 # Dual distances within this of the largest one count as active.
 _ACTIVE_ATOL = 1e-11
 _EPS = float(np.finfo(float).eps)
 _TWO_PI = 2.0 * math.pi
-# The minimiser of h is the origin (the circumcentre of any three w_j), a
-# point w_j, or the optimum on the bisector of one of these pairs.
-_PAIRS = np.array(list(itertools.combinations(range(4), 2))).T
+# The minimiser of h is the origin (the circumcentre of any three w_j), a point w_j, or the optimum on the
+# bisector of a pair.  Each is a frame (a, b), read along exp(i (l_a + l_b - theta)): the origin in (0, 0)
+# at t = 0, each w_m as the pair (m, m), whose optimum is t = 1, and the six pairs.
+_FRAMES = np.array([(0, 0), *((m, m) for m in range(4)), *itertools.combinations(range(4), 2)]).T
+_PAIRS = _FRAMES[:, 5:]
 # A search below c0 = 1 opens on (_OPENING @ l + _SHIFT) mod 2 pi: the quadrants, the points' directions
 # 2 l_j and both ends of each pair's bisector l_j + l_k, along which the optima off 0 and 1 lie.
 _OPENING = np.concatenate([np.zeros((4, 4)), 2.0 * np.eye(4), *2 * [np.eye(4)[_PAIRS].sum(axis=0)]])
 _SHIFT = np.concatenate([0.5 * math.pi * np.arange(4), np.zeros(10), np.full(6, math.pi)])
-_OPENING.flags.writeable = _SHIFT.flags.writeable = False
+_FRAMES.flags.writeable = _OPENING.flags.writeable = _SHIFT.flags.writeable = False
 
 
 class Direction(enum.Enum):
@@ -182,7 +182,7 @@ def _fan(n: int) -> tuple:
     """Hull tables of n points in angular order: edges, diagonals and fan
     triangles from point 0."""
     k = np.arange(n)
-    segments = np.concatenate([np.stack([k, _rolled(k)]), np.stack([0 * k, k])], axis=1)
+    segments = np.concatenate([np.stack([k, np.roll(k, -1)]), np.stack([0 * k, k])], axis=1)
     return _hull(segments, np.stack([0 * k[1:-1], k[1:-1], k[2:]]))
 
 
@@ -218,92 +218,57 @@ def _nearest_weights(p, hull, valid=None) -> np.ndarray:
 
 
 def _support(lam, c0: float, theta):
-    """Certified support values h(theta) of D(c0) and their dual data: the
-    minimisers z, the points w_j and the distances |w_j - z|, (4, rows)
-    with the point axis first."""
-    psi = 2.0 * lam[:, None] - theta
-    w = np.exp(1j * psi)
-    first, second = psi[_PAIRS[0]], psi[_PAIRS[1]]
-    half, diff = 0.5 * (first + second), 0.5 * (first - second)
-    # On the bisector z = t exp(i half), |z - w_j|^2 = (t - a)^2 + b^2.
-    a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
-    # Only c0 within 1e-8 of 1 reaches |t| > 1e4 (|t| <= 1 + c0 / sqrt(1 - c0^2)).
-    # There 1 - s * s cancels, so it takes 1 -/+ s from half-angle squares.
-    near = c0 > 1.0 - 1e-8
-    if near:
-        ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
-    t = a - s * b / np.sqrt(ends[0] * ends[1] if near else 1.0 - s * s)
-    cand = np.concatenate([np.zeros((1, theta.size)), w, t * np.exp(1j * half)])
-    # Distances (4, 11, rows): the max over the points reduces contiguous planes.
-    dist = np.abs(w[:, None] - cand)
-    # Any z bounds h from above; a margin covers rounding in evaluating g
-    # (8 eps (1 + |z|), or 8 eps (2 + lead) held in g when near).
-    g = c0 * cand.real + dist.max(axis=0)
-    if near:
-        # g = lead + max_j (|w_j - z| - |z|), lead = c0 Re z + |z| = |t| (1 -/+ s) on bisectors.
-        size = np.abs(cand)
-        lead = c0 * cand.real + size
-        lead[5:] = np.abs(t) * np.where(t < 0, *ends)
-        excess = (1.0 - 2.0 * (w.conj()[:, None] * cand).real) / (dist + size)
-        g = lead + excess.max(axis=0) + 8.0 * _EPS * (2.0 + lead)
-    best = g.argmin(axis=0)
-    rows = np.arange(theta.size)
-    z = cand[best, rows]
-    h = g[best, rows] if near else g[best, rows] + 8.0 * _EPS * (1.0 + np.abs(z))
-    return h, z, w, dist[:, best, rows]
+    """Certified support values h(theta) of D(c0), their dual minimisers z, and at each z the unit
+    vectors (w_j - z) / |w_j - z| and excesses |w_j - z| - |z|, (4, rows) with the point axis first.
+
+    In the frame (a, b) the points are exp(i (l_a + l_b - theta)) exp(i e_j), e_j = 2 l_j - l_a - l_b,
+    and z = t exp(i (l_a + l_b - theta)), so w_j - z is that unit turn times (cos e_j - cos d) +
+    (cos d - t) + i sin e_j, d = l_a - l_b: gate constants from the eigenphase differences, with
+    cos e_j - cos d = -2 sin(l_j - l_a) sin(l_j - l_b) and e_j summed as (l_j - l_a) + (l_j - l_b), plus
+    the real shift cos d - t.  No row subtracts two rounded points, so clustered w_j keep their digits.
+    """
+    first, second = lam[_FRAMES]
+    left, right = lam[:, None] - first, lam[:, None] - second
+    sin_l, sin_r, sin_e = np.sin((left, right, left + right))
+    gap, pair = -2.0 * sin_l * sin_r, np.exp(1j * (first - second))
+    # Half the frames' turns, and 1 -/+ c0 cos(turn) from half-angle squares, which do not cancel near c0 = 1.
+    half = 0.5 * ((first + second)[:, None] - theta)
+    minus, plus = (1.0 - c0) + (2.0 * c0) * np.square((np.sin(half), np.cos(half)))
+    # c0 Re z + |w_a - z| is least at cos d - t = c0 cos(turn) |sin d| / sqrt(1 - c0^2 cos^2(turn));
+    # the origin's frame shifts by cos 0 - 0 = 1.
+    shift = (plus - minus) * (0.5 * np.abs(pair.imag))[:, None] / np.sqrt(minus * plus)
+    shift[0] = 1.0
+    t = pair.real[:, None] - shift
+    size = np.abs(t)
+    across = gap[..., None] + shift
+    dist = np.sqrt(across * across + np.square(sin_e)[..., None])
+    # g = lead + max_j excess, lead = c0 Re z + |z| = |t| (1 -/+ c0 cos(turn)).
+    excess = (1.0 - t * (2.0 * (gap + pair.real))[..., None]) / (dist + size)
+    lead = size * np.where(t < 0, minus, plus)
+    g = lead + excess.max(axis=0)
+    # Each row's least g, by its flat index into the (frame, row) plane.
+    n = theta.size
+    best = g.argmin(axis=0) * n + np.arange(n)
+    # Any z bounds h from above; 8 eps (2 + lead) covers rounding in evaluating g.
+    h = g.take(best) + 8.0 * _EPS * (2.0 + lead.take(best))
+    spin = np.exp(2j * half.take(best))
+    r = dist.reshape(4, -1)[:, best]
+    # Where a point sits at z any unit vector is a subgradient; alternating ones keep c0 in the hull of
+    # those of a row whose points all sit there.
+    units = np.ones((4, n), complex)
+    units[1::2] = -1.0
+    num = (across.reshape(4, -1)[:, best] + 1j * sin_e[:, best // n]) * spin
+    np.divide(num, r, out=units, where=r > _ACTIVE_ATOL)
+    return h, t.take(best) * spin, units, excess.reshape(4, -1)[:, best]
 
 
-def _rolled(x) -> np.ndarray:
-    """np.roll(x, -1) without its Python-level wrapper."""
-    return np.concatenate((x[1:], x[:1]))
-
-
-def _primal(w, z, r, c0):
-    """Feasible u (sum |u| = 1, sum u = c0), (4, rows), attaining the
-    support values of the dual data (w, z, r) from :func:`_support`."""
-    # Optimality of z puts c0 in the hull of the unit vectors from z to the
-    # active points; the hull weights mu give u_j = mu_j conj(unit_j).  The
-    # excesses r_j - |z| compare them without cancelling |z| ~ 1 / sqrt(1 - c0^2).
-    excess = ((w - 2.0 * z) * w.conj()).real / (r + np.abs(z))
+def _primal(units, excess, c0):
+    """Feasible u (sum |u| = 1, sum u = c0), (4, rows), attaining the support values whose unit
+    vectors and excesses :func:`_support` returns."""
+    # Optimality of z puts c0 in the hull of the unit vectors to the active points, those within
+    # _ACTIVE_ATOL of the farthest; the hull weights mu give u_j = mu_j conj(unit_j).
     active = excess >= excess.max(axis=0) - _ACTIVE_ATOL
-    units = np.divide(w - z, r, out=np.ones(w.shape, complex), where=r > _ACTIVE_ATOL)
-    # When every point sits at z, any unit vectors are subgradients.
-    units[:, r.max(axis=0) <= _ACTIVE_ATOL] = [[1.0], [-1.0], [1.0], [-1.0]]
     return _nearest_weights(units - c0, _HULL_4, active) * units.conj()
-
-
-def _gap_min_bound(theta, gaps, f) -> np.ndarray:
-    """Upper bound of -h over each gap from the support points at its ends.
-
-    Across a gap h is at least the support function of the segment between
-    the two support points; the largest value of minus that function lies
-    at an end, at the segment's normal, or opposite one of the points.
-    """
-    p, q = f, _rolled(f)
-    # np.angle without its wrapper; 1j (p - q) is not -(1j (q - p)), whose signed zeros differ.
-    toward = [1j * (q - p), 1j * (p - q), -p, -q]
-    cand = np.array([theta, theta + gaps, *(np.arctan2(x.imag, x.real) for x in toward)])
-    rot = np.exp(-1j * cand)
-    value = -np.maximum((rot * p).real, (rot * q).real)
-    inside = (cand - theta) % _TWO_PI <= gaps
-    return np.where(inside, value, -np.inf).max(axis=0)
-
-
-def _gap_max_bound(gaps, h, z, c0: float) -> np.ndarray:
-    """Upper bound of h over each gap from the rotated duals at its ends.
-
-    Rotated with the points, the minimiser z_k is feasible at theta_k + d for every d, so h <=
-    h_k + c0 (Re(exp(-i d) z_k) - Re z_k).  Over the gap Re(exp(-i d) z_k) peaks at |z_k| where
-    arg z_k falls inside it, else at an end; 8 eps (1 + c0 |z_k|) covers rounding that term and a
-    sum below 1.  The far end reads exp(-i d) z_k with d <= 0 as its conjugate.
-    """
-    turn, lines = np.exp(-1j * gaps), []
-    for hk, zk in ((h, z), (_rolled(h), _rolled(z).conj())):
-        size = np.abs(zk)
-        inside = np.arctan2(zk.imag, zk.real) % _TWO_PI <= gaps
-        peak = np.where(inside, size, np.maximum(zk.real, (turn * zk).real))
-        lines.append(hk + c0 * (peak - zk.real) + 8.0 * _EPS * (1.0 + c0 * size))
-    return np.minimum(*lines)
 
 
 def _kernel(omega) -> list:
@@ -338,10 +303,14 @@ def _pad(u, omega) -> np.ndarray:
 
 def _feasible(u, omega, c0: float) -> np.ndarray:
     """u made a state of concurrence c0: sum |u| = 1 and sum u = c0, in one pass.  Sum u misses c0 where
-    clustered w_j cost _primal's units their digits, or where z ties between a point and a bisector
-    (alpha = (0, 7.07e-7, 7.07e-7), c0 = 0: z = w_1 against that of (w_0, w_3), units missing by 1.4e-6).
-    A miss above 1e-13 is spread by |u| (evenly where u = 0, whose hull weights can cancel MIN's states
-    exactly), a sum |u| above 1 is mixed toward c0 |u| / sum |u|, then _pad."""
+    z ties with another candidate to rounding and c0 lies just outside the hull of its active units: a
+    point against a bisector (alpha = (0, 7.07e-7, 7.07e-7), c0 = 0: z = w_1 against that of (w_0, w_3),
+    by 1.4e-6); z = 0 with all four points active, at the ends of an arc where h = 1 (near c0 = 1, by up
+    to 1e-9) or where their units' hull is a sliver (near CNOT and sqrt(SWAP), by up to 2e-8); and a
+    point or bisector with one active unit within 1e-9 of c0 = 1, where the w_j cluster in pairs or all
+    four (near the identity, SWAP and the a1 = a2 = pi/4 edge, by up to 6e-7).  A miss above 1e-13 is
+    spread by |u| (evenly where u = 0, whose hull weights can cancel MIN's states exactly), a sum |u|
+    above 1 is mixed toward c0 |u| / sum |u|, then _pad."""
     if abs(miss := c0 - u.sum()) > 1e-13:
         u = u + miss * (np.abs(u) / total if (total := np.abs(u).sum()) else 0.25)
         if (size := np.abs(u).sum()) > 1.0:
@@ -349,19 +318,47 @@ def _feasible(u, omega, c0: float) -> np.ndarray:
     return _pad(u, omega)
 
 
+def _crossing(a: complex, d: complex, target: float) -> float:
+    """The s in [0, 1] where |a + s d|, convex in s, rises through target: 0 if |a| is already
+    there, 1 if |a + d| is not, else the larger root of |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 -
+    target^2, taken without cancellation."""
+    if abs(a) >= target:
+        return 0.0
+    if abs(a + d) <= target:
+        return 1.0
+    p, q, r = (a.conjugate() * d).real, (abs(a) - target) * (abs(a) + target), abs(d) ** 2
+    root = math.sqrt(p * p - r * q)
+    return (root - p) / r if p < 0 else -q / (p + root)
+
+
+def _saturated(mu, omega, c0: float) -> np.ndarray:
+    """A state of concurrence c0 with |F| = 1, where mu weighs the point q = mu w of the hull of the w_j
+    nearest 0 and |q| <= c0, so C_max(c0) = 1 (at c0 = 0 the perfect-entangler criterion, 0 in the hull).
+
+    From q, walk toward the w_m farthest from it to p with |p| = c0, clamped to the segment; with p's
+    convex weights P, u = (p / |p|) P conj(w) has sum |u| = 1, sum u = |p| and F = p / |p|."""
+    q = mu @ omega
+    m = int(np.abs(omega - q).argmax())
+    s = _crossing(q, omega[m] - q, c0)
+    weights = (1.0 - s) * mu
+    weights[m] += s
+    p = weights @ omega
+    return _feasible(p / abs(p) * weights * omega.conj(), omega, c0)
+
+
 @functools.lru_cache(maxsize=1)
 def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
     """MIN's and MAX's explicit u (read-only), each made feasible by :func:`_feasible`, and certified
-    bounds, ((u_min, bound_min), (u_max, bound_max)), from one set of directions; keyed by exact bytes.
+    bounds, ((u_min, bound_min), (u_max, bound_max)), from one pass; keyed by exact bytes.
 
     Every bound is a support value or a rotated dual line, each of which holds at any direction however
-    rounded.  Below c0 = 1 the opening samples the optima off 0 and 1 on its pair bisectors, and each
-    row's line caps MAX at its peak and floors MIN at its trough.  As a safeguard a side still open adds
-    its best row's peak or trough direction; one open after that Newton step, or MIN while its hull misses
-    0 at bound 0, splits its wide gaps into equal pieces plus the secant root of h' = c0 Im z (MAX's gaps
-    read :func:`_gap_max_bound`).  MIN reads every support point's primal state until it closes on the
-    state it returns; MAX builds its direction's.  D(1) is the hull of the w_j, whose point nearest 0 is
-    a vertex or on an edge, so MIN's bound there is the best over the w_j and both normals of each pair."""
+    rounded.  Below c0 = 1 one :func:`_support` call samples the opening, whose pair bisectors carry the
+    optima off 0 and 1.  Each row's line caps MAX at its peak and floors MIN at its trough; MIN returns
+    the point of the hull of the rows' support points nearest 0, and MAX the state of its best row, or,
+    where that leaves it open and the hull of the w_j comes within c0 of 0, :func:`_saturated` at bound 1.
+    Nothing refines: a bracket the opening leaves open reads not converged.  D(1) is the hull of the w_j,
+    whose point nearest 0 is a vertex or on an edge, so MIN's bound there is the best over the w_j and
+    both normals of each pair, and MAX is :func:`_saturated` at bound 1."""
     lam, c0 = np.frombuffer(lam_bytes), float.fromhex(c0_hex)
     omega = np.exp(2j * lam)
     if c0 >= 1.0:
@@ -372,71 +369,30 @@ def _brackets(lam_bytes: bytes, c0_hex: str) -> tuple:
         support = (d.conj()[:, None] * omega).real.min(axis=1).max()
         mu = _nearest_weights(omega[:, None], _HULL_4)[:, 0]
         lo = _feasible(mu.astype(complex), omega, c0), max(float(support) - 8.0 * _EPS, 0.0)
-        hi = _feasible(np.eye(4, dtype=complex)[0], omega, c0), 1.0
-        lo[0].flags.writeable = hi[0].flags.writeable = False
-        return lo, hi
-    theta = np.sort((_OPENING @ lam + _SHIFT) % _TWO_PI)
-    # One direction per cluster: each within _TOL past the one before it, or of the first's next turn, merges.
-    keep = theta < theta[0] + (_TWO_PI - _TOL)
-    keep[1:] &= theta[1:] - theta[:-1] > _TOL
-    theta = theta[keep]
-    h, z, w, r = _support(lam, c0, theta)
-    # States stay rows, C-contiguous: BLAS sums u @ omega and mu @ u in another order on other layouts.
-    u = _primal(w, z, r, c0).T.copy()
-    lo = None  # MIN's feasible state and bound, once closed
-    for rnd in range(_MAX_ROUNDS + 1):
-        gaps = np.concatenate((theta[1:], [theta[0] + _TWO_PI])) - theta
-        # Each row's rotated dual bounds h at every direction (see _gap_max_bound): its peak, where
-        # exp(-i d) z_k = |z_k|, caps MAX, and its trough, where it is -|z_k|, floors MIN.
-        lift, margin = c0 * np.abs(z), 8.0 * _EPS * (1.0 + c0 * np.abs(z))
-        k, top = int((caps := h + (lift - c0 * z.real) + margin).argmin()), h.max() + 0.1 * _TOL
-        hi_bound, wide = min(1.0, float(caps[k])), np.zeros(theta.size, dtype=bool)
-        if hi_bound > top and rnd:  # open after a Newton step: across a gap h lies below the cap,
-            # the tangents at its ends and the rotated duals of its ends.
-            polygon = np.minimum(np.maximum(h, _rolled(h)) / np.cos(0.5 * gaps), hi_bound)
-            gap_bound = np.minimum(polygon, _gap_max_bound(gaps, h, z, c0))
-            wide, hi_bound = gap_bound > top, float(gap_bound.max())
-        # Newton steps: an open side samples the optimum of its best row's line.
-        new = [(theta[k] + math.atan2(z[k].imag, z[k].real)) % _TWO_PI] if hi_bound > top else []
-        if lo is None:
-            j = int((floors := (lift + c0 * z.real) - h - margin).argmax())
-            bound, f = max(float((-h).max()), float(floors[j]), 0.0), u @ omega
-            mu = _nearest_weights(f[:, None], _fan(theta.size))[:, 0]
-            # MIN closes on the state it returns, at bound 0 once the hull of its support points holds 0,
-            # or once no gap can bring that hull nearer 0 (at bound 0 there is no Newton step).
-            state = _feasible(mu @ u, omega, c0) if abs(mu @ f) <= bound + 0.1 * _TOL else mu @ u
-            if not (closed := abs(state @ omega) <= bound + 0.1 * _TOL) and (rnd or not bound):
-                deep = _gap_min_bound(theta, gaps, f) > bound + 0.1 * _TOL
-                closed, wide = not deep.any(), wide | deep
-            if closed:
-                lo = _feasible(state, omega, c0), bound
-            elif bound:
-                new.append((theta[j] + math.atan2(-z[j].imag, -z[j].real)) % _TWO_PI)
-        n_wide = int(wide.sum())
-        if rnd == _MAX_ROUNDS or not (n_wide or new):
-            break
-        # Cut each wide gap into equal pieces, a round adding at most max(255, n_wide) of them, and
-        # where h' = c0 Im z changes sign add the secant root of h' (the envelope theorem on the dual).
-        pieces = min(16, max(2, 256 // max(n_wide, 1)))
-        slope = c0 * z.imag
-        turns = wide & (np.sign(slope) * np.sign(_rolled(slope)) < 0)
-        first, second = slope[turns], _rolled(slope)[turns]
-        roots = theta[turns] + gaps[turns] * (first / (first - second))
-        if theta.size + len(new) + (pieces - 1) * n_wide + roots.size > _MAX_DIRECTIONS:
-            break
-        cuts = (theta[wide, None] + gaps[wide, None] * (np.arange(1, pieces) / pieces)).ravel()
-        new = np.concatenate((new, cuts, roots))
-        h_new, z_new, w_new, r_new = _support(lam, c0, new)
-        order = np.concatenate([theta, new]).argsort(kind="stable")
-        if lo is None:  # only MIN reads every row's state
-            u = np.concatenate((u, _primal(w_new, z_new, r_new, c0).T))[order]
-        theta, h, z = (np.concatenate(p)[order] for p in ((theta, new), (h, h_new), (z, z_new)))
-        w, r = (np.concatenate(p, axis=1)[:, order] for p in ((w, w_new), (r, r_new)))
-    lo = lo or (_feasible(state, omega, c0), bound)  # unclosed: the point nearest 0
-    # MAX's state: that of its direction, built from the row's dual data as a batch builds it, unless MIN read it.
-    k = h.argmax()
-    u_hi = u[k].copy() if len(u) == theta.size else _primal(w[:, k, None], z[k, None], r[:, k, None], c0).ravel()
-    hi = _feasible(u_hi, omega, c0), hi_bound
+        hi = _saturated(mu, omega, c0), 1.0
+    else:
+        theta = np.sort((_OPENING @ lam + _SHIFT) % _TWO_PI)
+        # One direction per cluster: each within _TOL past the one before it, or of the first's next turn, merges.
+        keep = theta < theta[0] + (_TWO_PI - _TOL)
+        keep[1:] &= theta[1:] - theta[:-1] > _TOL
+        theta = theta[keep]
+        h, z, units, excess = _support(lam, c0, theta)
+        # States stay rows, C-contiguous: BLAS sums u @ omega and weights @ u in another order on other layouts.
+        u = _primal(units, excess, c0).T.copy()
+        # Rotated with the points, each row's minimiser z_k is feasible at every direction, so h <= h_k +
+        # c0 (Re(exp(-i d) z_k) - Re z_k): its peak, where exp(-i d) z_k = |z_k|, caps MAX, and its trough,
+        # where it is -|z_k|, floors MIN; 8 eps (1 + c0 |z_k|) covers rounding that term and a sum below 1.
+        lift, ahead = c0 * np.abs(z), c0 * z.real
+        margin = 8.0 * _EPS * (1.0 + lift)
+        hi_bound = min(1.0, float((h + (lift - ahead) + margin).min()))
+        bound = max(float((-h).max()), float(((lift + ahead) - h - margin).max()), 0.0)
+        weights = _nearest_weights((u @ omega)[:, None], _fan(theta.size))[:, 0]
+        lo = _feasible(weights @ u, omega, c0), bound
+        k = int(h.argmax())
+        hi = _feasible(u[k], omega, c0), hi_bound
+        if hi_bound > h[k] + 0.1 * _TOL:  # MAX open on its opening: clamped at 1 where the hull reaches c0
+            mu = _nearest_weights(omega[:, None], _HULL_4)[:, 0]
+            hi = (_saturated(mu, omega, c0), 1.0) if abs(mu @ omega) <= c0 else hi
     lo[0].flags.writeable = hi[0].flags.writeable = False
     return lo, hi
 
@@ -487,17 +443,8 @@ def reach_target(alpha, c0: float, target: float) -> OracleResult:
     lam = eigen_phases(alpha)
     omega = np.exp(2j * lam)
     (lo_u, _), (hi_u, _) = _brackets(lam.tobytes(), c0.hex())
-    # |F(s)| = |a + s d| is convex; its crossing is the larger root of
-    # |d|^2 s^2 + 2 Re(conj(a) d) s + |a|^2 - target^2, taken without cancellation.
     a, d = lo_u @ omega, (hi_u - lo_u) @ omega
-    if abs(a) >= target:
-        s = 0.0
-    elif abs(a + d) <= target:
-        s = 1.0
-    else:
-        p, q, r = (a.conjugate() * d).real, (abs(a) - target) * (abs(a) + target), abs(d) ** 2
-        root = math.sqrt(p * p - r * q)
-        s = (root - p) / r if p < 0 else -q / (p + root)
+    s = _crossing(a, d, target)
     return _result(alpha, c0, _feasible((1.0 - s) * lo_u + s * hi_u, omega, c0), target)
 
 

@@ -108,14 +108,14 @@ def envelope_scan(alpha, c0_grid) -> list[EnvelopeRow]:
 @pytest.fixture(autouse=True)
 def empty_bracket_memo():
     """Start every test with an empty bracket memo, so a test that patches
-    ``oracle._MAX_ROUNDS`` or ``oracle._MAX_DIRECTIONS`` cannot read a
-    bracket memoised under other settings."""
+    the opening cannot read a bracket memoised under another."""
     oracle._brackets.cache_clear()
 
 
 def open_on_quadrants(monkeypatch) -> None:
-    """Open every search on the four quadrants alone, off the spectrum's own directions: interior
-    optima are then left to the Newton round and the gap splitting, which no verify anchor reaches."""
+    """Open every search on the four quadrants alone, off the spectrum's own directions, whose pair
+    bisectors carry the interior optima: nothing refines, so the near-identity anchor's brackets
+    stay open at 0.3, by 5.1e-6 (MAX) and 9.0e-6 (MIN)."""
     monkeypatch.setattr(oracle, "_OPENING", oracle._OPENING[:4])
     monkeypatch.setattr(oracle, "_SHIFT", oracle._SHIFT[:4])
 

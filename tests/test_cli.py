@@ -27,7 +27,6 @@ from gatepower import (
     decompose,
     effective_angle,
     eigen_phases,
-    oracle,
     power_interval,
     random_unitary,
     verify_profile,
@@ -331,10 +330,9 @@ def test_curve_verify_failure_exits_one(capsys, shifted_closed_form):
 
 
 def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
-    # Opened on the quadrants alone and without refinement rounds, the brackets stay open
-    # while the values still match the closed form: the failure is convergence, not deviation.
+    # Opened on the quadrants alone, the brackets stay open while the values still match
+    # the closed form: the failure is convergence, not deviation.
     open_on_quadrants(monkeypatch)
-    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     code, _, err = run(capsys, ["curve", "--gate", "canonical:0.025,0.015,0.00625", "--steps", "3", "--verify"])
     assert code == 1
     assert err == "verification failed: 1 of 3 rows not converged\n"
@@ -344,7 +342,6 @@ def test_curve_verify_names_rows_that_did_not_converge(capsys, monkeypatch):
 def test_verify_and_curve_verify_print_one_cause_line(capsys, monkeypatch, cause):
     if "converged" in cause:
         open_on_quadrants(monkeypatch)
-        monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     else:
         # Below the default tol: only the certified bracket sees the shift.
         shift_closed_form(monkeypatch, 1e-6)

@@ -139,10 +139,9 @@ def test_determinism():
 
 
 def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
-    # Opened on the quadrants alone and without refinement rounds, the near-identity bracket
-    # stays open at 0.3: by 5.1e-6 for MAX and 9.0e-6 for MIN.
+    # Opened on the quadrants alone, the near-identity bracket stays open at 0.3: by 5.1e-6 for
+    # MAX and 9.0e-6 for MIN, since nothing refines an opening.
     open_on_quadrants(monkeypatch)
-    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     for direction in (Direction.MAX, Direction.MIN):
         result = extremal_concurrence([0.025, 0.015, 0.00625], 0.3, direction)
         assert result.converged is False
@@ -224,7 +223,6 @@ def test_profile_failures_name_each_cause_once_in_order(monkeypatch):
     report = verify_profile(VERIFY_ANCHORS["generic"], [0.5], tol=1.5e-3)
     assert report.failures == ["1 of 1 rows outside the certified bracket", "max deviation 1.800e-03 > 1.5e-03"]
     open_on_quadrants(monkeypatch)
-    monkeypatch.setattr(oracle, "_MAX_ROUNDS", 0)
     shift_closed_form(monkeypatch, 1e-2)
     report = verify_profile(VERIFY_ANCHORS["near_identity"], [0.0, 0.5, 1.0])
     assert report.failures == [
@@ -475,11 +473,11 @@ def test_verify_profile_matches_recorded_report():
             closed_min=0.0,
             closed_max=0.9854497299884601,
             oracle_min=2.237726045655905e-16,
-            oracle_max=0.9854497299884598,
+            oracle_max=0.9854497299884597,
             bound_min=0.0,
-            bound_max=0.9854497299884639,
+            bound_max=0.9854497299884659,
             deviation_min=2.237726045655905e-16,
-            deviation_max=3.3306690738754696e-16,
+            deviation_max=4.440892098500626e-16,
             converged=True,
             passed=True,
         ),
@@ -487,11 +485,11 @@ def test_verify_profile_matches_recorded_report():
             c0=0.3,
             closed_min=0.0,
             closed_max=1.0,
-            oracle_min=1.1188630228279524e-16,
+            oracle_min=1.3877787807814457e-16,
             oracle_max=0.9999999999999993,
             bound_min=0.0,
             bound_max=1.0,
-            deviation_min=1.1188630228279524e-16,
+            deviation_min=1.3877787807814457e-16,
             deviation_max=6.661338147750939e-16,
             converged=True,
             passed=True,
@@ -501,11 +499,11 @@ def test_verify_profile_matches_recorded_report():
             closed_min=0.16996714290024104,
             closed_max=1.0,
             oracle_min=0.16996714290024073,
-            oracle_max=0.9999999999999994,
+            oracle_max=0.9999999999999993,
             bound_min=0.16996714290023926,
             bound_max=1.0,
             deviation_min=3.0531133177191805e-16,
-            deviation_max=5.551115123125783e-16,
+            deviation_max=6.661338147750939e-16,
             converged=True,
             passed=True,
         ),
@@ -651,36 +649,21 @@ def test_newton_pad_matches_bisection():
         assert abs(t_newton - t_bisected) <= 1e-12 * t_bisected
 
 
-def point_last_support(lam, c0, theta):
-    """Reference for ``oracle._support``: the same arithmetic with the point
-    axis last in the distances (rows, 11, 4)."""
-    psi = 2.0 * lam[None, :] - theta[:, None]
+def complex_difference_support(lam, c0, theta):
+    """Reference for ``oracle._support`` on well-separated spectra, the complex-difference form: each
+    w_j - z subtracted from the rounded points w_j = exp(i (2 l_j - theta)) and candidates z."""
+    psi = 2.0 * lam[:, None] - theta
     w = np.exp(1j * psi)
-    half = 0.5 * (psi[:, oracle._PAIRS[0]] + psi[:, oracle._PAIRS[1]])
-    diff = 0.5 * (psi[:, oracle._PAIRS[0]] - psi[:, oracle._PAIRS[1]])
-    a, b, s = np.cos(diff), np.abs(np.sin(diff)), c0 * np.cos(half)
-    root = np.sqrt(1.0 - s * s)
-    near = c0 > 1.0 - 1e-8
-    stable = np.any(near)
-    if stable:
-        ends = [(1.0 - c0) + 2.0 * c0 * np.square(f(0.5 * half)) for f in (np.sin, np.cos)]
-        root = np.where(near, np.sqrt(ends[0] * ends[1]), root)
-    t = a - s * b / root
-    cand = np.concatenate([np.zeros((theta.size, 1)), w, t * np.exp(1j * half)], axis=1)
-    dist = np.abs(w[:, None, :] - cand[:, :, None])
-    g = c0 * cand.real + dist.max(axis=2)
-    far = 1.0
-    if stable:
-        size = np.abs(cand)
-        lead = c0 * cand.real + size
-        lead[:, 5:] = np.abs(t) * np.where(t < 0, *ends)
-        excess = (1.0 - 2.0 * (w.conj()[:, None, :] * cand[:, :, None]).real) / (dist + size[:, :, None])
-        g = np.where(near, lead + excess.max(axis=2) + 8.0 * oracle._EPS * (2.0 + lead), g)
-        far = np.where(near, 0.0, 1.0).ravel()
-    best = g.argmin(axis=1)
-    rows = np.arange(theta.size)
-    z = cand[rows, best]
-    return g[rows, best] + 8.0 * oracle._EPS * far * (1.0 + np.abs(z)), z, w, dist[rows, best]
+    half = 0.5 * (psi[oracle._PAIRS[0]] + psi[oracle._PAIRS[1]])
+    diff = 0.5 * (psi[oracle._PAIRS[0]] - psi[oracle._PAIRS[1]])
+    s = c0 * np.cos(half)
+    t = np.cos(diff) - s * np.abs(np.sin(diff)) / np.sqrt(1.0 - s * s)
+    cand = np.concatenate([np.zeros((1, theta.size)), w, t * np.exp(1j * half)])
+    dist = np.abs(w[:, None] - cand)
+    g = c0 * cand.real + dist.max(axis=0)
+    best, rows = g.argmin(axis=0), np.arange(theta.size)
+    z, r = cand[best, rows], dist[:, best, rows]
+    return g[best, rows], z, (w - z) / r, r - np.abs(z)
 
 
 def row_first_nearest_weights(p, hull, valid=None):
@@ -725,23 +708,27 @@ def test_row_last_nearest_weights_match_the_row_first_reference():
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
-def _support_cases():
+def test_support_matches_the_complex_difference_form_on_separated_spectra():
+    # Where no two w_j lie within 0.3 of each other, subtracting rounded points costs no digits, so the
+    # complex-difference rows agree with the pair frames' to rounding (clustered spectra, where they
+    # do not, are checked at 40 digits in test_oracle_precision.py).
     rng = np.random.default_rng(31)
-    lams = [oracle.eigen_phases(g) for g in [rng.uniform(-1.0, 1.0, 3) for _ in range(3)] + _named_gates()]
-    for lam in lams:
-        yield lam, float(rng.uniform(0.0, 0.99)), rng.uniform(0.0, 2 * math.pi, 200)
-        for c0 in (1.0 - 1e-9, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0))):
-            yield lam, c0, rng.uniform(0.0, 2 * math.pi, 40)
-
-
-def test_point_first_support_matches_the_point_last_reference():
-    for lam, c0, theta in _support_cases():
-        # The oracle returns w and r point axis first.
-        h, z, w, r = point_last_support(lam, c0, theta)
-        for got, ref in zip(oracle._support(lam, c0, theta), (h, z, w.T, r.T)):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
-            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+    checked = 0
+    while checked < 8:
+        lam = oracle.eigen_phases(random_chamber_point(rng))
+        omega = np.exp(2j * lam)
+        if np.abs(omega[:, None] - omega)[np.triu_indices(4, 1)].min() < 0.3:
+            continue
+        checked += 1
+        for c0 in (0.0, float(rng.uniform(0.0, 0.99)), 0.99):
+            theta = rng.uniform(0.0, 2 * math.pi, 200)
+            h, z, units, excess = oracle._support(lam, c0, theta)
+            g, z_ref, units_ref, excess_ref = complex_difference_support(lam, c0, theta)
+            np.testing.assert_allclose(h, g, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(excess, excess_ref, rtol=0, atol=1e-13)
+            apart = excess_ref + np.abs(z_ref) > 1e-9  # a point at z has no unit vector
+            np.testing.assert_allclose(units[apart], units_ref[apart], rtol=0, atol=1e-13)
 
 
 def test_reach_target_lands_on_the_target():
@@ -832,34 +819,23 @@ def test_opening_holds_the_spectrum_directions_one_per_cluster(alpha):
         assert listed[listed < k - 1e-15].max() < k - oracle._TOL
 
 
-@pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
-@pytest.mark.parametrize("c0", GRID_11[:-1])
-def test_near_identity_search_refines_in_few_rounds(monkeypatch, c0, direction):
-    # Opened on the quadrants alone, the refinement stays a safeguard: far below _MAX_ROUNDS, no gap stays wide.
-    open_on_quadrants(monkeypatch)
-    rows = _counting_support(monkeypatch)
-    assert extremal_concurrence(VERIFY_ANCHORS["near_identity"], c0, direction).converged
-    assert rows[0] == 4 and len(rows) <= 5
-    assert max(rows[1:], default=0) <= 256
-
-
 def test_brackets_near_c0_one_hold_the_closed_form(monkeypatch):
-    # The dual minimiser runs to |z| ~ 1e7; the bracket still closes.
+    # The dual minimiser runs to |z| ~ 1e7; the bracket still closes, both sides on one opening.
     rows = _counting_support(monkeypatch)
     rng = np.random.default_rng(29)
     c0 = 1.0 - 1e-14
     for _ in range(10):
         w = rng.uniform(-4.0, 4.0, 3)
         closed = power_interval(w, c0)
+        rows.clear()
         for direction in (Direction.MIN, Direction.MAX):
-            rows.clear()
             r = extremal_concurrence(w, c0, direction)
             if direction is Direction.MAX:
                 assert r.extremal_concurrence - 1e-12 <= closed.c_max <= r.bound + 1e-12
             else:
                 assert r.bound - 1e-12 <= closed.c_min <= r.extremal_concurrence + 1e-12
             assert r.converged
-            assert sum(rows) <= oracle._MAX_DIRECTIONS
+        assert len(rows) == 1
 
 
 @pytest.mark.parametrize("c0", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))])
@@ -964,21 +940,13 @@ def test_verify_passes_near_sqrt_swap():
         _assert_rows_pass_on_feasible_witnesses(alpha, [NEAR_SQRT_SWAP_C0S[k % len(NEAR_SQRT_SWAP_C0S)]])
 
 
-@pytest.mark.parametrize("direction", [Direction.MIN, Direction.MAX])
-def test_direction_cap_counts_every_piece(monkeypatch, direction):
-    monkeypatch.setattr(oracle, "_MAX_DIRECTIONS", 100)
-    rows = _counting_support(monkeypatch)
-    extremal_concurrence(VERIFY_ANCHORS["near_identity"], 0.5, direction)
-    assert sum(rows) <= 100
-
-
 def _counting_primal(monkeypatch):
     """Wrap ``oracle._primal``; returns the list of row counts per call."""
     rows, primal = [], oracle._primal
 
-    def counted(w, z, r, c0):
-        rows.append(len(z))
-        return primal(w, z, r, c0)
+    def counted(units, excess, c0):
+        rows.append(units.shape[1])
+        return primal(units, excess, c0)
 
     monkeypatch.setattr(oracle, "_primal", counted)
     return rows
@@ -987,27 +955,20 @@ def _counting_primal(monkeypatch):
 @pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("gate", ["generic", "near_identity"])
 def test_primal_states_are_built_only_where_a_search_reads_them(monkeypatch, gate, c0):
-    # MIN reads every support point until its hull holds 0, and MAX the one at
-    # its final direction: support rows get primal states through MIN's closing
-    # round, plus at most one row for MAX.
+    # MIN reads every support point's state and MAX its best row's: the opening's rows get their
+    # states in one _primal call, and nothing else does, also on the quadrants alone.
+    size = _opening(VERIFY_ANCHORS[gate]).size
     support_rows, primal_rows = _counting_support(monkeypatch), _counting_primal(monkeypatch)
-    for direction in (Direction.MIN, Direction.MAX):
-        oracle._brackets.cache_clear()
-        support_rows.clear()
-        primal_rows.clear()
-        r = extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction)
-        assert r.converged
-        read = primal_rows[:-1] if len(primal_rows) > 1 and primal_rows[-1] == 1 else primal_rows
-        assert read == support_rows[:len(read)] and len(read) >= 1
-        if direction is Direction.MIN and r.bound > 0:  # no hull closed: MIN read every row
-            assert read == support_rows
-    if (gate, c0) == ("generic", 0.1):  # opened on the quadrants, MAX refines after MIN closed: it builds one row
-        open_on_quadrants(monkeypatch)
-        oracle._brackets.cache_clear()
-        support_rows.clear()
-        primal_rows.clear()
-        assert extremal_concurrence(VERIFY_ANCHORS[gate], c0, Direction.MAX).converged
-        assert support_rows == primal_rows == [4, 1]
+    for quadrants in (False, True):
+        if quadrants:
+            open_on_quadrants(monkeypatch)
+        for direction in (Direction.MIN, Direction.MAX):
+            oracle._brackets.cache_clear()
+            support_rows.clear()
+            primal_rows.clear()
+            r = extremal_concurrence(VERIFY_ANCHORS[gate], c0, direction)
+            assert r.converged or quadrants
+            assert support_rows == primal_rows == [4 if quadrants else size]
 
 
 def test_generic_max_search_takes_fewer_rows_than_uniform_pieces(monkeypatch):
@@ -1018,15 +979,15 @@ def test_generic_max_search_takes_fewer_rows_than_uniform_pieces(monkeypatch):
 
 
 def test_primal_state_of_one_row_is_bit_identical_to_its_batched_row():
-    # MAX builds its one state from its row's dual data; a batch builds the same bits.
+    # A row's state does not depend on the rows batched with it.
     rng = np.random.default_rng(31)
     for c0 in (0.0, 0.3, 0.9, 1.0 - 1e-12):
         lam = oracle.eigen_phases(rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-9.0, 0.0))
         theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, 64))
-        _, z, w, r = oracle._support(lam, c0, theta)
-        batch = oracle._primal(w, z, r, c0).T.copy()
+        _, _, units, excess = oracle._support(lam, c0, theta)
+        batch = oracle._primal(units, excess, c0).T.copy()
         for k in range(theta.size):
-            one = oracle._primal(w[:, k, None], z[k, None], r[:, k, None], c0).ravel()
+            one = oracle._primal(units[:, k, None], excess[:, k, None], c0).ravel()
             assert one.tobytes() == batch[k].tobytes()
 
 
@@ -1172,22 +1133,6 @@ def test_verify_anchors_close_on_their_opening(monkeypatch, gate, c0):
     assert len(thetas) == 1 and np.array_equal(thetas[0], opening)
 
 
-# Support rows per call at each verify anchor opened on the quadrants alone: an interior optimum
-# takes one Newton round.  The saturating anchor's C_max(0.9) = 1 is no interior optimum: MAX's
-# support value is 1 on an arc, which the gap splitting finds after the Newton step.
-NEWTON_ROWS = {"near_identity": [4, 2], "generic": [4], ("generic", 0.1): [4, 1], ("saturating", 0.9): [4, 1, 63]}
-
-
-@pytest.mark.parametrize("c0", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
-def test_interior_optima_close_in_one_newton_round(monkeypatch, gate, c0):
-    open_on_quadrants(monkeypatch)
-    rows = _counting_support(monkeypatch)
-    assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
-    expected = NEWTON_ROWS.get((gate, c0), NEWTON_ROWS.get(gate, [4]))
-    assert rows == expected
-
-
 # Saturating chamber gates within 1e-10 of c0 = 1.  On an opening of 16 uniform directions MAX read the
 # row whose support value is 1 at the edge of its arc, where the dual minimiser is the origin; that row's
 # primal state misses sum u = c0 by 1.3e-8, and made feasible it fell to |F| = 1 - 1.03e-8, leaving the
@@ -1212,6 +1157,30 @@ def test_saturating_max_closes_within_1e_10_of_c0_one(alpha, c0):
     assert row.bound_max - row.oracle_max <= 1e-14
 
 
+# Each row closes on its opening.  The first three lie within ~1e-9 of SWAP or the identity, where
+# support rows built from rounded points lose their units' digits (the first then read "not converged",
+# the next two took 4098 and 52 rows); the rest have C_max(c0) = 1 with MAX open after the opening,
+# so MAX is built outright at bound 1.
+ONE_PASS_ROWS = [
+    ((0.7853981626653236, 0.7853981614415666, 0.7853981630580563), 0.3),
+    ((0.78539816380623, 0.7853981627575832, 0.7853981631907713), 0.9224580545285921),
+    ((8.176215259667902e-10, 1.3102426491608592e-10, 2.1456102711960645e-09), 0.5),
+    ((0.2520324284687303, 0.2376129683238857, -0.21468425046446615), 0.8),
+    *(((0.5609191553095477, 0.024217451999067944, 0.010769357621616682), c0) for c0 in (0.5, 0.6, 0.7)),
+    ((0.4855175999180696, 0.45017016164711154, -0.43598276878879383), 0.5),
+    ((0.7856535906646493, 0.7854843817806915, -0.00046317135303458227), 0.1),
+]
+
+
+@pytest.mark.parametrize("alpha, c0", ONE_PASS_ROWS)
+def test_rows_close_on_one_support_call(monkeypatch, alpha, c0):
+    rows = _counting_support(monkeypatch)
+    row = verify_profile(alpha, [c0]).rows[0]
+    assert row.passed and len(rows) == 1
+    if ONE_PASS_ROWS.index((alpha, c0)) >= 3:
+        assert row.bound_max == 1.0 and row.oracle_max >= 1.0 - 1e-14
+
+
 def test_min_hull_state_that_cancels_to_zero_is_made_feasible():
     # The hull weights cancel MIN's states to u = 0 exactly; the miss of sum u = c0 is spread evenly.
     alpha = (1.0750987377908095e-10, -2.794672273459428e-10, 8.264339372071083e-12)
@@ -1222,18 +1191,18 @@ def test_min_hull_state_that_cancels_to_zero_is_made_feasible():
 
 # reach_target(anchor, 0.5, target): value, constraint violation, achiever bytes.
 RECORDED_REACH = {
-    "generic": (0.5, 0.49999999999999967, 1.6653345369377348e-16,
-                "097852784f8b973fcef0f3cb791ee3bf93cdd532efa8d43f8806b959d4fbd6bf"
-                "1722ab0a47e4ba3fcfe907ef32dac93f097852784f8b97bfcef0f3cb791ee33f"),
-    "near_identity": (0.49840085315130966, 0.49840085315130955, 0.0,
-                      "000000000000000059b63dc67695e3bfb520c6e56c7dd23ff322172f8f9ccebf"
-                      "0f879780e25ed03ff3f6252c571acb3f000000000000000059b63dc67695e33f"),
-    "saturating": (0.5, 0.4999999999999996, 0.0,
-                   "b928566dcfe8d33f111f6d936c5fdabf6efef46dfb70cc3f8d1c175c36c3e0bf"
-                   "e28f9c329b86a4bf50f8ad83b981c23fe55711a51568d23fc8f5504fe9a7e13f"),
-    "facet": (0.5, 0.49999999999999967, 1.1102230246251565e-16,
-              "2b215b0ee344da3f616a7df060e3c8bfbac0d5ec011ca03f18418e705c76ac3f"
-              "047efd6aac07d0bf307873e1c00de3bfecebc0eb5f82e23f616a7df060e3c83f"),
+    "generic": (0.5, 0.49999999999999967, 3.3306690738754696e-16,
+                "814f6b62c58adc3fe4a9e3e8d33be0bf40842b9e7a9ed43fc0ef529dc37c9dbf"
+                "98e9a2fc3675ce3f055f906f1115d7bf814f6b62c58adc3f903de082509ecd3f"),
+    "near_identity": (0.49840085315130966, 0.49840085315130944, 2.220446049250313e-16,
+                      "000000000000000059b63dc67695e3bf9a20c6e56c7dd23fe122172f8f9ccebf"
+                      "22879780e25ed03f25f7252c571acb3f000000000000000059b63dc67695e33f"),
+    "saturating": (0.5, 0.4999999999999996, 5.551115123125783e-17,
+                   "ae1cdca8e5aec23ff2a9d398138ad5bf187dfa720c11933f95561d898028d3bf"
+                   "c8d3f3949974dabfc0dfe3d7f77da73f5248967ffb59a1bf5dc02a589cd0e83f"),
+    "facet": (0.5, 0.4999999999999998, 1.6653345369377348e-16,
+              "7a17b3dec7b6dd3ffe00cbf906d5cebf0cc863615281c23fbc211487c970d53f"
+              "0cc863615281c2bfbc211487c970d5bff9df0908f943e53faabfd389176dc13f"),
 }
 
 

@@ -7,10 +7,10 @@ from the float coordinates, on a gate set fixed up front, and MIN's bound
 must not exceed it: a bound above the true minimum would fail correct
 closed forms.  Below c0 = 1 the extrema are the paper's
 cos(arccos c0 -+ theta), also at 40 digits, and neither bound may cross
-them unwidened.  MAX's gap bounds read each end's rotated dual line,
-which the 40-digit line must not exceed, and the slope h' = c0 Im z that
-steers the refinement must match a 40-digit derivative.  A violation is a
-defect in the bound, not a margin to widen.
+them unwidened.  Each row's rotated dual line, which caps MAX and floors
+MIN, must hold against its 40-digit value, and each support value against
+the 40-digit h(theta), also where the w_j cluster within ~1e-8.  A
+violation is a defect in the bound, not a margin to widen.
 """
 
 import numpy as np
@@ -110,8 +110,7 @@ def _line_audited_pairs():
 
 def _line_audited_searches():
     """Each line-audited (gate, c0) pair twice, the memo cleared, with whether the search opens on the
-    four quadrants alone: first on the spectrum's own directions, on which most close, then on the
-    quadrants, from which the Newton round and the gap splitting still refine."""
+    four quadrants alone: first on the spectrum's own directions, then on the quadrants."""
     for quadrants in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             if quadrants:
@@ -135,81 +134,12 @@ def _exact_support(omega, c0, theta):
     return min(c0 * z.real + max(abs(x - z) for x in w) for z in candidates)
 
 
-def test_rotated_dual_gap_bounds_and_slopes_hold_at_40_digits(monkeypatch):
-    # Each row's rotated dual bounds h at every direction, h(theta_k + d) <= c0 Re(exp(-i d) z_k)
-    # + max_j |exp(-i theta_k) w_j - z_k|, exactly.  In every round that reads them, and on every
-    # opening's own rows, a rotated bound under the polygon bound must not fall below the smaller of
-    # its two ends' exact lines over the gap, and so below h there.
-    sampled, rounds = [], []
-    support, gap_max_bound = oracle._support, oracle._gap_max_bound
-
-    def recorded_support(lam, c0, theta):
-        out = support(lam, c0, theta)
-        sampled.append((theta, *out[:2]))
-        return out
-
-    def recorded_bound(gaps, h, z, c0):
-        out = gap_max_bound(gaps, h, z, c0)
-        rounds.append((np.sort(np.concatenate([x[0] for x in sampled]), kind="stable").tolist(), gaps, h, z, out))
-        return out
-
-    monkeypatch.setattr(oracle, "_support", recorded_support)
-    monkeypatch.setattr(oracle, "_gap_max_bound", recorded_bound)
-    below, shares, slopes = [], [], []
-    with mpmath.workdps(40):
-        two_pi = 2 * mpmath.pi
-        for alpha, c0, quadrants in _line_audited_searches():
-            sampled.clear()
-            rounds.clear()
-            extremal_concurrence(alpha, c0, Direction.MAX)
-            theta, h, z = sampled[0]
-            gaps = np.append(np.diff(theta), theta[0] + 2.0 * np.pi - theta[-1])
-            rounds.append((theta.tolist(), gaps, h, z, gap_max_bound(gaps, h, z, c0)))
-            omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in oracle.eigen_phases(alpha).tolist()]
-            # The envelope theorem on the rotated dual: h' = c0 Im z, at MAX's direction and one other
-            # (of the spectrum's opening: 40-digit derivatives are most of this test's time).
-            theta, h, z = (np.concatenate(x) for x in zip(*sampled))
-            for k in () if quadrants else (int(h.argmax()), theta.size // 3):
-                slope = mpmath.diff(lambda t: _exact_support(omega, mpmath.mpf(c0), t), mpmath.mpf(theta[k]))
-                slopes.append((c0 > 1.0 - 1e-6, abs(float(slope) - c0 * z[k].imag)))
-            for theta, gaps, h, z, bound in rounds:
-                n, rest = len(theta), {}
-
-                def line(k, span, conj):
-                    """The exact largest value of row k's rotated dual over a gap of width span after
-                    it (before it, through the conjugate), and the margin the bracket adds to it."""
-                    zk = mpmath.mpc(complex(z[k]))
-                    if k not in rest:
-                        rest[k] = max(abs(mpmath.expj(-mpmath.mpf(theta[k])) * x - zk) for x in omega)
-                    zk = mpmath.conj(zk) if conj else zk
-                    inside = mpmath.arg(zk) % two_pi <= span
-                    peak = abs(zk) if inside else max(zk.real, (mpmath.expj(-span) * zk).real)
-                    return c0 * peak + rest[k], 8.0 * oracle._EPS * (1.0 + c0 * abs(z[k]))
-
-                polygon = np.maximum(h, np.roll(h, -1)) / np.cos(0.5 * gaps)
-                for k in np.flatnonzero(bound < polygon).tolist():
-                    span = mpmath.mpf(theta[(k + 1) % n]) - mpmath.mpf(theta[k]) + (two_pi if k + 1 == n else 0)
-                    exact, margin = min(line(k, span, False), line((k + 1) % n, span, True))
-                    shares.append(float((exact - mpmath.mpf(bound[k])) / margin) + 1.0)
-                    if mpmath.mpf(bound[k]) < exact:
-                        below.append((tuple(map(float, alpha)), c0, theta[k], bound[k], float(exact)))
-    near, far = (max(error for is_near, error in slopes if is_near == side) for side in (True, False))
-    print(f"worst share of the 8 eps (1 + c0 |z|) margin used over {len(shares)} rotated-dual gap bounds: "
-          f"{max(shares):.3g}; worst |h' - c0 Im z|: {far:.3g}, {near:.3g} within 1e-6 of c0 = 1")
-    assert len(shares) >= 816  # as many as 16 uniform opening directions left to the refining rounds
-    assert below == []
-    assert far <= 1e-12
-    # Near c0 = 1 the dual is flat to rounding around its minimiser, and the float z lies off the
-    # exact one: in slope by ~4e-9 where z = 0 at c0 = 1 - 1e-16 here, and by 3.4e-8 at
-    # sqrt(SWAP) + 1e-8, c0 = 1 - 1e-15 in a wider draw.  The slope only steers where to sample.
-    assert near <= 1e-7
-
-
 def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
     # Rotated with the points, each row's dual minimiser z_k gives h <= c0 Re(exp(-i d) z_k) + R_k at
-    # every direction, R_k = max_j |exp(-i theta_k) w_j - z_k|.  Every round reads each row's peak
+    # every direction, R_k = max_j |exp(-i theta_k) w_j - z_k|.  The bracket reads each row's peak
     # h_k + c0 (|z_k| - Re z_k) + 8 eps (1 + c0 |z_k|) as MAX's cap and its trough, negated, as MIN's
     # floor: the cap must not fall below the exact c0 |z_k| + R_k, nor the floor rise above c0 |z_k| - R_k.
+    # That holds at any direction, so each search's rows are joined by 32 evenly spaced ones.
     sampled, support = [], oracle._support
 
     def recorded_support(lam, c0, theta):
@@ -218,14 +148,16 @@ def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_support", recorded_support)
+    rng = np.random.default_rng(11)
     crossed, shares = [], []
     with mpmath.workdps(40):
         for alpha, c0, _ in _line_audited_searches():
             sampled.clear()
             extremal_concurrence(alpha, c0, Direction.MAX)
+            recorded_support(oracle.eigen_phases(alpha), c0, rng.uniform(0.0, 0.2) + np.arange(32) * (np.pi / 16))
             omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in oracle.eigen_phases(alpha).tolist()]
             theta, h, z = (np.concatenate(x) for x in zip(*sampled))
-            # The bracket's own float arithmetic for the caps and floors of every row it read.
+            # The bracket's own float arithmetic for the caps and floors of every row.
             lift, margin = c0 * np.abs(z), 8.0 * oracle._EPS * (1.0 + c0 * np.abs(z))
             caps, floors = h + (lift - c0 * z.real) + margin, (lift + c0 * z.real) - h - margin
             for k in range(theta.size):
@@ -237,5 +169,46 @@ def test_row_caps_and_floors_hold_at_40_digits(monkeypatch):
                 if mpmath.mpf(caps[k]) < peak or mpmath.mpf(floors[k]) > trough:
                     crossed.append((tuple(map(float, alpha)), c0, theta[k], caps[k], floors[k]))
     print(f"worst share of the 8 eps (1 + c0 |z|) margin used over {len(shares)} caps and floors: {max(shares):.3g}")
-    assert len(shares) >= 3660  # as many as 16 uniform opening directions and their refining rounds gave
+    assert len(shares) >= 3660  # as many as the audit read when the bracket still refined
     assert crossed == []
+
+
+def _clustered_gates():
+    """Six draws each of SWAP - 10^U(-9.5, -8) |d| and identity + 10^U(-9.5, -8) |d|, d a random unit
+    vector: the w_j cluster within ~1e-8, where rounded points would cost the rows' units their digits."""
+    rng = np.random.default_rng(43)
+    gates = []
+    for anchor, sign in ((np.full(3, QUARTER_PI), -1.0), (np.zeros(3), 1.0)):
+        for _ in range(6):
+            direction = rng.standard_normal(3)
+            step = 10.0 ** rng.uniform(-9.5, -8.0) * np.abs(direction) / np.linalg.norm(direction)
+            gates.append(anchor + sign * step)
+    return gates
+
+
+def test_support_values_and_states_hold_at_40_digits_on_clustered_spectra():
+    # Each support value h + margin, margin = 8 eps (2 + c0 Re z + |z|), must lie above the exact
+    # h(theta), and each row's state must meet sum u = c0 and attain h(theta), to rounding.
+    below, loose, shares = [], [], []
+    with mpmath.workdps(40):
+        for alpha in _clustered_gates():
+            lam = oracle.eigen_phases(alpha)
+            omega = [mpmath.expj(2 * mpmath.mpf(x)) for x in lam.tolist()]
+            theta = np.sort((oracle._OPENING @ lam + oracle._SHIFT) % (2.0 * np.pi))
+            for c0 in (0.1, 0.5, 0.9):
+                h, z, units, excess = oracle._support(lam, c0, theta)
+                u = oracle._primal(units, excess, c0)
+                margin = 8.0 * oracle._EPS * (2.0 + c0 * z.real + np.abs(z))
+                for k in range(theta.size):
+                    exact = _exact_support(omega, mpmath.mpf(c0), mpmath.mpf(theta[k]))
+                    shares.append(float((exact - mpmath.mpf(h[k]) + margin[k]) / margin[k]))
+                    if mpmath.mpf(h[k]) < exact:
+                        below.append((tuple(map(float, alpha)), c0, theta[k], h[k], float(exact)))
+                    turned = [mpmath.mpc(complex(x)) * mpmath.expj(-mpmath.mpf(theta[k])) * w
+                              for x, w in zip(u[:, k], omega)]
+                    if abs(u[:, k].sum() - c0) > 1e-13 or abs(mpmath.fsum(turned).real - exact) > 1e-13:
+                        loose.append((tuple(map(float, alpha)), c0, theta[k], abs(u[:, k].sum() - c0)))
+    print(f"worst share of the 8 eps (2 + lead) margin used over {len(shares)} clustered support values: "
+          f"{max(shares):.3g}")
+    assert below == []
+    assert loose == []

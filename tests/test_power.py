@@ -218,15 +218,51 @@ def _gap_angle(u):
     return min(math.pi / 2, math.pi - gap / 2)
 
 
-def test_effective_angle_is_read_off_the_spectrum():
+def _spectrum_gates():
+    """1000 Haar gates, and the named, facet, edge and reach-face gates dressed with local unitaries."""
     rng = np.random.default_rng(17)
     cores = [named_gate(token) for token in ("identity", "cnot", "cz", "swap", "iswap", "sqrtswap")]
     cores += [canonical_gate(w) for w in facet_and_edge_points()]
     cores += [canonical_gate(face(d)) for face in REACH_FACES.values() for d in (0.0, 1e-13, 1.5e-12, 5e-11, 1e-9, 1e-6)]
     gates = [random_unitary(4, seed) for seed in range(1000)]
-    gates += [random_local_pair(rng) @ core @ random_local_pair(rng) for core in cores]
-    for u in gates:
+    return gates + [random_local_pair(rng) @ core @ random_local_pair(rng) for core in cores]
+
+
+def test_effective_angle_is_read_off_the_spectrum():
+    for u in _spectrum_gates():
         assert abs(_gap_angle(u) - effective_angle(weyl_coordinates(u))) <= 1e-12
+
+
+def _hull_distance(points) -> float:
+    """Distance from 0 to the convex hull of four planar points: the least over the segments between
+    two (a repeated index is a single point) and the triangles of three whose barycentric weights of 0
+    are all of one sign, at the point those weights give (near 0 unless rounding faked the sign)."""
+    distances = []
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        e = points[j] - points[i]
+        t = min(max(-(points[i].conjugate() * e).real / abs(e) ** 2, 0.0), 1.0) if e else 0.0
+        distances.append(abs(points[i] + t * e))
+    for corners in itertools.combinations(range(4), 3):
+        p = [points[k] for k in corners]
+        sides = [(p[1].conjugate() * p[2]).imag, (p[2].conjugate() * p[0]).imag, (p[0].conjugate() * p[1]).imag]
+        if sum(sides) != 0 and (min(sides) >= 0 or max(sides) <= 0):
+            distances.append(abs(sum(b * x for b, x in zip(sides, p)) / sum(sides)))
+    return min(distances)
+
+
+def test_effective_angle_is_the_hull_distance_of_the_spectrum():
+    # cos theta is the distance from 0 to the hull of the eigenvalues w_j of m = U_B^T U_B (within 2.2e-15
+    # here, 1.2e-15 over 3000 Haar gates, and 5.2e-16 from the coordinates' own exp(2i l_j)), so
+    # C_max(c0) = 1 exactly from that distance on: the perfect-entangler criterion, 0 in the hull, at
+    # every c0.
+    for u in _spectrum_gates():
+        u_b = MAGIC_H @ u @ MAGIC
+        distance = _hull_distance(np.linalg.eigvals(u_b.T @ u_b).tolist())
+        alpha = weyl_coordinates(u)
+        assert abs(distance - math.cos(effective_angle(alpha))) <= 1e-14
+        assert can_reach_max(alpha, min(distance, 1.0))
+        if distance > 1e-3:  # well inside the reach rules' 1e-12 slack on c_max
+            assert not can_reach_max(alpha, distance - 1e-3)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
