@@ -1126,11 +1126,33 @@ def test_min_stops_when_its_hull_holds_the_origin(monkeypatch, gate):
 @pytest.mark.parametrize("c0", GRID_11[:-1])
 @pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
 def test_verify_anchors_close_on_their_opening(monkeypatch, gate, c0):
-    # The bisectors carry the interior optima, so no verify anchor reaches the Newton round.
+    # The bisectors carry the interior optima, so every verify anchor closes on its opening.
     opening = _opening(VERIFY_ANCHORS[gate])
     thetas = _recording_support(monkeypatch)
     assert verify_profile(VERIFY_ANCHORS[gate], [c0]).passed
     assert len(thetas) == 1 and np.array_equal(thetas[0], opening)
+
+
+@pytest.mark.parametrize("c0", GRID_11[:-1])
+@pytest.mark.parametrize("gate", sorted(VERIFY_ANCHORS))
+def test_quadrant_opening_fails_safe_and_closes_at_the_ends(monkeypatch, gate, c0):
+    # Opened on the quadrants alone, off the bisectors, an interior optimum's bracket stays open (the
+    # near-identity anchor's at every c0 > 0, the generic one's MAX at 0.1), yet each bracket still
+    # holds the closed form: a coarse opening can fail a row as "not converged", never pass a wrong one.
+    # Optima at the ends close on any opening: MIN where c_min = 0, MAX at bound 1 where C_max = 1.
+    open_on_quadrants(monkeypatch)
+    rows = _counting_support(monkeypatch)
+    report = verify_profile(VERIFY_ANCHORS[gate], [c0])
+    row = report.rows[0]
+    assert rows == [4]
+    assert report.failures == ([] if row.converged else ["1 of 1 rows not converged"])
+    closed = power_interval(VERIFY_ANCHORS[gate], c0)
+    if closed.c_min == 0.0:
+        assert row.bound_min == 0.0 and row.oracle_min <= 0.1 * oracle._TOL
+    if closed.c_max == 1.0:
+        assert row.bound_max == 1.0 and row.oracle_max >= 1.0 - 1e-14
+    if closed.c_min == 0.0 and closed.c_max == 1.0:
+        assert row.converged
 
 
 # Saturating chamber gates within 1e-10 of c0 = 1.  On an opening of 16 uniform directions MAX read the
